@@ -8,10 +8,8 @@ from .algebra import (
     build_commutative_algebra,
     build_full_matrix_algebra,
     direct_sum,
-    element_norm,
     generated_subalgebra,
     identity_embedding,
-    multiply,
     opposite,
     summand_quotient,
     unitize,

@@ -18,11 +18,13 @@ checked eagerly at construction; everything downstream assumes them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .jsonio import complex_from_json, complex_to_json
+from .normest import CompositeSumBall, EuclideanBall, SpectralBall
 from .rng import complex_gaussian, stream
 
 ASSOC_TOL = 1e-9
@@ -110,18 +112,24 @@ class Algebra:
         a = complex_gaussian(rng, (_SUBMULT_SAMPLES, self.dim))
         b = complex_gaussian(rng, (_SUBMULT_SAMPLES, self.dim))
         ab = np.einsum("si,sj,ijk->sk", a, b, self.structure)
-        na, nb, nab = (self._batch_norms(m) for m in (a, b, ab))
+        na, nb, nab = (self.unit_ball.norm(m) for m in (a, b, ab))
         good = (na > 0) & (nb > 0)
         if np.any(nab[good] > na[good] * nb[good] * (1.0 + SUBMULT_TOL) + 1e-12):
             raise ConfigError("norm is not submultiplicative on sampled pairs")
 
-    def _batch_norms(self, coords: np.ndarray) -> np.ndarray:
+    @cached_property
+    def unit_ball(self):
+        """Unit ball of the norm mode (see ``amnm.normest``).
+
+        Built from the norm mode, realization and base only, so it is ready
+        for the construction-time checks before constructors attach structure
+        to ``kind``.
+        """
         if self.norm_mode == "spectral":
-            mats = np.tensordot(coords, self.realization, axes=(1, 0))
-            return np.linalg.svd(mats, compute_uv=False)[..., 0]
+            return SpectralBall(self.realization)
         if self.norm_mode == "frobenius":
-            return np.linalg.norm(coords, axis=1)
-        return np.abs(coords[:, 0]) + self.base._batch_norms(coords[:, 1:])
+            return EuclideanBall(self.dim)
+        return CompositeSumBall(self.base.unit_ball)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -142,21 +150,7 @@ class Algebra:
         return np.tensordot(coords, self.realization, axes=(0, 0))
 
     def element_norm(self, coords: np.ndarray) -> float:
-        coords = np.asarray(coords, dtype=complex)
-        if self.norm_mode == "spectral":
-            mat = self.realize(coords)
-            return 0.0 if not mat.any() else float(np.linalg.svd(mat, compute_uv=False)[0])
-        if self.norm_mode == "frobenius":
-            return float(np.linalg.norm(coords))
-        return abs(coords[0]) + self.base.element_norm(coords[1:])
-
-    def coords_ball_factor(self) -> float:
-        """c with ||coords(a)||_2 <= c for every a in the unit ball."""
-        if self.norm_mode == "spectral":
-            return float(np.sqrt(self.realization.shape[1]))
-        if self.norm_mode == "frobenius":
-            return 1.0
-        return max(1.0, self.base.coords_ball_factor())
+        return self.unit_ball.norm(np.asarray(coords, dtype=complex))
 
     # -- element helpers ----------------------------------------------------
 
@@ -240,15 +234,6 @@ class Element:
 
     def norm(self) -> float:
         return self.parent.element_norm(self.coords)
-
-
-def multiply(a: Element, b: Element) -> Element:
-    """Product of two elements of the same algebra."""
-    return a * b
-
-
-def element_norm(a: Element) -> float:
-    return a.norm()
 
 
 @dataclass
@@ -347,19 +332,6 @@ def direct_sum(a1: Algebra, a2: Algebra) -> Algebra:
     alg = Algebra(structure, unit, a1.norm_mode, realization, labels, kind=kind)
     alg.kind["summands"] = (a1, a2)
     return alg
-
-
-def summand_embeddings(sum_algebra: Algebra) -> tuple[Embedding, Embedding]:
-    """Embeddings of the two summands of a direct sum."""
-    if sum_algebra.kind.get("name") != "direct_sum":
-        raise DomainError("not a direct sum")
-    a1, a2 = sum_algebra.kind["summands"]
-    d1, d2 = a1.dim, a2.dim
-    m1 = np.zeros((d1 + d2, d1), dtype=complex)
-    m1[:d1] = np.eye(d1)
-    m2 = np.zeros((d1 + d2, d2), dtype=complex)
-    m2[d1:] = np.eye(d2)
-    return Embedding(a1, sum_algebra, m1), Embedding(a2, sum_algebra, m2)
 
 
 def summand_quotient(sum_algebra: Algebra, keep: int) -> tuple[Algebra, np.ndarray]:

@@ -9,10 +9,9 @@ Commands (single JSON config file plus flag overrides):
     amnm clones --word 0110 [--word 1011 ...] --n 12 --horizon 20
 
 Exit codes: 0 all assertions passed, 1 falsification / non-convergence /
-refused precondition, 2 configuration error.  AMNM_THREADS caps suite
-parallelism; reports are byte-identical for identical (config, seed)
-regardless of the thread count because every row derives its randomness
-from (seed, instance index) and rows are assembled in key order.
+refused precondition, 2 configuration error.  Reports are byte-identical
+for identical (config, seed) because every row derives its randomness from
+(seed, instance index) and rows are assembled in key order.
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,23 +120,26 @@ def load_config(path: str | None, command: str, seed_flag: int | None, out_flag:
     seed = seed_flag if seed_flag is not None else doc.get("seed")
     if seed is None:
         raise ConfigError("a seed is mandatory (config 'seed' or --seed)")
-    dims = doc.get("dims", {})
-    tolerances = doc.get("tolerances", {})
-    cfg = RunConfig(
-        command=command,
-        seed=int(seed),
-        norm_mode=doc.get("norm_mode", "spectral"),
-        matrix_dim=int(dims.get("matrix", 2)),
-        gamma_norm=float(doc.get("gamma_norm", 1e-3)),
-        L=float(doc.get("L", 2.0)),
-        tol=float(tolerances.get("stabilize_tol", doc.get("tol", 1e-8))),
-        max_iter=int(doc.get("max_iter", 30)),
-        restarts=int(doc.get("restarts", 32)),
-        sweeps=int(doc.get("sweeps", 200)),
-        check_claim_bounds=bool(doc.get("check_claim_bounds", True)),
-        instances=int(doc.get("instances", 10)),
-        out=out_flag if out_flag is not None else doc.get("out", "reports"),
-    )
+    try:
+        dims = doc.get("dims", {})
+        tolerances = doc.get("tolerances", {})
+        cfg = RunConfig(
+            command=command,
+            seed=int(seed),
+            norm_mode=doc.get("norm_mode", "spectral"),
+            matrix_dim=int(dims.get("matrix", 2)),
+            gamma_norm=float(doc.get("gamma_norm", 1e-3)),
+            L=float(doc.get("L", 2.0)),
+            tol=float(tolerances.get("stabilize_tol", doc.get("tol", 1e-8))),
+            max_iter=int(doc.get("max_iter", 30)),
+            restarts=int(doc.get("restarts", 32)),
+            sweeps=int(doc.get("sweeps", 200)),
+            check_claim_bounds=bool(doc.get("check_claim_bounds", True)),
+            instances=int(doc.get("instances", 10)),
+            out=out_flag if out_flag is not None else doc.get("out", "reports"),
+        )
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed config value: {exc}") from exc
     cfg.validate()
     return cfg
 
@@ -248,14 +248,7 @@ def cmd_defect(cfg: RunConfig) -> int:
 
 def cmd_suite(cfg: RunConfig) -> int:
     out = _ensure_out(cfg)
-    threads = int(os.environ.get("AMNM_THREADS", "1") or "1")
-    tasks = suites.build_suite_tasks(cfg)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda t: t(), tasks))
-    else:
-        rows = [t() for t in tasks]
-    flat = [row for group in rows for row in group]
+    flat = [row for task in suites.build_suite_tasks(cfg) for row in task()]
     flat.sort(key=lambda r: r["id"])
     passed = all(r["passed"] for r in flat)
     doc = {
@@ -279,16 +272,24 @@ def cmd_suite(cfg: RunConfig) -> int:
     return 0 if passed else 1
 
 
+def _json_array(flag: str, text: str, convert) -> list:
+    """Entries of a JSON array flag, each passed through ``convert``."""
+    try:
+        values = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{flag} must be a JSON array: {exc}") from exc
+    if not isinstance(values, list):
+        raise ConfigError(f"{flag} must be a JSON array")
+    try:
+        return [convert(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{flag} entries must be numbers: {exc}") from exc
+
+
 def cmd_tsirelson(args: argparse.Namespace) -> int:
     if args.vector is None:
         raise ConfigError("--vector is required")
-    try:
-        values = json.loads(args.vector)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"--vector must be a JSON array: {exc}") from exc
-    if not isinstance(values, list):
-        raise ConfigError("--vector must be a JSON array")
-    vec = TsirelsonVector.from_dense([complex(v) for v in values])
+    vec = TsirelsonVector.from_dense(_json_array("--vector", args.vector, complex))
     levels = tsirelson_norm_levels(vec)
     doc = {
         "schema": SCHEMA_VERSION,
@@ -298,9 +299,9 @@ def cmd_tsirelson(args: argparse.Namespace) -> int:
         "support": vec.support,
     }
     if args.schreier is not None:
-        indices = json.loads(args.schreier)
+        indices = _json_array("--schreier", args.schreier, int)
         cert = schreier_inequality(vec, indices)
-        doc["schreier"] = {"J": sorted(int(i) for i in indices), "norm": cert.norm,
+        doc["schreier"] = {"J": sorted(indices), "norm": cert.norm,
                            "half_sum": cert.half_sum, "ok": cert.ok}
     print(dumps(doc))
     if args.out:

@@ -25,6 +25,7 @@ from .algebra import Algebra, Embedding
 from .errors import DomainError, PreconditionError
 from .jsonio import complex_to_json
 from .multilinear import Cochain, LinearMap
+from .normest import minimal_idempotent_frame
 
 VALID_RESIDUAL_TOL = 1e-10
 
@@ -202,18 +203,12 @@ def _library_rep(algebra: Algebra) -> TensorRep | None:
             if parent_rep is not None:
                 proj = basis.conj().T
                 return TensorRep(algebra, [(proj @ c, proj @ d) for c, d in parent_rep.pairs])
-        frame = _structural_idempotent_frame(algebra)
+        frame = minimal_idempotent_frame(algebra)
         if frame is not None:
             return TensorRep(
                 algebra, [(frame[:, i].copy(), frame[:, i].copy()) for i in range(frame.shape[1])]
             )
     return None
-
-
-def _structural_idempotent_frame(algebra: Algebra):
-    from .normest import minimal_idempotent_frame
-
-    return minimal_idempotent_frame(algebra)
 
 
 def _pad(coords: np.ndarray, offset: int, dim: int) -> np.ndarray:

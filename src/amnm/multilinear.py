@@ -34,10 +34,8 @@ from .normest import (
     DEFAULT_SWEEPS,
     DefectEstimate,
     EuclideanBall,
-    EuclideanTarget,
     ball_for,
     estimate_tensor_norm,
-    target_for,
 )
 
 __all__ = [
@@ -211,25 +209,16 @@ def multilinear_norm(
     sweeps: int = DEFAULT_SWEEPS,
     seed: int = 0,
     slot_order=None,
-    mode: str | None = None,
 ) -> DefectEstimate:
     """Certified interval for the norm of an arity-1 or arity-2 cochain.
 
     Arity 1 with Euclidean source and target balls is solved exactly by SVD.
-    ``mode`` overrides every slot and the target to the given norm mode's
-    coordinate treatment (only "frobenius" is supported as an override).
     """
     if psi.arity > 2:
         raise DomainError("norm estimation supports arities 1 and 2 only")
-    if mode not in (None, "frobenius"):
-        raise DomainError("mode override supports only 'frobenius'")
-    if mode == "frobenius":
-        balls = [EuclideanBall(s.dim) for s in psi.slots]
-        target = EuclideanTarget(psi.target.dim)
-    else:
-        balls = [ball_for(s) for s in psi.slots]
-        target = target_for(psi.target)
-    if psi.arity == 1 and all(isinstance(b, EuclideanBall) for b in balls) and isinstance(target, EuclideanTarget):
+    balls = [ball_for(s) for s in psi.slots]
+    target = psi.target.unit_ball
+    if psi.arity == 1 and all(isinstance(b, EuclideanBall) for b in balls + [target]):
         mat = psi.tensor
         if not mat.any():
             return DefectEstimate(0.0, 0.0, [np.zeros(psi.slots[0].dim, dtype=complex)], 0, seed)

@@ -18,13 +18,16 @@ restarts and never decreases the lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .algebra import Algebra
-from .errors import DomainError
+from .errors import DomainError, FalsificationError
 from .jsonio import complex_to_json
 from .rng import complex_gaussian, stream
+
+if TYPE_CHECKING:
+    from .algebra import Algebra
 
 DEFAULT_RESTARTS = 32
 DEFAULT_SWEEPS = 200
@@ -62,12 +65,27 @@ class DefectEstimate:
         }
 
 
-class FalsificationGuard(RuntimeError):
+class FalsificationGuard(FalsificationError):
     def __init__(self, lower, upper):
         super().__init__(f"certified lower {lower} exceeds certified upper {upper}")
 
 
 # -- unit balls ----------------------------------------------------------------
+#
+# Every ball has ``norm``, ``maximize`` (the best value of a linear functional
+# over the ball and a maximizer), ``coords_factor`` (the l2 radius of the ball
+# in coordinates) and ``random_point``.  The balls of the three norm modes
+# (Euclidean, Spectral, CompositeSum over a mode ball) are each algebra's
+# ``unit_ball`` and the target norm of every estimate, so they also have a
+# ``norm`` batched over leading axes, ``dual_vector`` (a norming functional)
+# and ``target_factor`` (norm <= factor * l2).
+
+
+def _l2_step(c: np.ndarray):
+    value = float(np.linalg.norm(c))
+    if value == 0.0:
+        return 0.0, np.zeros(c.shape[0], dtype=complex)
+    return value, np.conj(c) / value
 
 
 class EuclideanBall:
@@ -79,15 +97,21 @@ class EuclideanBall:
         self.dim = dim
 
     def maximize(self, c: np.ndarray):
-        value = float(np.linalg.norm(c))
-        if value == 0.0:
-            return 0.0, np.zeros(self.dim, dtype=complex)
-        return value, np.conj(c) / value
+        return _l2_step(c)
 
-    def norm(self, coords: np.ndarray) -> float:
-        return float(np.linalg.norm(coords))
+    def norm(self, coords: np.ndarray):
+        if coords.ndim == 1:
+            # the unbatched path keeps the rounding of a single-vector norm
+            return float(np.linalg.norm(coords))
+        return np.linalg.norm(coords, axis=-1)
+
+    def dual_vector(self, z: np.ndarray) -> np.ndarray:
+        return _l2_step(z)[1]  # the l2 ball is self-dual
 
     def coords_factor(self) -> float:
+        return 1.0
+
+    def target_factor(self) -> float:
         return 1.0
 
     def random_point(self, rng) -> np.ndarray:
@@ -135,37 +159,60 @@ class BoxBall:
 
 
 class SpectralBall:
-    """Spectral-norm ball of a full matrix algebra M_k.
+    """Spectral-norm ball of a matrix-realized algebra.
 
-    The basis realization spans all of M_k, so a linear functional
+    When the basis realization spans all of M_k, a linear functional
     l(x) = tr(M X) is maximized exactly at the polar factor of M
-    (value = nuclear norm of M).
+    (value = nuclear norm of M).  Otherwise (``exact`` False: a subalgebra
+    whose structure was not recognized) a partial step maximizes over the
+    inscribed coordinate-Euclidean ball (contained in the spectral ball since
+    ||x||_spec <= ||x||_F) and rescales to the sphere; the sweep accepts such
+    steps only when they improve, so it stays monotone, the witness stays
+    feasible and the reported lower bound remains certified.
     """
-
-    exact = True
 
     def __init__(self, realization: np.ndarray):
         self.realization = realization
         self.dim = realization.shape[0]
         self.k = realization.shape[1]
+        # the realized basis is Frobenius-orthonormal, so it spans M_k iff dim = k^2
+        self.exact = self.dim == self.k * self.k
 
     def _coords_of(self, mat: np.ndarray) -> np.ndarray:
         # Frobenius-orthonormal basis: coordinates are trace inner products.
         return np.einsum("iab,ab->i", np.conj(self.realization), mat)
 
     def maximize(self, c: np.ndarray):
+        if not self.exact:
+            _, x = _l2_step(c)
+            n = self.norm(x)
+            if n > 0:
+                x = x / n
+            return float(abs(c @ x)), x
         m = np.tensordot(c, np.conj(np.swapaxes(self.realization, 1, 2)), axes=(0, 0))
         u, sing, vh = np.linalg.svd(m)
         value = float(sing.sum())
         x = vh.conj().T @ u.conj().T
         return value, self._coords_of(x)
 
-    def norm(self, coords: np.ndarray) -> float:
-        mat = np.tensordot(coords, self.realization, axes=(0, 0))
-        return 0.0 if not mat.any() else float(np.linalg.svd(mat, compute_uv=False)[0])
+    def norm(self, coords: np.ndarray):
+        mats = np.tensordot(coords, self.realization, axes=(-1, 0))
+        top = np.linalg.svd(mats, compute_uv=False)[..., 0]
+        return float(top) if coords.ndim == 1 else top
+
+    def dual_vector(self, z: np.ndarray) -> np.ndarray:
+        mat = np.tensordot(z, self.realization, axes=(0, 0))
+        if not mat.any():
+            return np.zeros(self.dim, dtype=complex)
+        u, _, vh = np.linalg.svd(mat)
+        p, q = u[:, 0], vh[0].conj()
+        return np.einsum("a,iab,b->i", np.conj(p), self.realization, q)
 
     def coords_factor(self) -> float:
         return float(np.sqrt(self.k))
+
+    def target_factor(self) -> float:
+        return 1.0  # spectral norm <= Frobenius norm = coordinate norm
 
     def random_point(self, rng) -> np.ndarray:
         # drawn in coordinates (not matrix entries) so that mirrored slots of
@@ -232,11 +279,24 @@ class CompositeSumBall:
         coords[1:] = base_x
         return base_val, coords
 
-    def norm(self, coords: np.ndarray) -> float:
-        return float(abs(coords[0])) + self.base.norm(coords[1:])
+    def norm(self, coords: np.ndarray):
+        value = np.abs(coords[..., 0]) + self.base.norm(coords[..., 1:])
+        return float(value) if coords.ndim == 1 else value
+
+    def dual_vector(self, z: np.ndarray) -> np.ndarray:
+        # the dual norm is max(|c_0|, ||c'||_*): norm the larger part
+        c = np.zeros(self.dim, dtype=complex)
+        if abs(z[0]) >= self.base.norm(z[1:]):
+            c[0] = np.conj(z[0]) / abs(z[0]) if abs(z[0]) > 0 else 0.0
+        else:
+            c[1:] = self.base.dual_vector(z[1:])
+        return c
 
     def coords_factor(self) -> float:
         return max(1.0, self.base.coords_factor())
+
+    def target_factor(self) -> float:
+        return float(np.sqrt(1.0 + self.base.target_factor() ** 2))
 
     def random_point(self, rng) -> np.ndarray:
         t = rng.uniform(0.0, 1.0)
@@ -245,43 +305,6 @@ class CompositeSumBall:
         coords[0] = t * phase
         coords[1:] = (1.0 - t) * self.base.random_point(rng)
         return coords
-
-
-class InscribedBall:
-    """Fallback for spectral subalgebras without recognized structure.
-
-    Partial steps maximize over the inscribed coordinate-Euclidean ball
-    (contained in the spectral ball since ||x||_spec <= ||x||_F); steps are
-    accepted only when they improve, so the sweep stays monotone and the
-    witness stays feasible.  The reported lower bound remains certified.
-    """
-
-    exact = False
-
-    def __init__(self, algebra: Algebra):
-        self.algebra = algebra
-        self.dim = algebra.dim
-
-    def maximize(self, c: np.ndarray):
-        value = float(np.linalg.norm(c))
-        if value == 0.0:
-            return 0.0, np.zeros(self.dim, dtype=complex)
-        x = np.conj(c) / value
-        true_norm = self.algebra.element_norm(x)
-        if true_norm > 0:
-            x = x / true_norm
-        return float(abs(c @ x)), x
-
-    def norm(self, coords: np.ndarray) -> float:
-        return self.algebra.element_norm(coords)
-
-    def coords_factor(self) -> float:
-        return self.algebra.coords_ball_factor()
-
-    def random_point(self, rng) -> np.ndarray:
-        v = complex_gaussian(rng, self.dim)
-        n = self.algebra.element_norm(v)
-        return v / n if n > 0 else v
 
 
 # -- structural recognition -----------------------------------------------------
@@ -348,7 +371,14 @@ def _frame_is_hermitian(algebra: Algebra, frame: np.ndarray) -> bool:
 
 
 def ball_for(algebra: Algebra):
-    """Unit-ball optimizer for the algebra's norm mode (cached)."""
+    """Unit-ball optimizer for a slot in ``algebra`` (cached).
+
+    The algebra's ``unit_ball``, except where exact partial steps need more
+    structure: a unitization takes the composite ball over its base's slot
+    ball, and a spectral algebra whose realization does not span M_k takes a
+    box in a frame of self-adjoint minimal idempotents, or a product over its
+    direct summands, when structure recognition finds one.
+    """
     cached = algebra._cache.get("ball")
     if cached is not None:
         return cached
@@ -358,17 +388,12 @@ def ball_for(algebra: Algebra):
 
 
 def _build_ball(algebra: Algebra):
-    if algebra.norm_mode == "frobenius":
-        return EuclideanBall(algebra.dim)
     if algebra.norm_mode == "unitization-composite":
         return CompositeSumBall(ball_for(algebra.base))
-    # spectral
+    if algebra.norm_mode == "frobenius" or algebra.unit_ball.exact:
+        return algebra.unit_ball
+    # spectral, realization not spanning M_k
     name = algebra.kind.get("name")
-    k = algebra.realization.shape[1]
-    if name == "matrix" or algebra.dim == k * k:
-        flat = algebra.realization.reshape(algebra.dim, -1)
-        if np.linalg.matrix_rank(flat) == k * k:
-            return SpectralBall(algebra.realization)
     if name == "commutative":
         return BoxBall(np.eye(algebra.dim, dtype=complex))
     if name == "direct_sum":
@@ -381,80 +406,7 @@ def _build_ball(algebra: Algebra):
     frame = minimal_idempotent_frame(algebra)
     if frame is not None and _frame_is_hermitian(algebra, frame):
         return BoxBall(frame)
-    return InscribedBall(algebra)
-
-
-# -- target norms ----------------------------------------------------------------
-
-
-class EuclideanTarget:
-    def __init__(self, dim: int):
-        self.dim = dim
-
-    def norm(self, z: np.ndarray) -> float:
-        return float(np.linalg.norm(z))
-
-    def dual_vector(self, z: np.ndarray) -> np.ndarray:
-        n = np.linalg.norm(z)
-        return np.conj(z) / n if n > 0 else np.zeros(self.dim, dtype=complex)
-
-    def coords_factor(self) -> float:
-        return 1.0
-
-
-class SpectralTarget:
-    def __init__(self, realization: np.ndarray):
-        self.realization = realization
-        self.dim = realization.shape[0]
-
-    def norm(self, z: np.ndarray) -> float:
-        mat = np.tensordot(z, self.realization, axes=(0, 0))
-        return 0.0 if not mat.any() else float(np.linalg.svd(mat, compute_uv=False)[0])
-
-    def dual_vector(self, z: np.ndarray) -> np.ndarray:
-        mat = np.tensordot(z, self.realization, axes=(0, 0))
-        if not mat.any():
-            return np.zeros(self.dim, dtype=complex)
-        u, _, vh = np.linalg.svd(mat)
-        p, q = u[:, 0], vh[0].conj()
-        return np.einsum("a,iab,b->i", np.conj(p), self.realization, q)
-
-    def coords_factor(self) -> float:
-        return 1.0  # spectral norm <= Frobenius norm = coordinate norm
-
-
-class CompositeSumTarget:
-    def __init__(self, base_target, dim: int):
-        self.base = base_target
-        self.dim = dim
-
-    def norm(self, z: np.ndarray) -> float:
-        return float(abs(z[0])) + self.base.norm(z[1:])
-
-    def dual_vector(self, z: np.ndarray) -> np.ndarray:
-        c = np.zeros(self.dim, dtype=complex)
-        if abs(z[0]) >= self.base.norm(z[1:]):
-            c[0] = np.conj(z[0]) / abs(z[0]) if abs(z[0]) > 0 else 0.0
-        else:
-            c[1:] = self.base.dual_vector(z[1:])
-        return c
-
-    def coords_factor(self) -> float:
-        return float(np.sqrt(1.0 + self.base.coords_factor() ** 2))
-
-
-def target_for(algebra: Algebra):
-    cached = algebra._cache.get("target")
-    if cached is not None:
-        return cached
-    if algebra.norm_mode == "frobenius":
-        tgt = EuclideanTarget(algebra.dim)
-    elif algebra.norm_mode == "spectral":
-        tgt = SpectralTarget(algebra.realization)
-    else:
-        tgt = CompositeSumTarget(target_for(algebra.base), algebra.dim)
-    algebra._cache["target"] = tgt
-    return tgt
+    return algebra.unit_ball  # inscribed-Euclidean steps
 
 
 # -- the estimator ----------------------------------------------------------------
@@ -514,6 +466,9 @@ def estimate_tensor_norm(
 ) -> DefectEstimate:
     """Interval estimate of sup ||T(x_1..x_n)|| over the slot unit balls.
 
+    ``target`` is the unit ball whose norm measures the values (the target
+    algebra's ``unit_ball``).
+
     ``slot_order`` fixes both the sweep order and the seed-stream tag of
     each slot, so transposed tensors can reproduce mirrored trajectories.
     """
@@ -526,7 +481,7 @@ def estimate_tensor_norm(
         witness = [np.zeros(b.dim, dtype=complex) for b in slot_balls]
         return DefectEstimate(0.0, 0.0, witness, 0, seed)
 
-    upper = _unfolding_upper(tensor) * target.coords_factor()
+    upper = _unfolding_upper(tensor) * target.target_factor()
     for ball in slot_balls:
         upper *= ball.coords_factor()
 

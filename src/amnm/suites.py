@@ -10,7 +10,6 @@ bound assembled from certified uppers.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ from .multilinear import (
     multilinear_norm,
     restrict_first,
 )
-from .normest import ball_for, target_for
+from .normest import ball_for
 from .perturbation import (
     absorption_check,
     clone_constant,
@@ -109,20 +108,13 @@ def _nofalsify(check: str, lhs_lo: float, lhs_hi: float, rhs_hi: float) -> Check
 
 
 _FIXTURES: dict = {}
-_FIXTURE_LOCK = threading.Lock()
 
 
 def _fixture(key, builder):
-    """Algebras are immutable, so standard fixtures are shared across checks;
-    the lock keeps parallel suite tasks on one shared instance."""
-    value = _FIXTURES.get(key)
-    if value is None:
-        with _FIXTURE_LOCK:
-            value = _FIXTURES.get(key)
-            if value is None:
-                value = builder()
-                _FIXTURES[key] = value
-    return value
+    """Algebras are immutable, so standard fixtures are shared across checks."""
+    if key not in _FIXTURES:
+        _FIXTURES[key] = builder()
+    return _FIXTURES[key]
 
 
 def _algebra_cycle(mode: str, which: int) -> Algebra:
@@ -402,7 +394,7 @@ def check_relative_perturbed(mode: str, seed: int) -> CheckResult:
 
 def _sampled_lower_arity3(chain: Cochain, seed: int, samples: int = 40) -> float:
     balls = [ball_for(s) for s in chain.slots]
-    target = target_for(chain.target)
+    target = chain.target.unit_ball
     best = 0.0
     rng = stream(seed, 9)
     for _ in range(samples):

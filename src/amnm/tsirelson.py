@@ -127,17 +127,7 @@ def _best_admissible_sum(table, positions, i, j) -> float:
 
 def tsirelson_norm(x: TsirelsonVector, support_cap: int = SUPPORT_CAP) -> float:
     """Exact norm of a finitely supported vector (support size capped)."""
-    support = x.support
-    if len(support) > support_cap:
-        raise PreconditionError(
-            f"support size {len(support)} exceeds the cap {support_cap}; "
-            "admissible enumeration is exponential in the support"
-        )
-    if not support:
-        return 0.0
-    moduli = [abs(x.entries[i]) for i in support]
-    levels, _ = _norm_level_tables(support, moduli)
-    return levels[-1]
+    return tsirelson_norm_levels(x, support_cap)[-1]
 
 
 def tsirelson_norm_levels(x: TsirelsonVector, support_cap: int = SUPPORT_CAP) -> list[float]:

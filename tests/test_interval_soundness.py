@@ -18,7 +18,7 @@ from amnm.algebra import (
     unitize,
 )
 from amnm.multilinear import Cochain, LinearMap, defect, linear_map_norm, multilinear_norm
-from amnm.normest import ball_for, target_for
+from amnm.normest import ball_for
 from amnm.rng import complex_gaussian, stream
 from amnm.stabilizer import StabilizeConfig, stabilize
 from amnm.diagonal import library_diagonal
@@ -30,19 +30,24 @@ def _slot_pairs():
     c3 = build_commutative_algebra(3)
     mix = direct_sum(build_full_matrix_algebra(2), build_commutative_algebra(1))
     u = unitize(build_commutative_algebra(2))
+    m3 = build_full_matrix_algebra(3)
+    e = m3.basis_element
+    # C + M_2 inside M_3: no recognized structure, inscribed-Euclidean steps
+    cm2, _ = generated_subalgebra(m3, [e(0), e(4) + e(8), e(5), e(7)], unital=True)
     return [
         ((m2, m2), m2),
         ((m2f, m2f), m2f),
         ((c3, m2), m2),
         ((mix, mix), mix),
         ((u, u), m2),
+        ((cm2, cm2), cm2),
     ]
 
 
 def test_witness_and_sampling_respect_the_interval():
     rng = stream(91, 0)
     for slots, target_alg in _slot_pairs():
-        target = target_for(target_alg)
+        target = target_alg.unit_ball
         balls = [ball_for(s) for s in slots]
         for trial in range(4):
             tensor = complex_gaussian(rng, (target_alg.dim,) + tuple(s.dim for s in slots))

@@ -7,8 +7,8 @@ from amnm.algebra import (
     generated_subalgebra,
     unitize,
 )
-from amnm.errors import DomainError
-from amnm.multilinear import Cochain, LinearMap, defect, linear_map_norm, multilinear_norm
+from amnm.errors import DomainError, FalsificationError
+from amnm.multilinear import Cochain, DefectEstimate, LinearMap, defect, linear_map_norm, multilinear_norm
 from amnm.normest import ball_for, BoxBall, SpectralBall, CompositeSumBall
 from amnm.rng import complex_gaussian, stream
 from amnm.stabilizer import opposite_switch
@@ -152,6 +152,16 @@ def test_ball_types_recognized():
     assert isinstance(ball_for(d), BoxBall)  # minimal idempotents recovered
     u = unitize(m2)
     assert isinstance(ball_for(u), CompositeSumBall)
+    m3 = build_full_matrix_algebra(3)
+    e = m3.basis_element
+    cm2, _ = generated_subalgebra(m3, [e(0), e(4) + e(8), e(5), e(7)], unital=True)
+    ball = ball_for(cm2)  # C + M_2: the inscribed fallback
+    assert isinstance(ball, SpectralBall) and ball.exact is False
+
+
+def test_inverted_interval_is_a_falsification():
+    with pytest.raises(FalsificationError):
+        DefectEstimate(2.0, 1.0)
 
 
 def test_box_ball_linear_functional():
