@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,6 +50,8 @@ from .tsirelson import (
 )
 
 SCHEMA_VERSION = 1
+CLONES_MAX_N = 64
+CLONES_MAX_HORIZON = 1024
 
 
 @dataclass
@@ -86,6 +89,10 @@ class RunConfig:
             raise ConfigError("restart/sweep budgets out of range")
         if not (1 <= self.instances <= 10000):
             raise ConfigError("instances out of range")
+        if not all(math.isfinite(v) for v in (self.gamma_norm, self.L, self.tol)):
+            raise ConfigError("gamma_norm, L and tol must be finite")
+        if not isinstance(self.out, str):
+            raise ConfigError("out must be a string")
 
     def to_json_dict(self) -> dict:
         return {
@@ -138,7 +145,7 @@ def load_config(path: str | None, command: str, seed_flag: int | None, out_flag:
             instances=int(doc.get("instances", 10)),
             out=out_flag if out_flag is not None else doc.get("out", "reports"),
         )
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
     cfg.validate()
     return cfg
@@ -248,8 +255,7 @@ def cmd_defect(cfg: RunConfig) -> int:
 
 def cmd_suite(cfg: RunConfig) -> int:
     out = _ensure_out(cfg)
-    flat = [row for task in suites.build_suite_tasks(cfg) for row in task()]
-    flat.sort(key=lambda r: r["id"])
+    flat = suites.suite_rows(cfg)
     passed = all(r["passed"] for r in flat)
     doc = {
         "schema": SCHEMA_VERSION,
@@ -282,7 +288,7 @@ def _json_array(flag: str, text: str, convert) -> list:
         raise ConfigError(f"{flag} must be a JSON array")
     try:
         return [convert(v) for v in values]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{flag} entries must be numbers: {exc}") from exc
 
 
@@ -317,6 +323,10 @@ def cmd_clones(args: argparse.Namespace) -> int:
     n, horizon = args.n, args.horizon
     if n < 1 or horizon < 1:
         raise ConfigError("--n and --horizon must be positive")
+    # the projection check holds a dense horizon x horizon matrix per word,
+    # and a family holds n integers of up to n bits
+    if n > CLONES_MAX_N or horizon > CLONES_MAX_HORIZON:
+        raise ConfigError(f"--n is capped at {CLONES_MAX_N} and --horizon at {CLONES_MAX_HORIZON}")
     families = [clone_family(w, n) for w in words]
     fam_docs = []
     for w, fam in zip(words, families):

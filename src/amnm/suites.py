@@ -763,12 +763,10 @@ def tsirelson_battery(seed: int) -> list[CheckResult]:
 # -- suite assembly ----------------------------------------------------------------
 
 
-def build_suite_tasks(cfg) -> list:
-    """Closures computing row groups, independent and order-insensitive."""
+def suite_rows(cfg) -> list[dict]:
+    """Every row of the suite for a run configuration, sorted by id."""
     mode = cfg.norm_mode
     n = cfg.instances
-    tasks = []
-
     exact_checks = [
         check_two_cocycle, check_linearization, check_unitize_tensors,
         check_splitting_v1, check_average_unit_vanish, check_preserved_by_improvement,
@@ -778,55 +776,28 @@ def build_suite_tasks(cfg) -> list:
         check_perturbed_defect, check_relative_perturbed, check_coboundary_composition,
         check_averaging_bound, check_left_modular, check_splitting_v2,
     ]
-
-    def make_exact(i):
-        def task():
-            seed = cfg.seed + i
-            return [fn(mode, seed).row(f"exact-{i:04d}-{fn.__name__}", seed) for fn in exact_checks]
-        return task
-
-    def make_nofalsify(i):
-        def task():
-            seed = cfg.seed + 3000 + i
-            rows = [fn(mode, seed).row(f"nofalsify-{i:04d}-{fn.__name__}", seed) for fn in nofalsify_checks]
-            rows += [r.row(f"nofalsify-{i:04d}-improving-{j}", seed)
-                     for j, r in enumerate(check_improving_bounds(mode, seed))]
-            return rows
-        return task
-
-    def make_stabilize(i):
-        def task():
-            seed = cfg.seed + 6000 + i
-            rows = run_stabilize_checks(mode, seed, gamma_norm=cfg.gamma_norm, L=cfg.L,
-                                        tol=cfg.tol, max_iter=cfg.max_iter,
-                                        restarts=min(cfg.restarts, 16), sweeps=min(cfg.sweeps, 120))
-            return [r.row(f"stabilize-{i:04d}-{j:02d}", seed) for j, r in enumerate(rows)]
-        return task
-
-    def make_checkers(i):
-        def task():
-            seed = cfg.seed + 9000 + i
-            rows = [r.row(f"checkers-{i:04d}-{j:02d}", seed)
-                    for j, r in enumerate(checker_valid_battery(seed))]
-            rows += [r.row(f"refusals-{i:04d}-{j:02d}", seed)
-                     for j, r in enumerate(checker_refusal_battery(seed))]
-            return rows
-        return task
-
-    def grid_task():
-        return [dichotomy_grid_check().row("dichotomy-grid-0000", cfg.seed)]
-
-    def tsirelson_task():
-        return [r.row(f"tsirelson-0000-{j:02d}", cfg.seed)
-                for j, r in enumerate(tsirelson_battery(cfg.seed))]
-
+    rows = []
     for i in range(n):
-        tasks.append(make_exact(i))
-        tasks.append(make_nofalsify(i))
+        seed = cfg.seed + i
+        rows += [fn(mode, seed).row(f"exact-{i:04d}-{fn.__name__}", seed) for fn in exact_checks]
+        seed = cfg.seed + 3000 + i
+        rows += [fn(mode, seed).row(f"nofalsify-{i:04d}-{fn.__name__}", seed) for fn in nofalsify_checks]
+        rows += [r.row(f"nofalsify-{i:04d}-improving-{j}", seed)
+                 for j, r in enumerate(check_improving_bounds(mode, seed))]
     for i in range(max(1, n // 4)):
-        tasks.append(make_stabilize(i))
+        seed = cfg.seed + 6000 + i
+        checks = run_stabilize_checks(mode, seed, gamma_norm=cfg.gamma_norm, L=cfg.L,
+                                      tol=cfg.tol, max_iter=cfg.max_iter,
+                                      restarts=min(cfg.restarts, 16), sweeps=min(cfg.sweeps, 120))
+        rows += [r.row(f"stabilize-{i:04d}-{j:02d}", seed) for j, r in enumerate(checks)]
     for i in range(max(1, n // 2)):
-        tasks.append(make_checkers(i))
-    tasks.append(grid_task)
-    tasks.append(tsirelson_task)
-    return tasks
+        seed = cfg.seed + 9000 + i
+        rows += [r.row(f"checkers-{i:04d}-{j:02d}", seed)
+                 for j, r in enumerate(checker_valid_battery(seed))]
+        rows += [r.row(f"refusals-{i:04d}-{j:02d}", seed)
+                 for j, r in enumerate(checker_refusal_battery(seed))]
+    rows.append(dichotomy_grid_check().row("dichotomy-grid-0000", cfg.seed))
+    rows += [r.row(f"tsirelson-0000-{j:02d}", cfg.seed)
+             for j, r in enumerate(tsirelson_battery(cfg.seed))]
+    rows.sort(key=lambda r: r["id"])
+    return rows

@@ -8,8 +8,10 @@ The norm of a finitely supported vector is the fixed point of
 where the inner max runs over admissible families: k intervals
 E_1 < ... < E_k of natural numbers with k <= min E_1.  For finite support
 the iteration stabilizes after finitely many levels and the computation is
-exact; the value of ||E x|| depends only on the support points inside E, so
-the evaluation memoizes over contiguous chunks of the support.
+exact.  The value of ||E x|| depends only on the support points inside E, so
+each level is a table over contiguous chunks of the support, and the best
+admissible sum inside a chunk is a (max,+) matrix product over the ways to
+tile it (see ``tsirelson_norm_levels``).
 
 Clone families M(f) = {m_n(f)} follow the doubling recursion
 m_1 = 1, m_{n+1} = 2 m_n + f(n) for a binary word f, which forces every
@@ -24,6 +26,7 @@ interval mechanism behind it rather than computing isomorphism distances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +34,7 @@ import numpy as np
 from .errors import DomainError, FalsificationError, PreconditionError
 from .rng import stream
 
-SUPPORT_CAP = 16
+SUPPORT_CAP = 64
 _LEVEL_CAP = 64
 
 
@@ -48,6 +51,9 @@ class TsirelsonVector:
                 raise DomainError("indices must be integers >= 1")
             if val != 0:
                 clean[int(idx)] = complex(val)
+        # also refuses NaN and infinite entries, whose moduli are not finite
+        if not math.isfinite(sum(abs(v) for v in clean.values())):
+            raise DomainError("entries must be finite with a finite l1 norm")
         self.entries = clean
 
     @property
@@ -70,75 +76,57 @@ def basis_vector(n: int) -> TsirelsonVector:
     return TsirelsonVector({n: 1.0})
 
 
-def _norm_level_tables(positions: list[int], moduli: list[float]):
-    """Iterate the chunk-norm tables to stabilization.
-
-    ``table[i][j]`` is the current-level norm of the restriction to support
-    points i..j.  Yields the per-level full norms until two consecutive
-    tables agree exactly.
-    """
-    q = len(positions)
-    table = [[(max(moduli[i : j + 1]) if j >= i else 0.0) for j in range(q)] for i in range(q)]
-    levels = [table[0][q - 1] if q else 0.0]
-    for _ in range(_LEVEL_CAP):
-        new = [[0.0] * q for _ in range(q)]
-        changed = False
-        for i in range(q):
-            for j in range(i, q):
-                best = _best_admissible_sum(table, positions, i, j)
-                val = max(table[i][j], 0.5 * best)
-                new[i][j] = val
-                if val != table[i][j]:
-                    changed = True
-        table = new
-        levels.append(table[0][q - 1])
-        if not changed:
-            break
-    else:
-        raise FalsificationError("norm iteration failed to stabilize within the level cap")
-    return levels, table
-
-
-def _best_admissible_sum(table, positions, i, j) -> float:
-    """Best sum over admissible interval families inside support chunk [i, j].
-
-    The first interval's hull starts at a support point i1 >= i, the family
-    has k <= positions[i1] parts, and the parts tile the chunk [i1, j]
-    (coverage can only increase part norms, so tiling is optimal).
-    """
-    best = 0.0
-    for i1 in range(i, j + 1):
-        width = j - i1 + 1
-        kmax = min(positions[i1], width)
-        if kmax < 1:
-            continue
-        prev = [table[i1][t] for t in range(i1, j + 1)]  # one part
-        best = max(best, prev[width - 1])
-        for parts in range(2, kmax + 1):
-            cur = [0.0] * width
-            for t in range(i1 + parts - 1, j + 1):
-                cur[t - i1] = max(
-                    prev[u - i1] + table[u + 1][t] for u in range(i1 + parts - 2, t)
-                )
-            prev = cur
-            best = max(best, prev[width - 1])
-    return best
-
-
 def tsirelson_norm(x: TsirelsonVector, support_cap: int = SUPPORT_CAP) -> float:
     """Exact norm of a finitely supported vector (support size capped)."""
     return tsirelson_norm_levels(x, support_cap)[-1]
 
 
 def tsirelson_norm_levels(x: TsirelsonVector, support_cap: int = SUPPORT_CAP) -> list[float]:
-    """Per-level values of the defining iteration, ending at stabilization."""
+    """Per-level values of the defining iteration, ending at stabilization.
+
+    ``table[i, j]`` is the current-level norm of the restriction to support
+    points i..j, and -inf marks the empty j < i (the l1 norm is finite, so
+    no sum meets inf + -inf).  An admissible family inside chunk [i, j]
+    starts at a support point i1 >= i, has at most positions[i1] parts, and
+    tiles [i1, j] (coverage can only increase part norms, so tiling is
+    optimal).  The best tiling of [i1, t] into p parts is the (max,+)
+    product F_p[i1, t] = max_u F_{p-1}[i1, u] + table[u+1, t], F_1 = table;
+    a suffix max over i1 gives each chunk's best sum, and the next level is
+    max(table, best / 2).  Every sum adds the same two operands as a loop
+    over the chunks would, and max is exact, so the levels do not depend on
+    the evaluation order.
+    """
     support = x.support
     if len(support) > support_cap:
         raise PreconditionError(f"support size {len(support)} exceeds the cap {support_cap}")
     if not support:
         return [0.0]
-    moduli = [abs(x.entries[i]) for i in support]
-    levels, _ = _norm_level_tables(support, moduli)
+    q = len(support)
+    moduli = np.array([abs(x.entries[i]) for i in support])
+    upper = np.triu(np.ones((q, q), dtype=bool))
+    table = np.maximum.accumulate(np.where(upper, moduli, -np.inf), axis=1)
+    # p parts fit in the chunk [i1, q-1] only when p <= q - i1
+    max_parts = max(min(pos, q - i1) for i1, pos in enumerate(support))
+    levels = [float(table[0, -1])]
+    for _ in range(_LEVEL_CAP):
+        after = np.full((q, q), -np.inf)  # after[u, t] = table[u+1, t]
+        after[:-1] = table[1:]
+        tiled, best, lo = table, table.copy(), 0
+        for parts in range(2, max_parts + 1):
+            # rows of ``tiled`` are the first points i1 >= lo, those with positions[i1] >= parts
+            start = int(np.searchsorted(support, parts))
+            tiled = np.max(tiled[start - lo :, :, None] + after, axis=1)
+            lo = start
+            np.maximum(best[lo:], tiled, out=best[lo:])
+        best = np.maximum.accumulate(best[::-1], axis=0)[::-1]
+        new = np.maximum(table, 0.5 * best)
+        changed = not np.array_equal(new, table)
+        table = new
+        levels.append(float(table[0, -1]))
+        if not changed:
+            break
+    else:
+        raise FalsificationError("norm iteration failed to stabilize within the level cap")
     return levels
 
 
@@ -192,15 +180,18 @@ class CloneFamily:
     """Index family from the doubling recursion over a binary word.
 
     ``word[j]`` (0-based storage) is the paper-style f(j+1); positions past
-    the stored word are treated as 0, so the word is a genuine prefix.
+    the stored word are treated as 0, so the word is a genuine prefix.  The
+    word may be given as 0/1 integers or as a string of '0'/'1' characters.
     """
 
     word: tuple[int, ...]
     terms: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.word):
+        word = tuple(self.word)
+        if any(b not in (0, 1, "0", "1") for b in word):
             raise DomainError("word must be binary")
+        self.word = tuple(int(b) for b in word)
 
     def bit(self, n: int) -> int:
         """f(n), 1-based."""
@@ -211,8 +202,7 @@ def clone_family(word, n: int) -> CloneFamily:
     """First n terms of m_1 = 1, m_{j+1} = 2 m_j + f(j)."""
     if n < 1:
         raise DomainError("need at least one term")
-    bits = tuple(int(b) for b in word)
-    fam = CloneFamily(bits)
+    fam = CloneFamily(word)
     terms = [1]
     for j in range(1, n):
         terms.append(2 * terms[-1] + fam.bit(j))
@@ -225,7 +215,7 @@ def clone_family(word, n: int) -> CloneFamily:
 
 def clone_family_closed_form(word, n: int) -> int:
     """m_n = 2^(n-1) + sum_{j<n} f(j) 2^(n-1-j)."""
-    fam = CloneFamily(tuple(int(b) for b in word))
+    fam = CloneFamily(word)
     return 2 ** (n - 1) + sum(fam.bit(j) * 2 ** (n - 1 - j) for j in range(1, n))
 
 

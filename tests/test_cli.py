@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from amnm.cli import RunConfig, generate_instance, load_config, main
 from amnm.errors import ConfigError
@@ -138,3 +144,99 @@ def test_malformed_vector_exit_two(tmp_path):
     assert main(["tsirelson", "--vector", '["a"]']) == 2
     cfg = write_config(tmp_path, instances="x")
     assert main(["suite", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+
+
+# Inputs that once escaped the exit-code contract: non-finite Tsirelson
+# entries, a non-string "out", a non-binary clone word, and clone sizes past
+# the caps (the refusal comes before any work, so the dense projection
+# matrices of a large horizon are never built).
+EXIT_TWO_ARGV = [
+    ["tsirelson", "--vector", "[NaN, 1]"],
+    ["tsirelson", "--vector", "[Infinity]"],
+    ["tsirelson", "--vector", "[1e308, 1e308]"],
+    ["tsirelson", "--vector", "[1" + "0" * 400 + "]"],
+    ["tsirelson", "--vector", "[1, 2]", "--schreier", "[1e400]"],
+    ["clones", "--word", "0x2", "--n", "5", "--horizon", "5"],
+    ["clones", "--word", "01", "--n", "5", "--horizon", "1025"],
+    ["clones", "--word", "01", "--n", "65", "--horizon", "20"],
+]
+
+
+def run_main(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("argv", EXIT_TWO_ARGV)
+def test_bad_input_exits_two_with_one_line(argv):
+    code, err = run_main(argv)
+    assert code == 2
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+def test_config_out_must_be_a_string(tmp_path):
+    cfg = write_config(tmp_path, out=5)
+    with pytest.raises(ConfigError):
+        load_config(str(cfg), "defect", None, None)
+    code, err = run_main(["defect", "--config", str(cfg)])
+    assert code == 2 and err.count("\n") == 1
+
+
+_ARG_TEXT = st.one_of(
+    st.text(max_size=10),
+    st.lists(st.one_of(st.floats(), st.integers(min_value=-(10**400), max_value=10**400),
+                       st.booleans(), st.none(), st.text(max_size=3)), max_size=8).map(json.dumps),
+)
+_WORD = st.one_of(st.text(alphabet="01", max_size=8), st.text(alphabet="01x2 ", max_size=6),
+                  st.text(max_size=4))
+_TSIRELSON_ARGV = st.builds(
+    lambda vector, schreier: ["tsirelson", f"--vector={vector}"] + schreier,
+    _ARG_TEXT, st.one_of(st.just([]), _ARG_TEXT.map(lambda t: [f"--schreier={t}"])),
+)
+_CLONES_ARGV = st.builds(
+    lambda words, n, horizon, seed: ["clones", *(f"--word={w}" for w in words),
+                                     f"--n={n}", f"--horizon={horizon}", f"--seed={seed}"],
+    st.lists(_WORD, max_size=3), st.integers(-2, 70), st.integers(-2, 64), st.integers(-3, 3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_TSIRELSON_ARGV, _CLONES_ARGV))
+@example(EXIT_TWO_ARGV[0])
+@example(EXIT_TWO_ARGV[1])
+@example(EXIT_TWO_ARGV[5])
+@example(EXIT_TWO_ARGV[6])
+@example(EXIT_TWO_ARGV[7])
+def test_fuzzed_argv_keeps_exit_code_contract(argv):
+    code, _ = run_main(argv)
+    assert code in (0, 1, 2)
+
+
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+    | st.integers(min_value=-(10**400), max_value=10**400),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+_CONFIG_KEYS = ("schema", "norm_mode", "dims", "gamma_norm", "L", "tolerances", "tol", "max_iter",
+                "restarts", "sweeps", "check_claim_bounds", "instances", "out")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fixed_dictionaries({"seed": _JSON_VALUE},
+                             optional={key: _JSON_VALUE for key in _CONFIG_KEYS}),
+       st.sampled_from(["stabilize", "defect", "suite"]))
+@example({"schema": 1, "seed": 1, "out": 5}, "defect")
+def test_fuzzed_config_validated_or_refused(doc, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(doc))
+        try:
+            cfg = load_config(str(path), command, None, None)
+        except ConfigError:
+            return
+    cfg.validate()
+    assert isinstance(cfg.out, str) and isinstance(cfg.seed, int)
+    assert all(math.isfinite(v) for v in (cfg.gamma_norm, cfg.L, cfg.tol))

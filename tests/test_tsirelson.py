@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amnm.errors import DomainError, PreconditionError
+from amnm.errors import DomainError, FalsificationError, PreconditionError
 from amnm.tsirelson import (
     TsirelsonVector,
     basis_projection,
@@ -63,6 +63,97 @@ def brute_norm(entries: dict, top: int) -> float:
                     yield [(a, b)] + rest
 
     return norm(frozenset(i for i, v in entries.items() if v != 0))
+
+
+def reference_levels(positions: list[int], moduli: list[float]) -> list[float]:
+    """The level iteration as a nested-loop DP over list-of-lists tables.
+
+    ``table[i][j]`` is the current-level norm of the restriction to support
+    points i..j; each entry is recomputed from the best tiling of the chunk
+    by admissible families until two consecutive tables agree exactly.
+    """
+    q = len(positions)
+    if not q:
+        return [0.0]
+    table = [[(max(moduli[i : j + 1]) if j >= i else 0.0) for j in range(q)] for i in range(q)]
+    levels = [table[0][q - 1]]
+    for _ in range(64):
+        new = [[0.0] * q for _ in range(q)]
+        changed = False
+        for i in range(q):
+            for j in range(i, q):
+                val = max(table[i][j], 0.5 * reference_best_sum(table, positions, i, j))
+                new[i][j] = val
+                if val != table[i][j]:
+                    changed = True
+        table = new
+        levels.append(table[0][q - 1])
+        if not changed:
+            return levels
+    raise FalsificationError("norm iteration failed to stabilize within the level cap")
+
+
+def reference_best_sum(table, positions, i, j) -> float:
+    """Best sum over admissible interval families inside support chunk [i, j]:
+    the family starts at a support point i1 >= i, has k <= positions[i1]
+    parts, and its parts tile the chunk [i1, j]."""
+    best = 0.0
+    for i1 in range(i, j + 1):
+        width = j - i1 + 1
+        kmax = min(positions[i1], width)
+        prev = [table[i1][t] for t in range(i1, j + 1)]  # one part
+        best = max(best, prev[width - 1])
+        for parts in range(2, kmax + 1):
+            cur = [0.0] * width
+            for t in range(i1 + parts - 1, j + 1):
+                cur[t - i1] = max(
+                    prev[u - i1] + table[u + 1][t] for u in range(i1 + parts - 2, t)
+                )
+            prev = cur
+            best = max(best, prev[width - 1])
+    return best
+
+
+def assert_matches_reference(vec: TsirelsonVector):
+    support = vec.support
+    assert tsirelson_norm_levels(vec) == reference_levels(support, [abs(vec.entries[i]) for i in support])
+
+
+def test_levels_bit_identical_to_loop_reference():
+    rng = stream(88, 0)
+    count = 0
+    for size in range(25):
+        assert_matches_reference(TsirelsonVector({i: 1.0 for i in range(1, size + 1)}))
+        dense = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        assert_matches_reference(TsirelsonVector.from_dense(dense))
+        count += 2
+        for _ in range(10 if size <= 14 else 1):
+            pos = rng.choice(np.arange(1, 2 * size + 10), size=size, replace=False)
+            vals = rng.standard_normal(size)
+            if count % 3 == 0:
+                vals = vals + 1j * rng.standard_normal(size)
+            assert_matches_reference(TsirelsonVector({int(p): v for p, v in zip(pos, vals)}))
+            count += 1
+    assert count >= 200
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(min_value=1, max_value=30),
+                       st.floats(min_value=-1e6, max_value=1e6), max_size=10))
+def test_levels_match_loop_reference_fuzzed(entries):
+    assert_matches_reference(TsirelsonVector(entries))
+
+
+def test_support_64_schreier_vector():
+    rng = stream(89, 0)
+    # the support 64..127 is itself a Schreier set, so ||x|| >= l1 / 2
+    vals = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    vec = TsirelsonVector({64 + i: v for i, v in enumerate(vals)})
+    levels = tsirelson_norm_levels(vec)
+    l1 = float(np.abs(vals).sum())
+    assert levels[0] == float(np.abs(vals).max())
+    assert all(b >= a for a, b in zip(levels, levels[1:])) and levels[-1] == levels[-2]
+    assert 0.5 * l1 <= levels[-1] <= l1
 
 
 def test_basis_vectors_norm_one():
@@ -131,7 +222,7 @@ def test_norm_axioms_on_seeded_triples():
 
 
 def test_support_cap_refused():
-    vec = TsirelsonVector({i: 1.0 for i in range(1, 19)})
+    vec = TsirelsonVector({i: 1.0 for i in range(1, 66)})
     with pytest.raises(PreconditionError):
         tsirelson_norm(vec)
 
@@ -165,6 +256,15 @@ def test_clone_recursion_matches_closed_form(word):
         assert fam.terms[j] == 2 * fam.terms[j - 1] + fam.bit(j)
         assert fam.terms[j] <= 2 * fam.terms[j - 1] + 2
     assert fam.terms[-1] == clone_family_closed_form(word, n)
+
+
+def test_clone_words_must_be_binary():
+    assert clone_family("0110", 5).terms == clone_family([0, 1, 1, 0], 5).terms
+    for word in ("0x2", "2", "01 ", [0, 2]):
+        with pytest.raises(DomainError):
+            clone_family(word, 5)
+        with pytest.raises(DomainError):
+            clone_family_closed_form(word, 5)
 
 
 def test_clone_families_known_values():
@@ -227,5 +327,9 @@ def test_clone_system_verify():
 def test_vector_validation():
     with pytest.raises(DomainError):
         TsirelsonVector({0: 1.0})
+    for entries in ({1: float("nan"), 2: 1.0}, {1: float("inf")}, {1: complex(1.0, -np.inf)},
+                    {1: 1e308, 2: 1e308}, {1: complex(1e308, 1e308), 2: 1e308}):
+        with pytest.raises(DomainError):
+            TsirelsonVector(entries)
     vec = TsirelsonVector({3: 0.0, 5: 2.0})
     assert vec.support == [5]
