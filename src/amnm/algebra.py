@@ -251,10 +251,6 @@ class Embedding:
     def embed_coords(self, coords: np.ndarray) -> np.ndarray:
         return self.matrix @ coords
 
-    def project_coords(self, coords: np.ndarray) -> np.ndarray:
-        """Coordinates in D of a parent element lying in D's span."""
-        return self.matrix.conj().T @ coords
-
     def unit_in_parent(self) -> np.ndarray:
         return self.embed_coords(self.sub.unit_coords)
 
@@ -328,8 +324,7 @@ def direct_sum(a1: Algebra, a2: Algebra) -> Algebra:
         realization[:d1, :k1, :k1] = a1.realization
         realization[d1:, k1:, k1:] = a2.realization
     labels = [f"L.{s}" for s in a1.labels] + [f"R.{s}" for s in a2.labels]
-    kind = {"name": "direct_sum", "dims": (d1, d2)}
-    alg = Algebra(structure, unit, a1.norm_mode, realization, labels, kind=kind)
+    alg = Algebra(structure, unit, a1.norm_mode, realization, labels, kind={"name": "direct_sum"})
     alg.kind["summands"] = (a1, a2)
     return alg
 
@@ -483,7 +478,7 @@ def opposite(algebra: Algebra) -> Algebra:
     if algebra.realization is not None:
         realization = np.swapaxes(algebra.realization, 1, 2)
     base = None if algebra.base is None else opposite(algebra.base)
-    kind = {"name": algebra.kind.get("name", ""), "opposite_of": algebra}
+    kind = {"name": algebra.kind.get("name", "")}
     if algebra.kind.get("name") == "matrix":
         kind["k"] = algebra.kind["k"]
     if algebra.kind.get("name") == "commutative":
@@ -500,5 +495,4 @@ def opposite(algebra: Algebra) -> Algebra:
     if algebra.kind.get("name") == "direct_sum":
         a1, a2 = algebra.kind["summands"]
         out.kind["summands"] = (opposite(a1), opposite(a2))
-        out.kind["dims"] = algebra.kind["dims"]
     return out

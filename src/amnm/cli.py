@@ -19,9 +19,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,7 @@ from .diagonal import DiagonalCert, library_diagonal
 from .errors import ConfigError, DomainError, FalsificationError, PreconditionError
 from .jsonio import dumps, write_json
 from .multilinear import LinearMap, defect, linear_map_norm
-from .rng import complex_gaussian, stream
+from .rng import stream
 from .stabilizer import StabilizeConfig, stabilize
 from .tsirelson import (
     TsirelsonVector,
@@ -56,21 +55,17 @@ CLONES_MAX_HORIZON = 1024
 
 @dataclass
 class RunConfig:
-    """Resolved configuration for a command run."""
+    """Resolved configuration for a command run; ``stabilize`` holds the
+    stabilize settings, whose seed each run sets from ``seed``."""
 
     command: str
     seed: int
     norm_mode: str = "spectral"
     matrix_dim: int = 2
     gamma_norm: float = 1e-3
-    L: float = 2.0
-    tol: float = 1e-8
-    max_iter: int = 30
-    restarts: int = 32
-    sweeps: int = 200
-    check_claim_bounds: bool = True
     instances: int = 10
     out: str = "reports"
+    stabilize: StabilizeConfig = field(default_factory=StabilizeConfig)
 
     def validate(self) -> None:
         if self.command not in ("stabilize", "defect", "suite", "tsirelson", "clones"):
@@ -81,35 +76,55 @@ class RunConfig:
             raise ConfigError("matrix_dim must be between 1 and 4")
         if not (0.0 <= self.gamma_norm <= 1.0):
             raise ConfigError("gamma_norm must lie in [0, 1]")
-        if self.L < 1.0:
-            raise ConfigError("L must be at least 1")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ConfigError("tol must be positive and max_iter at least 1")
-        if not (1 <= self.restarts <= 4096) or not (1 <= self.sweeps <= 100000):
-            raise ConfigError("restart/sweep budgets out of range")
         if not (1 <= self.instances <= 10000):
             raise ConfigError("instances out of range")
-        if not all(math.isfinite(v) for v in (self.gamma_norm, self.L, self.tol)):
-            raise ConfigError("gamma_norm, L and tol must be finite")
         if not isinstance(self.out, str):
             raise ConfigError("out must be a string")
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "command": self.command,
-            "seed": self.seed,
-            "norm_mode": self.norm_mode,
-            "dims": {"matrix": self.matrix_dim},
-            "gamma_norm": self.gamma_norm,
-            "L": self.L,
-            "tolerances": {"stabilize_tol": self.tol},
-            "max_iter": self.max_iter,
-            "restarts": self.restarts,
-            "sweeps": self.sweeps,
-            "check_claim_bounds": self.check_claim_bounds,
-            "instances": self.instances,
-        }
+        """The config echo of every report: every key but ``out``, so a
+        report does not depend on where it was written."""
+        doc = {"schema": SCHEMA_VERSION, "command": self.command}
+        for key, (owner, name, _) in CONFIG_KEYS.items():
+            if key != "out":
+                section, _, leaf = key.rpartition(".")
+                holder = self.stabilize if owner is StabilizeConfig else self
+                (doc.setdefault(section, {}) if section else doc)[leaf] = getattr(holder, name)
+        return doc
+
+
+# Every key a config document may hold besides "schema" and "command":
+# dotted path -> (dataclass, field, JSON type).  The defaults and range
+# checks are the dataclasses' own.
+CONFIG_KEYS = {
+    "seed": (RunConfig, "seed", int),
+    "norm_mode": (RunConfig, "norm_mode", str),
+    "dims.matrix": (RunConfig, "matrix_dim", int),
+    "gamma_norm": (RunConfig, "gamma_norm", float),
+    "L": (StabilizeConfig, "L", float),
+    "tolerances.stabilize_tol": (StabilizeConfig, "tol", float),
+    "max_iter": (StabilizeConfig, "max_iter", int),
+    "restarts": (StabilizeConfig, "restarts", int),
+    "sweeps": (StabilizeConfig, "sweeps", int),
+    "check_claim_bounds": (StabilizeConfig, "check_claim_bounds", bool),
+    "instances": (RunConfig, "instances", int),
+    "out": (RunConfig, "out", str),
+}
+_SECTIONS = {key.split(".")[0] for key in CONFIG_KEYS if "." in key}
+_JSON_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def _checked(key: str, value, kind: type):
+    """``value`` if it has the JSON type ``kind`` (a number may be an
+    integer; a boolean is neither), else ConfigError."""
+    if kind is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise ConfigError(f"{key} is out of range") from exc
+    if type(value) is not kind:
+        raise ConfigError(f"{key} must be {_JSON_TYPE_NAMES[kind]}, not {json.dumps(value)}")
+    return value
 
 
 def load_config(path: str | None, command: str, seed_flag: int | None, out_flag: str | None) -> RunConfig:
@@ -118,35 +133,39 @@ def load_config(path: str | None, command: str, seed_flag: int | None, out_flag:
         try:
             with open(path) as handle:
                 doc = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        if doc.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported config schema {doc.get('schema')}")
-    seed = seed_flag if seed_flag is not None else doc.get("seed")
-    if seed is None:
+    schema = doc.pop("schema", SCHEMA_VERSION)
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported config schema {json.dumps(schema)}")
+    # a report's config echo names its command, which must be this run's
+    echoed = doc.pop("command", command)
+    if echoed != command:
+        raise ConfigError(f"config is for command {json.dumps(echoed)}, not {command!r}")
+    leaves = []
+    for key, value in doc.items():
+        if key not in _SECTIONS:
+            leaves.append((key, value))
+        elif isinstance(value, dict):
+            leaves += [(f"{key}.{leaf}", v) for leaf, v in value.items()]
+        else:
+            raise ConfigError(f"{key} must be a JSON object")
+    values: dict = {RunConfig: {}, StabilizeConfig: {}}
+    for key, value in leaves:
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        owner, name, kind = CONFIG_KEYS[key]
+        values[owner][name] = _checked(key, value, kind)
+    run = values[RunConfig]
+    if seed_flag is not None:
+        run["seed"] = seed_flag
+    if out_flag is not None:
+        run["out"] = out_flag
+    if "seed" not in run:
         raise ConfigError("a seed is mandatory (config 'seed' or --seed)")
-    try:
-        dims = doc.get("dims", {})
-        tolerances = doc.get("tolerances", {})
-        cfg = RunConfig(
-            command=command,
-            seed=int(seed),
-            norm_mode=doc.get("norm_mode", "spectral"),
-            matrix_dim=int(dims.get("matrix", 2)),
-            gamma_norm=float(doc.get("gamma_norm", 1e-3)),
-            L=float(doc.get("L", 2.0)),
-            tol=float(tolerances.get("stabilize_tol", doc.get("tol", 1e-8))),
-            max_iter=int(doc.get("max_iter", 30)),
-            restarts=int(doc.get("restarts", 32)),
-            sweeps=int(doc.get("sweeps", 200)),
-            check_claim_bounds=bool(doc.get("check_claim_bounds", True)),
-            instances=int(doc.get("instances", 10)),
-            out=out_flag if out_flag is not None else doc.get("out", "reports"),
-        )
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed config value: {exc}") from exc
+    cfg = RunConfig(command=command, stabilize=StabilizeConfig(**values[StabilizeConfig]), **run)
     cfg.validate()
     return cfg
 
@@ -173,17 +192,8 @@ def generate_instance(config: RunConfig, index: int = 0) -> Instance:
     diag_units = [a.basis_element(i * k + i) for i in range(k)]
     d, emb = generated_subalgebra(a, diag_units, unital=True)
     cert = library_diagonal(d)
-    rng = stream(config.seed, index, 1)
-    gamma = complex_gaussian(rng, (a.dim, a.dim))
-    unit = a.unit_coords
-    gamma = gamma - np.outer(gamma @ unit, unit.conj()) / np.vdot(unit, unit)
-    top = np.linalg.svd(gamma, compute_uv=False)[0]
-    measured = 0.0
-    if config.gamma_norm > 0 and top > 0:
-        gamma = gamma / top * config.gamma_norm
-        measured = float(np.linalg.svd(gamma, compute_uv=False)[0])
-    else:
-        gamma = np.zeros_like(gamma)
+    gamma = suites.unit_killing_perturbation(a, stream(config.seed, index, 1), config.gamma_norm)
+    measured = float(np.linalg.svd(gamma, compute_uv=False)[0])
     phi = LinearMap(a, a, np.eye(a.dim, dtype=complex) + gamma)
     return Instance(a, emb, cert, phi, measured)
 
@@ -200,16 +210,7 @@ def _ensure_out(cfg: RunConfig) -> Path:
 def cmd_stabilize(cfg: RunConfig) -> int:
     out = _ensure_out(cfg)
     inst = generate_instance(cfg)
-    sconf = StabilizeConfig(
-        tol=cfg.tol,
-        max_iter=cfg.max_iter,
-        L=cfg.L,
-        seed=cfg.seed,
-        check_claim_bounds=cfg.check_claim_bounds,
-        restarts=cfg.restarts,
-        sweeps=cfg.sweeps,
-    )
-    report = stabilize(inst.phi, inst.embedding, inst.cert, sconf)
+    report = stabilize(inst.phi, inst.embedding, inst.cert, replace(cfg.stabilize, seed=cfg.seed))
     doc = {"schema": SCHEMA_VERSION, "config": cfg.to_json_dict()}
     doc.update(report.to_json_dict())
     write_json(out / "stabilize_report.json", doc)
@@ -235,12 +236,13 @@ def cmd_defect(cfg: RunConfig) -> int:
     out = _ensure_out(cfg)
     inst = generate_instance(cfg)
     emb = inst.embedding
+    r, sw = cfg.stabilize.restarts, cfg.stabilize.sweeps
     rows = {
-        "def": defect(inst.phi, restarts=cfg.restarts, sweeps=cfg.sweeps, seed=cfg.seed),
-        "def_da": defect(inst.phi, left=emb, restarts=cfg.restarts, sweeps=cfg.sweeps, seed=cfg.seed + 1),
-        "def_ad": defect(inst.phi, right=emb, restarts=cfg.restarts, sweeps=cfg.sweeps, seed=cfg.seed + 2),
-        "def_dd": defect(inst.phi, left=emb, right=emb, restarts=cfg.restarts, sweeps=cfg.sweeps, seed=cfg.seed + 3),
-        "norm": linear_map_norm(inst.phi, cfg.restarts, cfg.sweeps, seed=cfg.seed + 4),
+        "def": defect(inst.phi, restarts=r, sweeps=sw, seed=cfg.seed),
+        "def_da": defect(inst.phi, left=emb, restarts=r, sweeps=sw, seed=cfg.seed + 1),
+        "def_ad": defect(inst.phi, right=emb, restarts=r, sweeps=sw, seed=cfg.seed + 2),
+        "def_dd": defect(inst.phi, left=emb, right=emb, restarts=r, sweeps=sw, seed=cfg.seed + 3),
+        "norm": linear_map_norm(inst.phi, r, sw, seed=cfg.seed + 4),
     }
     doc = {
         "schema": SCHEMA_VERSION,

@@ -208,7 +208,6 @@ def multilinear_norm(
     restarts: int = DEFAULT_RESTARTS,
     sweeps: int = DEFAULT_SWEEPS,
     seed: int = 0,
-    slot_order=None,
 ) -> DefectEstimate:
     """Certified interval for the norm of an arity-1 or arity-2 cochain.
 
@@ -226,7 +225,7 @@ def multilinear_norm(
         sigma = float(s[0])
         witness = [vh[0].conj()]
         return DefectEstimate(sigma, sigma, witness, 0, seed)
-    return estimate_tensor_norm(psi.tensor, balls, target, restarts, sweeps, seed, slot_order)
+    return estimate_tensor_norm(psi.tensor, balls, target, restarts, sweeps, seed)
 
 
 def linear_map_norm(
@@ -247,7 +246,6 @@ def defect(
     restarts: int = DEFAULT_RESTARTS,
     sweeps: int = DEFAULT_SWEEPS,
     seed: int = 0,
-    slot_order=None,
 ) -> DefectEstimate:
     """Multiplicative defect of phi, optionally restricted per slot.
 
@@ -259,4 +257,4 @@ def defect(
         chain = restrict_slot(chain, 0, left)
     if right is not None:
         chain = restrict_slot(chain, 1, right)
-    return multilinear_norm(chain, restarts, sweeps, seed, slot_order)
+    return multilinear_norm(chain, restarts, sweeps, seed)

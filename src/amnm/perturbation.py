@@ -46,9 +46,9 @@ class DichotomyVerdict:
     threshold_large: float
 
 
-def _certify_defect_at_most(psi: LinearMap, eta: float, seed: int = 0, restarts: int = 0) -> DefectEstimate:
-    # the premise consumes only the upper bound, which is restart-independent
-    est = defect(psi, restarts=restarts, sweeps=60, seed=seed)
+def _certify_defect_at_most(psi: LinearMap, eta: float, seed: int = 0) -> DefectEstimate:
+    # the premise consumes only the upper bound, which needs no witness search
+    est = defect(psi, restarts=0, sweeps=60, seed=seed)
     if est.upper > eta * (1 + 1e-12) + 1e-15:
         raise PreconditionError(
             f"cannot certify eta-multiplicativity: defect upper {est.upper} > eta {eta}"
@@ -62,7 +62,7 @@ def _require_idempotent(p: Element, label: str = "p") -> None:
         raise PreconditionError(f"{label} is not idempotent: residual {resid:.3e}")
 
 
-def norm_dichotomy_check(psi: LinearMap, p: Element, delta: float, seed: int = 0, restarts: int = 0) -> DichotomyVerdict:
+def norm_dichotomy_check(psi: LinearMap, p: Element, delta: float, seed: int = 0) -> DichotomyVerdict:
     """||psi(p)|| avoids the middle band (3/2)||p||^2 delta .. 1 - same.
 
     Requires p idempotent, delta ||p||^2 <= 2/9, and a certified defect
@@ -75,7 +75,7 @@ def norm_dichotomy_check(psi: LinearMap, p: Element, delta: float, seed: int = 0
     pnorm = p.norm()
     if delta * pnorm**2 > 2.0 / 9.0 + 1e-15:
         raise PreconditionError(f"delta ||p||^2 = {delta * pnorm ** 2} exceeds 2/9")
-    _certify_defect_at_most(psi, delta, seed=seed, restarts=restarts)
+    _certify_defect_at_most(psi, delta, seed=seed)
     value = psi.target.element_norm(psi.apply(p.coords))
     t_small = 1.5 * pnorm**2 * delta
     t_large = 1.0 - t_small
@@ -99,7 +99,6 @@ class BoundCertificate:
 
 def absorption_check(
     psi: LinearMap, a: Element, b: Element, side: str = "left", eta: float = 0.0, seed: int = 0,
-    restarts: int = 0,
 ) -> BoundCertificate:
     """From ab = b (left) or ba = b (right) and ||psi(a)|| <= 1/3, conclude
     ||psi(b)|| <= (3/2) eta ||a|| ||b||."""
@@ -112,7 +111,7 @@ def absorption_check(
     psi_a = psi.target.element_norm(psi.apply(a.coords))
     if psi_a > 1.0 / 3.0 + 1e-12:
         raise PreconditionError(f"||psi(a)|| = {psi_a} exceeds 1/3")
-    _certify_defect_at_most(psi, eta, seed=seed, restarts=restarts)
+    _certify_defect_at_most(psi, eta, seed=seed)
     lhs = psi.target.element_norm(psi.apply(b.coords))
     rhs = 1.5 * eta * a.norm() * b.norm()
     ok = lhs <= rhs * (1 + 1e-9) + 1e-12
@@ -122,7 +121,7 @@ def absorption_check(
 
 
 def equivalent_projection_check(
-    psi: LinearMap, u: Element, v: Element, eta: float, seed: int = 0, restarts: int = 0
+    psi: LinearMap, u: Element, v: Element, eta: float, seed: int = 0
 ) -> BoundCertificate:
     """Transfer smallness between the two products of a factorized pair:
     if uv and vu are idempotent, eta ||u||^3 ||v||^3 <= 2/9 and
@@ -133,7 +132,7 @@ def equivalent_projection_check(
     combo = eta * u.norm() ** 3 * v.norm() ** 3
     if combo > 2.0 / 9.0 + 1e-15:
         raise PreconditionError(f"eta ||u||^3 ||v||^3 = {combo} exceeds 2/9")
-    _certify_defect_at_most(psi, eta, seed=seed, restarts=restarts)
+    _certify_defect_at_most(psi, eta, seed=seed)
     psi_uv = psi.target.element_norm(psi.apply(uv.coords))
     if psi_uv > 1.0 / 3.0 + 1e-12:
         raise PreconditionError(f"||psi(uv)|| = {psi_uv} exceeds 1/3")
@@ -144,15 +143,15 @@ def equivalent_projection_check(
     return BoundCertificate(lhs, 1.0 / 3.0, ok)
 
 
-def small_on_identity(psi: LinearMap, eta: float, seed: int = 0, restarts: int = 6) -> BoundCertificate:
+def small_on_identity(psi: LinearMap, eta: float, seed: int = 0) -> BoundCertificate:
     """||psi(1)|| <= 1/3 forces the whole map small: ||psi|| <= 3 eta / 2."""
     if not psi.source.is_unital:
         raise PreconditionError("source algebra has no unit")
     psi_one = psi.target.element_norm(psi.apply(psi.source.unit_coords))
     if psi_one > 1.0 / 3.0 + 1e-12:
         raise PreconditionError(f"||psi(1)|| = {psi_one} exceeds 1/3")
-    _certify_defect_at_most(psi, eta, seed=seed, restarts=0)
-    norm_est = linear_map_norm(psi, restarts=max(restarts, 1), sweeps=40, seed=seed + 1)
+    _certify_defect_at_most(psi, eta, seed=seed)
+    norm_est = linear_map_norm(psi, restarts=6, sweeps=40, seed=seed + 1)
     rhs = 1.5 * eta
     ok = norm_est.lower <= rhs * (1 + 1e-9) + 1e-12
     if not ok:
@@ -173,7 +172,7 @@ class ScanReport:
 
 
 def orthogonal_family_scan(
-    psi: LinearMap, family: list[Element], L: float, eta: float, seed: int = 0, restarts: int = 0
+    psi: LinearMap, family: list[Element], L: float, eta: float, seed: int = 0
 ) -> ScanReport:
     """Scan a pairwise orthogonal idempotent family for small images.
 
@@ -194,7 +193,7 @@ def orthogonal_family_scan(
             q = family[jdx]
             if max((p * q).norm(), (q * p).norm()) > ORTHOGONALITY_TOL * max(1.0, L * L):
                 raise PreconditionError(f"family members {idx}, {jdx} are not orthogonal")
-    _certify_defect_at_most(psi, eta, seed=seed, restarts=restarts)
+    _certify_defect_at_most(psi, eta, seed=seed)
     threshold = 2.0 * eta * L**2
     norms = [target.element_norm(psi.apply(p.coords)) for p in family]
     survivors = [i for i, n in enumerate(norms) if n <= threshold * (1 + 1e-9) + 1e-15]

@@ -21,14 +21,16 @@ side against the stated bound built from certified uppers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import Algebra, Embedding, opposite, unitize
 from .diagonal import DiagonalCert, split, verify_diagonal
-from .errors import DomainError, FalsificationError, PreconditionError
+from .errors import ConfigError, DomainError, FalsificationError, PreconditionError
 from .multilinear import DefectEstimate, LinearMap, defect, defect_cochain, linear_map_norm
+from .normest import DEFAULT_RESTARTS, DEFAULT_SWEEPS
 
 UNIT_PRESERVE_TOL = 1e-9
 STRUCTURAL_ZERO_TOL = 1e-10
@@ -36,30 +38,38 @@ SELF_MODULAR_TOL = 1e-8
 IDEAL_TOL = 1e-9
 
 
+# A run makes 3 + 4 * max_iter + 1 estimates; at 63 iterations they fill
+# the 256 seed slots of _SeedCounter without reaching the next seed's.
+MAX_ITER_CAP = 63
+
+
 @dataclass
 class StabilizeConfig:
-    """Knobs for the stabilization iteration.
+    """Settings of the stabilization iteration, with their defaults and
+    range checks.
 
     ``L`` is the declared norm bound of the input map, ``tol`` the target for
     the left-restricted defect's lower estimate, ``check_claim_bounds``
     switches the certificate comparisons (and their preconditions) on.
     """
 
-    tol: float = 1e-10
-    max_iter: int = 50
-    L: float = 1.0
+    tol: float = 1e-8
+    max_iter: int = 30
+    L: float = 2.0
     seed: int = 0
     check_claim_bounds: bool = True
-    restarts: int = 32
-    sweeps: int = 200
+    restarts: int = DEFAULT_RESTARTS
+    sweeps: int = DEFAULT_SWEEPS
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise DomainError("tol must be positive")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be at least 1")
-        if self.L < 1:
-            raise DomainError("declared norm bound must be at least 1")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError("tol must be positive and finite")
+        if not 1 <= self.max_iter <= MAX_ITER_CAP:
+            raise ConfigError(f"max_iter must lie in [1, {MAX_ITER_CAP}]")
+        if not 1 <= self.L < math.inf:
+            raise ConfigError("declared norm bound L must be finite and at least 1")
+        if not (1 <= self.restarts <= 4096) or not (1 <= self.sweeps <= 100000):
+            raise ConfigError("restart/sweep budgets out of range")
 
 
 @dataclass
@@ -182,8 +192,8 @@ def improve_report(
     emb: Embedding,
     cert: DiagonalCert,
     seed: int = 0,
-    restarts: int = 32,
-    sweeps: int = 200,
+    restarts: int = DEFAULT_RESTARTS,
+    sweeps: int = DEFAULT_SWEEPS,
 ) -> tuple[LinearMap, ImproveReport]:
     """Apply the improving operator and check its four contract properties.
 
@@ -251,8 +261,7 @@ def stabilize(
         raise PreconditionError("diagonal certificate is not valid")
     k_const = cert.K
     L = config.L
-    seed = config.seed
-    counter = _SeedCounter(seed)
+    counter = _SeedCounter(config.seed)
     notes = [
         "amenability constant uses the representation bound; theorem_bound is an upper envelope",
     ]
@@ -354,6 +363,7 @@ def stabilize(
 
 
 class _SeedCounter:
+    # estimate n of a run takes seed slot n of 256; MAX_ITER_CAP keeps n <= 256
     def __init__(self, seed: int):
         self.seed = seed
         self._n = 0

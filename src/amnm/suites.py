@@ -10,7 +10,7 @@ bound assembled from certified uppers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -146,11 +146,14 @@ def random_map(a: Algebra, b: Algebra, rng, scale: float = 1.0) -> LinearMap:
 
 def unit_killing_perturbation(a: Algebra, rng, scale: float) -> np.ndarray:
     """Coefficient matrix gamma with gamma(1_A) = 0 and top singular value
-    exactly ``scale``."""
+    exactly ``scale``; the zero matrix when ``scale`` or the projected draw
+    is zero."""
     gamma = complex_gaussian(rng, (a.dim, a.dim))
     unit = a.unit_coords
     gamma = gamma - np.outer(gamma @ unit, unit.conj()) / np.vdot(unit, unit)
     top = np.linalg.svd(gamma, compute_uv=False)[0]
+    if scale == 0 or top == 0:
+        return np.zeros_like(gamma)
     return gamma / top * scale
 
 
@@ -491,20 +494,20 @@ def check_improving_bounds(mode: str, seed: int) -> list[CheckResult]:
 
 
 def run_stabilize_checks(mode: str, seed: int, gamma_norm: float = 1e-3,
-                         L: float = 2.0, tol: float = 1e-8, max_iter: int = 30,
-                         restarts: int = 8, sweeps: int = 60) -> list[CheckResult]:
+                         config: StabilizeConfig | None = None) -> list[CheckResult]:
+    """Stabilize one seeded M_2 instance under ``config`` (the suite budget of
+    ``R`` restarts and ``SW`` sweeps by default) with its claims checked."""
+    config = replace(config or StabilizeConfig(restarts=R, sweeps=SW), seed=seed, check_claim_bounds=True)
     rng = stream(seed, 15)
     a, emb = _m2_with_diagonal(mode)
     cert = _m2_diagonal_cert(mode)
     gamma = unit_killing_perturbation(a, rng, gamma_norm)
     phi = LinearMap(a, a, np.eye(a.dim) + gamma)
-    config = StabilizeConfig(tol=tol, max_iter=max_iter, L=L, seed=seed,
-                             check_claim_bounds=True, restarts=restarts, sweeps=sweeps)
     report = stabilize(phi, emb, cert, config)
     results = [
         CheckResult("stabilize-converged", report.converged,
                     float(len(report.iterates)), float(len(report.iterates)),
-                    float(max_iter), float(max_iter)),
+                    float(config.max_iter), float(config.max_iter)),
         CheckResult("stabilize-distance-bound", report.distance_ok,
                     report.total_distance.lower, report.total_distance.upper,
                     report.theorem_bound, report.theorem_bound),
@@ -520,11 +523,25 @@ def run_stabilize_checks(mode: str, seed: int, gamma_norm: float = 1e-3,
                                    rec.claim_defect_bound, rec.claim_defect_bound))
         results.append(CheckResult(f"stabilize-norm-growth-{rec.step}", rec.norm_ok,
                                    rec.norm_phi.lower, rec.norm_phi.upper,
-                                   1.25 * L, 1.25 * L))
+                                   1.25 * config.L, 1.25 * config.L))
     return results
 
 
 # -- elementary checker batteries -------------------------------------------------
+
+
+def _guarded(check: str, thunk) -> CheckResult:
+    """The row of ``thunk()``'s (passed, lhs, rhs), or a failed row when the
+    checker raises: a valid instance must not be refused."""
+    try:
+        passed, lhs, rhs = thunk()
+    except Exception:
+        return CheckResult(check, False, 0, 0, 0, 0)
+    return CheckResult(check, passed, lhs, lhs, rhs, rhs)
+
+
+def _bound(cert) -> tuple:
+    return cert.ok, cert.lhs, cert.rhs
 
 
 def checker_valid_battery(seed: int) -> list[CheckResult]:
@@ -539,55 +556,42 @@ def checker_valid_battery(seed: int) -> list[CheckResult]:
     dpsi = defect(psi, restarts=0, sweeps=SW, seed=seed)
     delta = dpsi.upper * 1.5 + 1e-12
     p = a.basis_element(0)
-    try:
+
+    def dichotomy_large():
         verdict = norm_dichotomy_check(psi, p, delta, seed=seed)
-        results.append(CheckResult("dichotomy-valid", verdict.branch == "large",
-                                   verdict.value, verdict.value,
-                                   verdict.threshold_large, verdict.threshold_large))
-    except Exception:
-        results.append(CheckResult("dichotomy-valid", False, 0, 0, 0, 0))
+        return verdict.branch == "large", verdict.value, verdict.threshold_large
+
+    results.append(_guarded("dichotomy-valid", dichotomy_large))
 
     # dichotomy, small branch: a uniformly small map
     small = LinearMap(a, a, 0.01 * complex_gaussian(rng, (a.dim, a.dim)))
     dsmall = defect(small, restarts=0, sweeps=SW, seed=seed + 1)
     delta_small = dsmall.upper * 1.5 + 1e-12
-    try:
+
+    def dichotomy_small():
         if delta_small * p.norm() ** 2 <= 2.0 / 9.0:
             verdict = norm_dichotomy_check(small, p, delta_small, seed=seed + 1)
-            results.append(CheckResult("dichotomy-small-branch", verdict.branch == "small",
-                                       verdict.value, verdict.value,
-                                       verdict.threshold_small, verdict.threshold_small))
-        else:
-            results.append(CheckResult("dichotomy-small-branch", False, delta_small, delta_small, 2 / 9, 2 / 9))
-    except Exception:
-        results.append(CheckResult("dichotomy-small-branch", False, 0, 0, 0, 0))
+            return verdict.branch == "small", verdict.value, verdict.threshold_small
+        return False, delta_small, 2 / 9
+
+    results.append(_guarded("dichotomy-small-branch", dichotomy_small))
 
     # absorption: a = e11, b = e12, small psi
     tiny = LinearMap(a, a, 0.01 * complex_gaussian(rng, (a.dim, a.dim)))
     eta = defect(tiny, restarts=0, sweeps=SW, seed=seed + 2).upper * 1.2 + 1e-12
-    try:
-        cert = absorption_check(tiny, a.basis_element(0), a.basis_element(1), "left", eta, seed=seed + 2)
-        results.append(CheckResult("absorption-valid", cert.ok, cert.lhs, cert.lhs, cert.rhs, cert.rhs))
-    except Exception:
-        results.append(CheckResult("absorption-valid", False, 0, 0, 0, 0))
+    results.append(_guarded("absorption-valid", lambda: _bound(absorption_check(
+        tiny, a.basis_element(0), a.basis_element(1), "left", eta, seed=seed + 2))))
 
     # equivalent projections: u = e12, v = e21
-    try:
-        cert = equivalent_projection_check(tiny, a.basis_element(1), a.basis_element(2), eta, seed=seed + 3)
-        results.append(CheckResult("projection-transfer-valid", cert.ok, cert.lhs, cert.lhs, cert.rhs, cert.rhs))
-    except Exception:
-        results.append(CheckResult("projection-transfer-valid", False, 0, 0, 0, 0))
+    results.append(_guarded("projection-transfer-valid", lambda: _bound(equivalent_projection_check(
+        tiny, a.basis_element(1), a.basis_element(2), eta, seed=seed + 3))))
 
     # small on identity: scalar algebra, psi(a) = eps a
     c1 = build_commutative_algebra(1, norm_mode="frobenius")
     eps = 0.1 + 0.2 * float(rng.uniform())
     scal = LinearMap(c1, c1, np.array([[eps]], dtype=complex))
     eta_s = abs(eps - eps * eps) * (1 + 1e-12) + 1e-15
-    try:
-        cert = small_on_identity(scal, eta_s, seed=seed + 4)
-        results.append(CheckResult("small-on-identity-valid", cert.ok, cert.lhs, cert.lhs, cert.rhs, cert.rhs))
-    except Exception:
-        results.append(CheckResult("small-on-identity-valid", False, 0, 0, 0, 0))
+    results.append(_guarded("small-on-identity-valid", lambda: _bound(small_on_identity(scal, eta_s, seed=seed + 4))))
 
     # orthogonal family scan on a quotient model
     results.append(scan_pipeline_check(seed))
@@ -609,15 +613,14 @@ def scan_separation_check(seed: int) -> CheckResult:
         coords = np.zeros(q.dim, dtype=complex)
         coords[i] = 1.0
         family.append(q.element(coords))
-    try:
+
+    def scan():
         report = orthogonal_family_scan(psi, family, L=1.0, eta=1e-3, seed=seed)
         ok = (report.survivors == [2, 3] and report.large == [0, 1]
               and report.distances_ok and report.count_ok)
-        return CheckResult("scan-separation", ok,
-                           report.min_distance, report.min_distance,
-                           report.separation, report.separation)
-    except Exception:
-        return CheckResult("scan-separation", False, 0, 0, 0, 0)
+        return ok, report.min_distance, report.separation
+
+    return _guarded("scan-separation", scan)
 
 
 def scan_pipeline_check(seed: int) -> CheckResult:
@@ -653,17 +656,17 @@ def scan_pipeline_check(seed: int) -> CheckResult:
     eta = defect(psi, restarts=0, sweeps=SW, seed=seed).upper * 1.2 + 1e-12
     if eta > threshold:
         return CheckResult("equivalence-pipeline", False, eta, eta, threshold, threshold)
-    try:
+
+    def pipeline():
         scan = orthogonal_family_scan(psi, blocks, L=1.0, eta=eta, seed=seed + 1)
         if 1 not in scan.survivors:  # index of the u v block
-            return CheckResult("equivalence-pipeline", False, 0, 0, 0, 0)
+            return False, 0, 0
         equivalent_projection_check(psi, u, v, eta, seed=seed + 2)
         corner_basis = [q_alg.basis_element(idx(i, j)) for i in range(2) for j in range(2)]
         restricted, _ = corner_restriction(psi, corner_basis)
-        cert = small_on_identity(restricted, eta, seed=seed + 3)
-        return CheckResult("equivalence-pipeline", cert.ok, cert.lhs, cert.lhs, cert.rhs, cert.rhs)
-    except Exception:
-        return CheckResult("equivalence-pipeline", False, 0, 0, 0, 0)
+        return _bound(small_on_identity(restricted, eta, seed=seed + 3))
+
+    return _guarded("equivalence-pipeline", pipeline)
 
 
 def checker_refusal_battery(seed: int) -> list[CheckResult]:
@@ -776,6 +779,8 @@ def suite_rows(cfg) -> list[dict]:
         check_perturbed_defect, check_relative_perturbed, check_coboundary_composition,
         check_averaging_bound, check_left_modular, check_splitting_v2,
     ]
+    stabilize_config = replace(cfg.stabilize, restarts=min(cfg.stabilize.restarts, 16),
+                               sweeps=min(cfg.stabilize.sweeps, 120))
     rows = []
     for i in range(n):
         seed = cfg.seed + i
@@ -786,9 +791,7 @@ def suite_rows(cfg) -> list[dict]:
                  for j, r in enumerate(check_improving_bounds(mode, seed))]
     for i in range(max(1, n // 4)):
         seed = cfg.seed + 6000 + i
-        checks = run_stabilize_checks(mode, seed, gamma_norm=cfg.gamma_norm, L=cfg.L,
-                                      tol=cfg.tol, max_iter=cfg.max_iter,
-                                      restarts=min(cfg.restarts, 16), sweeps=min(cfg.sweeps, 120))
+        checks = run_stabilize_checks(mode, seed, cfg.gamma_norm, stabilize_config)
         rows += [r.row(f"stabilize-{i:04d}-{j:02d}", seed) for j, r in enumerate(checks)]
     for i in range(max(1, n // 2)):
         seed = cfg.seed + 9000 + i

@@ -60,16 +60,9 @@ class TsirelsonVector:
     def support(self) -> list[int]:
         return sorted(self.entries)
 
-    @property
-    def max_index(self) -> int:
-        return max(self.entries) if self.entries else 0
-
     @classmethod
     def from_dense(cls, values) -> "TsirelsonVector":
         return cls({i + 1: v for i, v in enumerate(values)})
-
-    def restrict(self, lo: int, hi: int) -> "TsirelsonVector":
-        return TsirelsonVector({i: v for i, v in self.entries.items() if lo <= i <= hi})
 
 
 def basis_vector(n: int) -> TsirelsonVector:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from amnm.cli import RunConfig, generate_instance, load_config, main
 from amnm.errors import ConfigError
+from amnm.stabilizer import StabilizeConfig
 
 
 def run_cli(args):
@@ -72,6 +73,11 @@ def test_load_config_validation(tmp_path):
     rng.write_text(json.dumps({"seed": 1, "norm_mode": "nuclear"}))
     with pytest.raises(ConfigError):
         load_config(str(rng), "suite", None, None)
+    # unreadable as JSON text, though not a JSONDecodeError
+    for name, data in (("digits.json", b'{"seed": 1' + b"0" * 5000 + b"}"), ("bytes.json", b"\xff{}")):
+        (tmp_path / name).write_bytes(data)
+        with pytest.raises(ConfigError):
+            load_config(str(tmp_path / name), "suite", None, None)
 
 
 def test_exit_code_config_error():
@@ -184,6 +190,41 @@ def test_config_out_must_be_a_string(tmp_path):
     assert code == 2 and err.count("\n") == 1
 
 
+# Config values that loading once coerced or ignored: a wrong JSON type, a
+# max_iter past the cap of 63, the undocumented "tol" alias, a misspelt key.
+BAD_CONFIG_VALUES = [
+    {"check_claim_bounds": "false"},
+    {"max_iter": 2.9},
+    {"max_iter": 64},
+    {"seed": 1.7},
+    {"seed": True},
+    {"instances": 1.5},
+    {"gamma_norm": False},
+    {"tol": 1e-3},
+    {"max_iters": 5},
+]
+
+
+@pytest.mark.parametrize("overrides", BAD_CONFIG_VALUES)
+def test_bad_config_value_exits_two_with_one_line(tmp_path, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    code, err = run_main(["defect", "--config", str(cfg), "--out", str(tmp_path / "bad")])
+    assert code == 2
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+def test_config_echo_loads_back(tmp_path):
+    sconf = StabilizeConfig(tol=1e-9, max_iter=12, L=1.5, check_claim_bounds=False, restarts=5, sweeps=70)
+    for cfg in (RunConfig(command="defect", seed=3, out=str(tmp_path)),
+                RunConfig(command="suite", seed=4, norm_mode="frobenius", matrix_dim=3, gamma_norm=0.0,
+                          instances=3, out=str(tmp_path), stabilize=sconf)):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg.to_json_dict(), "out": cfg.out}))
+        assert load_config(str(path), cfg.command, None, None) == cfg
+    with pytest.raises(ConfigError):
+        load_config(str(path), "stabilize", None, None)  # the echo names another command
+
+
 _ARG_TEXT = st.one_of(
     st.text(max_size=10),
     st.lists(st.one_of(st.floats(), st.integers(min_value=-(10**400), max_value=10**400),
@@ -220,8 +261,8 @@ _JSON_VALUE = st.recursive(
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
     max_leaves=6,
 )
-_CONFIG_KEYS = ("schema", "norm_mode", "dims", "gamma_norm", "L", "tolerances", "tol", "max_iter",
-                "restarts", "sweeps", "check_claim_bounds", "instances", "out")
+_CONFIG_KEYS = ("schema", "command", "norm_mode", "dims", "gamma_norm", "L", "tolerances", "tol",
+                "max_iter", "restarts", "sweeps", "check_claim_bounds", "instances", "out")
 
 
 @settings(max_examples=200, deadline=None)
@@ -229,6 +270,16 @@ _CONFIG_KEYS = ("schema", "norm_mode", "dims", "gamma_norm", "L", "tolerances", 
                              optional={key: _JSON_VALUE for key in _CONFIG_KEYS}),
        st.sampled_from(["stabilize", "defect", "suite"]))
 @example({"schema": 1, "seed": 1, "out": 5}, "defect")
+@example({"seed": 1, "check_claim_bounds": "false"}, "stabilize")
+@example({"seed": 1, "max_iter": 2.9}, "stabilize")
+@example({"seed": 1, "max_iter": 64}, "stabilize")
+@example({"seed": 1.7}, "defect")
+@example({"seed": True}, "defect")
+@example({"seed": 1, "instances": 1.5}, "suite")
+@example({"seed": 1, "gamma_norm": False}, "defect")
+@example({"seed": 1, "tol": 1e-3}, "stabilize")
+@example({"seed": 1, "max_iters": 5}, "stabilize")
+@example({**RunConfig(command="suite", seed=2).to_json_dict(), "out": "reports"}, "suite")
 def test_fuzzed_config_validated_or_refused(doc, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
@@ -238,5 +289,9 @@ def test_fuzzed_config_validated_or_refused(doc, command):
         except ConfigError:
             return
     cfg.validate()
-    assert isinstance(cfg.out, str) and isinstance(cfg.seed, int)
-    assert all(math.isfinite(v) for v in (cfg.gamma_norm, cfg.L, cfg.tol))
+    sconf = cfg.stabilize
+    assert isinstance(cfg.out, str) and type(cfg.seed) is int
+    assert all(type(v) is int for v in (cfg.matrix_dim, cfg.instances, sconf.max_iter,
+                                         sconf.restarts, sconf.sweeps))
+    assert type(sconf.check_claim_bounds) is bool
+    assert all(math.isfinite(v) for v in (cfg.gamma_norm, sconf.L, sconf.tol))

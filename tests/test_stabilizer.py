@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from amnm import stabilizer
 from amnm.algebra import (
     Algebra,
     Embedding,
@@ -11,10 +12,11 @@ from amnm.algebra import (
     unitize,
 )
 from amnm.diagonal import library_diagonal
-from amnm.errors import PreconditionError
+from amnm.errors import ConfigError, PreconditionError
 from amnm.multilinear import LinearMap, defect, defect_cochain, identity_map, linear_map_norm
 from amnm.rng import complex_gaussian, stream
 from amnm.stabilizer import (
+    MAX_ITER_CAP,
     IdealData,
     StabilizeConfig,
     decompose_over_ideal,
@@ -126,6 +128,27 @@ def test_stabilize_converges_and_certifies():
         est = defect(final, restarts=8, sweeps=60, seed=777, **kw)
         assert est.lower <= 1e-7
     assert final.preserves_unit(emb)
+
+
+def test_max_iter_cap_keeps_a_run_in_its_seed_slots(monkeypatch):
+    # a run at the cap seeds its estimates with (seed << 8) + 1 .. + 256, so
+    # none shares a stream with the run of seed + 1, whose first is + 257
+    with pytest.raises(ConfigError):
+        StabilizeConfig(max_iter=64)
+    seeds = []
+    draw = stabilizer._SeedCounter.next
+
+    def recorded(counter):
+        seeds.append(draw(counter))
+        return seeds[-1]
+
+    monkeypatch.setattr(stabilizer._SeedCounter, "next", recorded)
+    a, emb, cert = m2_diag()
+    cfg = StabilizeConfig(tol=1e-300, max_iter=MAX_ITER_CAP, seed=5, check_claim_bounds=False,
+                          restarts=1, sweeps=1)
+    report = stabilize(perturbed_identity(a, 57), emb, cert, cfg)
+    assert len(report.iterates) == MAX_ITER_CAP
+    assert seeds == list(range((5 << 8) + 1, (6 << 8) + 1))
 
 
 def test_stabilize_refuses_oversized_defect():
