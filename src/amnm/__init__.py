@@ -35,7 +35,7 @@ from .stabilizer import (
     decompose_over_ideal,
     improve,
     improve_report,
-    opposite_switch,
+    improve_right,
     stabilize,
     stabilize_via_unitization,
     unitize_map,

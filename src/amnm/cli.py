@@ -280,24 +280,23 @@ def cmd_suite(cfg: RunConfig) -> int:
     return 0 if passed else 1
 
 
-def _json_array(flag: str, text: str, convert) -> list:
-    """Entries of a JSON array flag, each passed through ``convert``."""
+def _json_array(flag: str, text: str, kind: type) -> list:
+    """Entries of a JSON array flag, each of the JSON type ``kind`` as
+    ``_checked`` reads it: a number is an integer or a float, never a
+    boolean or a string, and comes back as a float."""
     try:
         values = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{flag} must be a JSON array: {exc}") from exc
     if not isinstance(values, list):
         raise ConfigError(f"{flag} must be a JSON array")
-    try:
-        return [convert(v) for v in values]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{flag} entries must be numbers: {exc}") from exc
+    return [_checked(f"{flag} entry", v, kind) for v in values]
 
 
 def cmd_tsirelson(args: argparse.Namespace) -> int:
     if args.vector is None:
         raise ConfigError("--vector is required")
-    vec = TsirelsonVector.from_dense(_json_array("--vector", args.vector, complex))
+    vec = TsirelsonVector.from_dense(_json_array("--vector", args.vector, float))
     levels = tsirelson_norm_levels(vec)
     doc = {
         "schema": SCHEMA_VERSION,

@@ -2,7 +2,7 @@
 
 A diagonal for D is an element Delta of D (x) D with
 
-    a . Delta = Delta . a     and     pi(Delta) = 1_D-action,
+    a . Delta = Delta . a     and     a pi(Delta) = pi(Delta) a = a,
 
 where pi multiplies the legs together.  In finite dimensions the library
 diagonals satisfy both identities exactly, so the homotopy operators that
@@ -23,7 +23,6 @@ import numpy as np
 
 from .algebra import Algebra, Embedding
 from .errors import DomainError, PreconditionError
-from .jsonio import complex_to_json
 from .multilinear import Cochain, LinearMap
 from .normest import minimal_idempotent_frame
 
@@ -66,12 +65,6 @@ class TensorRep:
         """c (x) d -> d (x) c, re-parented to the opposite algebra."""
         return TensorRep(opposite_algebra, [(d.copy(), c.copy()) for c, d in self.pairs])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "pairs": [[complex_to_json(c), complex_to_json(d)] for c, d in self.pairs],
-            "proj_bound": self.proj_bound,
-        }
-
 
 @dataclass
 class DiagonalCert:
@@ -79,9 +72,9 @@ class DiagonalCert:
 
     ``residual_commute`` = max over basis a of the dense-coefficient norm of
     a.Delta - Delta.a; ``residual_unit`` = max over basis a of
-    ||a pi(Delta) - a||.  Both vanish (to 1e-10 of scale) for an exact
-    diagonal; K is the representation bound, an amenability-constant upper
-    bound.
+    ||a pi(Delta) - a|| and ||pi(Delta) a - a||.  Both vanish (to 1e-10 of
+    scale) for an exact diagonal; K is the representation bound, an
+    amenability-constant upper bound.
     """
 
     rep: TensorRep
@@ -89,14 +82,6 @@ class DiagonalCert:
     residual_commute: float
     residual_unit: float
     valid: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rep": self.rep.to_json_dict(),
-            "K": self.K,
-            "residuals": {"commute": self.residual_commute, "unit": self.residual_unit},
-            "valid": self.valid,
-        }
 
 
 def verify_diagonal(algebra: Algebra, rep: TensorRep) -> DiagonalCert:
@@ -118,8 +103,8 @@ def verify_diagonal(algebra: Algebra, rep: TensorRep) -> DiagonalCert:
         pi += algebra.multiply_coords(c, dd)
     unit_resid = 0.0
     for i in range(d):
-        diff = algebra.multiply_coords(basis[i], pi) - basis[i]
-        unit_resid = max(unit_resid, algebra.element_norm(diff))
+        for prod in (algebra.multiply_coords(basis[i], pi), algebra.multiply_coords(pi, basis[i])):
+            unit_resid = max(unit_resid, algebra.element_norm(prod - basis[i]))
     valid = commute <= VALID_RESIDUAL_TOL * scale and unit_resid <= VALID_RESIDUAL_TOL * max(
         1.0, max(algebra.element_norm(basis[i]) for i in range(d))
     )

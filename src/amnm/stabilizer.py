@@ -4,9 +4,9 @@
 cochain of phi); one application shrinks the left-restricted defect
 quadratically while preserving unit values and exact right-modularity.
 
-``stabilize`` iterates until the left-restricted defect's certified lower
-bound passes the tolerance, switches to the opposite algebras, applies one
-further improvement there to kill the right-restricted defect, and records
+``stabilize`` iterates ``improve`` until the left-restricted defect's
+certified lower bound passes the tolerance, applies the mirrored operator
+``improve_right`` once to kill the right-restricted defect, and records
 per-step certificate comparisons:
 
     step n:     ||F^n - F^{n-1}||_lower  vs  K L delta0 2^{-(n-1)}
@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Algebra, Embedding, opposite, unitize
-from .diagonal import DiagonalCert, split, verify_diagonal
+from .algebra import Algebra, Embedding, unitize
+from .diagonal import DiagonalCert, split
 from .errors import ConfigError, DomainError, FalsificationError, PreconditionError
 from .multilinear import DefectEstimate, LinearMap, defect, defect_cochain, linear_map_norm
 from .normest import DEFAULT_RESTARTS, DEFAULT_SWEEPS
@@ -41,6 +41,9 @@ IDEAL_TOL = 1e-9
 # A run makes 3 + 4 * max_iter + 1 estimates; at 63 iterations they fill
 # the 256 seed slots of _SeedCounter without reaching the next seed's.
 MAX_ITER_CAP = 63
+# theorem_bound is 12 K^2 L^3 delta0 in Python floats: L**3 overflows past
+# about 5.6e102, and at 1e100 the bound stays finite for K^2 delta0 < 1e7.
+L_CAP = 1e100
 
 
 @dataclass
@@ -66,8 +69,8 @@ class StabilizeConfig:
             raise ConfigError("tol must be positive and finite")
         if not 1 <= self.max_iter <= MAX_ITER_CAP:
             raise ConfigError(f"max_iter must lie in [1, {MAX_ITER_CAP}]")
-        if not 1 <= self.L < math.inf:
-            raise ConfigError("declared norm bound L must be finite and at least 1")
+        if not 1 <= self.L <= L_CAP:
+            raise ConfigError(f"declared norm bound L must lie in [1, {L_CAP:g}]")
         if not (1 <= self.restarts <= 4096) or not (1 <= self.sweeps <= 100000):
             raise ConfigError("restart/sweep budgets out of range")
 
@@ -108,7 +111,6 @@ class StabilizeReport:
     K: float
     L: float
     converged: bool
-    switch_applied: bool
     distance_ok: bool
     self_modular_residual: float
     notes: list[str] = field(default_factory=list)
@@ -126,7 +128,7 @@ class StabilizeReport:
             "K": self.K,
             "L": self.L,
             "converged": self.converged,
-            "switch_applied": self.switch_applied,
+            "switch_applied": self.converged,  # the right-sided pass runs once converged
             "claims_satisfied": self.all_claims_ok,
             "self_modular_residual": self.self_modular_residual,
             "notes": list(self.notes),
@@ -159,17 +161,32 @@ def improve(phi: LinearMap, emb: Embedding, cert: DiagonalCert) -> LinearMap:
     return LinearMap(phi.source, phi.target, phi.matrix + correction.tensor)
 
 
-def right_modular_residual(phi: LinearMap, emb: Embedding) -> float:
-    """Max basis-pair residual of phi(a x) = phi(a) phi(x) for x in D."""
-    chain = defect_cochain(phi)
-    restricted = np.tensordot(chain.tensor, emb.matrix, axes=(2, 0))
-    return float(np.abs(restricted).max())
+def improve_right(phi: LinearMap, emb: Embedding, cert: DiagonalCert) -> LinearMap:
+    """The mirrored improving operator: phi + sum_k D_phi(., c_k) phi(d_k),
+    which is ``improve`` on the opposite algebras with the flipped diagonal.
+    """
+    _require_unit_preserving(phi, emb)
+    if not cert.valid:
+        raise PreconditionError("refusing to split against an unverified diagonal")
+    chain = defect_cochain(phi).tensor
+    correction = np.zeros_like(phi.matrix)
+    for c, d in cert.rep.pairs:
+        phi_d = phi.apply(emb.embed_coords(d))
+        chain_c = np.tensordot(chain, emb.embed_coords(c), axes=(2, 0))
+        correction += np.einsum("pqt,pR,q->tR", phi.target.structure, chain_c, phi_d)
+    return LinearMap(phi.source, phi.target, phi.matrix + correction)
 
 
-def left_modular_residual(phi: LinearMap, emb: Embedding) -> float:
-    chain = defect_cochain(phi)
-    restricted = np.tensordot(chain.tensor, emb.matrix, axes=(1, 0))
-    return float(np.abs(restricted).max())
+def modular_residuals(chain: np.ndarray, q: np.ndarray) -> tuple[float, float]:
+    """Max basis-pair residuals of the defect tensor ``chain`` with its first
+    and with its second argument in the subalgebra spanned by the columns of
+    ``q``: phi(x a) - phi(x) phi(a) and phi(a x) - phi(a) phi(x) for x in D.
+    Both are 0 for the zero subalgebra."""
+    if not q.size:
+        return 0.0, 0.0
+    left = np.tensordot(chain, q, axes=(1, 0))
+    right = np.tensordot(chain, q, axes=(2, 0))
+    return float(np.abs(left).max()), float(np.abs(right).max())
 
 
 @dataclass
@@ -181,6 +198,8 @@ class ImproveReport:
     right_modularity_output: float
     right_modularity_preserved: bool
     step_norm: DefectEstimate
+    step_bound: float
+    defect_bound: float
     def_da_in: DefectEstimate
     def_da_out: DefectEstimate
     def_dd_in: DefectEstimate
@@ -200,7 +219,8 @@ def improve_report(
     (i) unit preservation is exact; (ii) the step is bounded by
     K ||phi|| defDA(phi); (iii) the new left defect is bounded by
     3 K^2 ||phi||^2 defDD(phi) defDA(phi); (iv) exact right-modularity is
-    preserved.  (ii) and (iii) are tested in no-falsification form.
+    preserved.  (ii) and (iii) are tested in no-falsification form, and the
+    report carries the two bounds built from certified uppers.
     """
     k_const = cert.K
     improved = improve(phi, emb, cert)
@@ -215,40 +235,28 @@ def improve_report(
     ddd_in = defect(phi, left=emb, right=emb, restarts=restarts, sweeps=sweeps, seed=seed + 3)
     dda_out = defect(improved, left=emb, restarts=restarts, sweeps=sweeps, seed=seed + 4)
 
-    step_ok = step.lower <= k_const * norm_phi.upper * dda_in.upper * (1 + 1e-9) + 1e-12
-    defect_ok = (
-        dda_out.lower
-        <= 3.0 * k_const**2 * norm_phi.upper**2 * ddd_in.upper * dda_in.upper * (1 + 1e-9) + 1e-12
-    )
+    step_bound = k_const * norm_phi.upper * dda_in.upper
+    defect_bound = 3.0 * k_const**2 * norm_phi.upper**2 * ddd_in.upper * dda_in.upper
+    step_ok = step.lower <= step_bound * (1 + 1e-9) + 1e-12
+    defect_ok = dda_out.lower <= defect_bound * (1 + 1e-9) + 1e-12
 
-    rm_in = right_modular_residual(phi, emb)
-    rm_out = right_modular_residual(improved, emb)
+    _, rm_in = modular_residuals(defect_cochain(phi).tensor, emb.matrix)
+    _, rm_out = modular_residuals(defect_cochain(improved).tensor, emb.matrix)
     rm_preserved = True
     if rm_in <= STRUCTURAL_ZERO_TOL * scale:
         rm_preserved = bool(rm_out <= STRUCTURAL_ZERO_TOL * scale)
 
     report = ImproveReport(
         unit_ok, bool(step_ok), bool(defect_ok), rm_in, rm_out, rm_preserved,
-        step, dda_in, dda_out, ddd_in, norm_phi,
+        step, step_bound, defect_bound, dda_in, dda_out, ddd_in, norm_phi,
     )
     return improved, report
-
-
-def opposite_switch(phi: LinearMap, source_op: Algebra | None = None, target_op: Algebra | None = None) -> LinearMap:
-    """Identical matrix, re-parented to the opposite algebras."""
-    source_op = source_op if source_op is not None else opposite(phi.source)
-    target_op = target_op if target_op is not None else opposite(phi.target)
-    return LinearMap(source_op, target_op, phi.matrix.copy())
-
-
-def opposite_embedding(emb: Embedding, parent_op: Algebra, sub_op: Algebra) -> Embedding:
-    return Embedding(sub_op, parent_op, emb.matrix.copy())
 
 
 def stabilize(
     phi: LinearMap, emb: Embedding, cert: DiagonalCert, config: StabilizeConfig
 ) -> StabilizeReport:
-    """Iterate the improving operator, then switch sides and improve once.
+    """Iterate the improving operator, then improve once from the right.
 
     Stops when the left-restricted defect's lower estimate passes
     ``config.tol`` (or at ``max_iter``, flagged non-converged).  With
@@ -315,23 +323,10 @@ def stabilize(
         current = improved
         converged = dda.lower <= config.tol
 
-    switch_applied = False
+    # right-sided pass: one mirrored improvement kills the right-restricted
+    # defect because the both-restricted defect is already below tolerance
     if converged:
-        # opposite-side pass: one improvement on the opposite algebras kills
-        # the right-restricted defect because the both-restricted defect is
-        # already below tolerance
-        a_op = opposite(phi.source)
-        b_op = opposite(phi.target)
-        d_op = opposite(emb.sub)
-        emb_op = opposite_embedding(emb, a_op, d_op)
-        rep_op = cert.rep.flip(d_op)
-        cert_op = verify_diagonal(d_op, rep_op)
-        if not cert_op.valid:
-            raise PreconditionError("flipped diagonal failed verification on the opposite algebra")
-        phi_op = opposite_switch(current, a_op, b_op)
-        improved_op = improve(phi_op, emb_op, cert_op)
-        current = LinearMap(phi.source, phi.target, improved_op.matrix)
-        switch_applied = True
+        current = improve_right(current, emb, cert)
 
     total = linear_map_norm(current - phi, config.restarts, config.sweeps, seed=counter.next())
     theorem_bound = 12.0 * k_const**2 * L**3 * delta0
@@ -342,10 +337,7 @@ def stabilize(
                 f"total distance lower {total.lower} exceeds 12 K^2 L^3 delta0 = {theorem_bound}"
             )
 
-    self_mod = max(
-        left_modular_residual(current, emb),
-        right_modular_residual(current, emb),
-    )
+    self_mod = max(modular_residuals(defect_cochain(current).tensor, emb.matrix))
     return StabilizeReport(
         iterates,
         current,
@@ -355,7 +347,6 @@ def stabilize(
         k_const,
         L,
         converged,
-        switch_applied,
         distance_ok,
         self_mod,
         notes,
@@ -481,15 +472,14 @@ def decompose_over_ideal(theta: LinearMap, ideal: IdealData) -> tuple[LinearMap,
 
     # self-modularity over J on basis pairs
     chain = defect_cochain(theta)
-    right_resid = _maxabs(np.tensordot(chain.tensor, q, axes=(2, 0)))
-    left_resid = _maxabs(np.tensordot(chain.tensor, q, axes=(1, 0)))
-    if max(right_resid, left_resid) > IDEAL_TOL * scale:
+    resid = max(modular_residuals(chain.tensor, q))
+    if resid > IDEAL_TOL * scale:
         worst = np.unravel_index(
             np.abs(chain.tensor).argmax(), chain.tensor.shape
         )
         raise PreconditionError(
             f"map is not self-modular over the ideal; worst basis pair {worst[1:]} "
-            f"residual {max(right_resid, left_resid):.3e}"
+            f"residual {resid:.3e}"
         )
     b = theta.target
     p = theta.apply(ideal.e_coords)

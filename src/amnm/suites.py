@@ -482,8 +482,7 @@ def check_improving_bounds(mode: str, seed: int) -> list[CheckResult]:
     gamma = unit_killing_perturbation(a, rng, 1e-3)
     phi = LinearMap(a, a, np.eye(a.dim) + gamma)
     _, report = improve_report(phi, emb, cert, seed=seed, restarts=R, sweeps=SW)
-    step_rhs = cert.K * report.norm_phi.upper * report.def_da_in.upper
-    defect_rhs = 3.0 * cert.K**2 * report.norm_phi.upper**2 * report.def_dd_in.upper * report.def_da_in.upper
+    step_rhs, defect_rhs = report.step_bound, report.defect_bound
     return [
         CheckResult("improvement-step-bound", report.step_bound_ok,
                     report.step_norm.lower, report.step_norm.upper, step_rhs, step_rhs),

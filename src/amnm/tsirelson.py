@@ -129,15 +129,16 @@ class SchreierCert:
     schreier: bool
     sigma_bound: float | None
 
-    def to_json_dict(self) -> dict:
-        return {"J": list(self.indices), "schreier": self.schreier, "sigma_bound": self.sigma_bound}
-
 
 def schreier_check(J) -> SchreierCert:
-    """|J| <= min J; Schreier sets carry the coefficient-sum bound 2."""
+    """|J| <= min J; Schreier sets carry the coefficient-sum bound 2.
+
+    J is a set: a repeated index is refused, not counted twice."""
     indices = tuple(sorted(int(j) for j in J))
     if any(j < 1 for j in indices):
         raise DomainError("indices must be >= 1")
+    if len(set(indices)) < len(indices):
+        raise DomainError("indices must be distinct")
     flag = bool(indices) and len(indices) <= indices[0]
     return SchreierCert(indices, flag, 2.0 if flag else None)
 

@@ -232,18 +232,16 @@ def test_criterion_6_tsirelson():
     assert elapsed < 60.0
 
 
-def test_criterion_7_determinism():
+def test_criterion_7_determinism(tmp_path):
     t0 = time.time()
     root = Path(__file__).resolve().parents[1]
-    tmp = root / "reports" / "_acceptance_determinism"
-    tmp.mkdir(parents=True, exist_ok=True)
-    cfg_path = tmp / "cfg.json"
+    cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"schema": 1, "seed": 77, "instances": 2}))
     env = dict(os.environ)
     env["PYTHONPATH"] = str(root / "src")
     blobs = []
     for run in ("a", "b"):
-        out = tmp / f"run{run}"
+        out = tmp_path / f"run{run}"
         proc = subprocess.run(
             [sys.executable, "-m", "amnm.cli", "suite", "--config", str(cfg_path),
              "--out", str(out)],

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from amnm.cli import RunConfig, generate_instance, load_config, main
 from amnm.errors import ConfigError
-from amnm.stabilizer import StabilizeConfig
+from amnm.stabilizer import L_CAP, StabilizeConfig
 
 
 def run_cli(args):
@@ -165,6 +165,13 @@ EXIT_TWO_ARGV = [
     ["clones", "--word", "0x2", "--n", "5", "--horizon", "5"],
     ["clones", "--word", "01", "--n", "5", "--horizon", "1025"],
     ["clones", "--word", "01", "--n", "65", "--horizon", "20"],
+    # a repeated Schreier index; flag entries of the wrong JSON type, which
+    # were once coerced (3.7 -> 3, true -> 1, "3" -> 3)
+    ["tsirelson", "--vector", "[1,2,3,4]", "--schreier", "[3,3,4]"],
+    ["tsirelson", "--vector", "[1,2]", "--schreier", "[3.7,4]"],
+    ["tsirelson", "--vector", "[1,2]", "--schreier", "[true,4]"],
+    ["tsirelson", "--vector", "[true,2]"],
+    ["tsirelson", "--vector", '["3"]'],
 ]
 
 
@@ -191,7 +198,8 @@ def test_config_out_must_be_a_string(tmp_path):
 
 
 # Config values that loading once coerced or ignored: a wrong JSON type, a
-# max_iter past the cap of 63, the undocumented "tol" alias, a misspelt key.
+# max_iter past the cap of 63, the undocumented "tol" alias, a misspelt key,
+# an L past the cap of 1e100 (whose theorem bound overflowed).
 BAD_CONFIG_VALUES = [
     {"check_claim_bounds": "false"},
     {"max_iter": 2.9},
@@ -202,6 +210,10 @@ BAD_CONFIG_VALUES = [
     {"gamma_norm": False},
     {"tol": 1e-3},
     {"max_iters": 5},
+    {"L": 1e160},
+    {"L": 1e105, "check_claim_bounds": False},
+    {"L": 5e102, "check_claim_bounds": False},
+    {"L": 1e200},
 ]
 
 
@@ -209,6 +221,18 @@ BAD_CONFIG_VALUES = [
 def test_bad_config_value_exits_two_with_one_line(tmp_path, overrides):
     cfg = write_config(tmp_path, **overrides)
     code, err = run_main(["defect", "--config", str(cfg), "--out", str(tmp_path / "bad")])
+    assert code == 2
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("stabilize", {"seed": 1, "L": 1e160}),
+    ("suite", {"seed": 1, "instances": 1, "L": 1e200}),
+])
+def test_overflowing_L_exits_two(tmp_path, command, overrides):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    code, err = run_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 2
     assert err.startswith("configuration error: ") and err.count("\n") == 1
 
@@ -279,6 +303,7 @@ _CONFIG_KEYS = ("schema", "command", "norm_mode", "dims", "gamma_norm", "L", "to
 @example({"seed": 1, "gamma_norm": False}, "defect")
 @example({"seed": 1, "tol": 1e-3}, "stabilize")
 @example({"seed": 1, "max_iters": 5}, "stabilize")
+@example({"seed": 1, "L": 5e102, "check_claim_bounds": False}, "stabilize")
 @example({**RunConfig(command="suite", seed=2).to_json_dict(), "out": "reports"}, "suite")
 def test_fuzzed_config_validated_or_refused(doc, command):
     with tempfile.TemporaryDirectory() as tmp:
@@ -295,3 +320,4 @@ def test_fuzzed_config_validated_or_refused(doc, command):
                                          sconf.restarts, sconf.sweeps))
     assert type(sconf.check_claim_bounds) is bool
     assert all(math.isfinite(v) for v in (cfg.gamma_norm, sconf.L, sconf.tol))
+    assert 1 <= sconf.L <= L_CAP

@@ -114,6 +114,20 @@ def test_flip_carries_diagonal_to_opposite():
         assert cert_op.K == pytest.approx(cert.K)
 
 
+def test_verify_checks_the_unit_law_on_both_sides():
+    # in the column algebra span{e11, e21} of M_2, pi(e11 (x) e11) = e11 is a
+    # unit from the right (a e11 = a) but not from the left (e11 e21 = 0)
+    m2 = build_full_matrix_algebra(2)
+    col, emb = generated_subalgebra(m2, [m2.basis_element(0), m2.basis_element(2)], unital=False)
+    e11 = emb.matrix.conj().T @ m2.basis_element(0).coords
+    pi = col.multiply_coords(e11, e11)
+    basis = np.eye(col.dim)
+    assert max(np.abs(col.multiply_coords(basis[i], pi) - basis[i]).max() for i in range(col.dim)) < 1e-12
+    cert = verify_diagonal(col, TensorRep(col, [(e11, e11)]))
+    assert cert.residual_unit > 0.5
+    assert not cert.valid
+
+
 def test_average_single_pair_matches_direct_formula():
     m2 = build_full_matrix_algebra(2)
     emb = identity_embedding(m2)

@@ -11,7 +11,6 @@ from amnm.errors import DomainError, FalsificationError
 from amnm.multilinear import Cochain, DefectEstimate, LinearMap, defect, linear_map_norm, multilinear_norm
 from amnm.normest import ball_for, BoxBall, SpectralBall, CompositeSumBall
 from amnm.rng import complex_gaussian, stream
-from amnm.stabilizer import opposite_switch
 from amnm.algebra import opposite
 
 
@@ -194,7 +193,7 @@ def test_swapped_witness_certifies_opposite_side():
     est_ad = defect(phi, right=emb, restarts=8, seed=11)
 
     m2_op = opposite(m2)
-    phi_op = opposite_switch(phi, m2_op, m2_op)
+    phi_op = LinearMap(m2_op, m2_op, phi.matrix)
     x, y = est_ad.witness
     val = m2_op.element_norm(
         np.einsum("tij,i,j->t", _defect_tensor(phi_op), emb.matrix @ y, x)

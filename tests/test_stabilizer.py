@@ -9,9 +9,10 @@ from amnm.algebra import (
     build_full_matrix_algebra,
     direct_sum,
     generated_subalgebra,
+    opposite,
     unitize,
 )
-from amnm.diagonal import library_diagonal
+from amnm.diagonal import TensorRep, library_diagonal, verify_diagonal
 from amnm.errors import ConfigError, PreconditionError
 from amnm.multilinear import LinearMap, defect, defect_cochain, identity_map, linear_map_norm
 from amnm.rng import complex_gaussian, stream
@@ -22,7 +23,8 @@ from amnm.stabilizer import (
     decompose_over_ideal,
     improve,
     improve_report,
-    opposite_switch,
+    improve_right,
+    modular_residuals,
     stabilize,
     stabilize_via_unitization,
     unitize_map,
@@ -111,7 +113,6 @@ def test_stabilize_exact_homomorphism_zero_iterations():
     assert report.converged
     assert len(report.iterates) == 0
     assert report.total_distance.upper <= 1e-12
-    assert report.switch_applied
 
 
 def test_stabilize_converges_and_certifies():
@@ -119,7 +120,7 @@ def test_stabilize_converges_and_certifies():
     phi = perturbed_identity(a, 55, 1e-3)
     cfg = StabilizeConfig(tol=1e-8, max_iter=30, L=2.0, seed=9, restarts=8, sweeps=60)
     report = stabilize(phi, emb, cert, cfg)
-    assert report.converged and report.switch_applied
+    assert report.converged
     assert report.all_claims_ok
     assert report.total_distance.lower <= report.theorem_bound
     # independent oracle: re-estimate every defect of the final map afresh
@@ -170,20 +171,56 @@ def test_stabilize_deterministic_reports():
     assert dumps(r1.to_json_dict()) == dumps(r2.to_json_dict())
 
 
-def test_opposite_switch_round_trip():
-    a, _, _ = m2_diag()
-    phi = perturbed_identity(a, 58, 0.1)
-    switched = opposite_switch(phi)
-    back = opposite_switch(switched)
-    assert np.array_equal(back.matrix, phi.matrix)
-    assert np.abs(back.source.structure - a.structure).max() < 1e-15
+def _improve_on_opposites(phi, emb, cert):
+    """The reference for improve_right: improve on the opposite algebras with
+    the flipped, re-verified diagonal, the matrix copied back."""
+    a_op, b_op, d_op = opposite(phi.source), opposite(phi.target), opposite(emb.sub)
+    cert_op = verify_diagonal(d_op, cert.rep.flip(d_op))
+    assert cert_op.valid
+    return improve(LinearMap(a_op, b_op, phi.matrix), Embedding(d_op, a_op, emb.matrix), cert_op).matrix
 
 
-def test_opposite_switch_preserves_homomorphisms():
-    a = build_full_matrix_algebra(2)
-    switched = opposite_switch(identity_map(a))
-    chain = defect_cochain(switched)
-    assert np.abs(chain.tensor).max() == 0.0
+def test_improve_right_matches_opposite_round_trip():
+    a, emb, cert = m2_diag()
+    m3 = build_full_matrix_algebra(3)
+    _, m3_emb = generated_subalgebra(m3, [m3.basis_element(i) for i in range(9)], unital=True)
+    m3_cert = library_diagonal(m3_emb.sub)
+    a_u = unitize(a)
+    emb_u = unitized_embedding(emb, a_u, unitize(emb.sub))
+    cert_u = library_diagonal(emb_u.sub)
+    for seed in range(4):
+        cases = [
+            (perturbed_identity(a, 58 + seed, 0.05), emb, cert),
+            (perturbed_identity(m3, 58 + seed, 0.05), m3_emb, m3_cert),
+            (unitize_map(LinearMap(a, a, np.eye(4) + 0.05 * complex_gaussian(stream(58 + seed, 1), (4, 4))), a_u),
+             emb_u, cert_u),
+        ]
+        for phi, e, c in cases:
+            assert np.array_equal(improve_right(phi, e, c).matrix, _improve_on_opposites(phi, e, c))
+
+
+def test_improve_right_fixes_homomorphisms_and_kills_right_defect():
+    a, emb, cert = m2_diag()
+    assert np.array_equal(improve_right(identity_map(a), emb, cert).matrix, np.eye(4))
+    # once four left steps have made the D x A defect negligible, one right
+    # step makes the A x D defect negligible too
+    phi = improve(perturbed_identity(a, 63, 1e-3), emb, cert)
+    for _ in range(3):
+        phi = improve(phi, emb, cert)
+    out = improve_right(phi, emb, cert)
+    _, right_in = modular_residuals(defect_cochain(phi).tensor, emb.matrix)
+    _, right_out = modular_residuals(defect_cochain(out).tensor, emb.matrix)
+    assert right_out <= 1e-12 < right_in
+
+
+def test_improve_right_refusals():
+    a, emb, cert = m2_diag()
+    with pytest.raises(PreconditionError):
+        improve_right(LinearMap(a, a, 0.5 * np.eye(4)), emb, cert)
+    bad = verify_diagonal(emb.sub, TensorRep(emb.sub, [(emb.sub.unit_coords, emb.sub.unit_coords)]))
+    assert not bad.valid
+    with pytest.raises(PreconditionError):
+        improve_right(identity_map(a), emb, bad)
 
 
 def test_unitize_map_values():

@@ -234,6 +234,14 @@ def test_schreier_check():
     assert schreier_check({10}).schreier
 
 
+def test_schreier_refuses_repeated_indices():
+    # J is a set: [3, 3, 4] would count |x_3| twice and read as a falsification
+    with pytest.raises(DomainError):
+        schreier_check([3, 3, 4])
+    with pytest.raises(DomainError):
+        schreier_inequality(TsirelsonVector.from_dense([1, 2, 3, 4]), [3, 3, 4])
+
+
 def test_schreier_inequality_seeded():
     rng = stream(85, 0)
     for _ in range(50):
