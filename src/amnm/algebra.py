@@ -144,11 +144,6 @@ class Algebra:
         """Matrix of y -> y*x acting on coordinates."""
         return np.einsum("j,ijk->ki", x, self.structure)
 
-    def realize(self, coords: np.ndarray) -> np.ndarray:
-        if self.realization is None:
-            raise ConfigError("algebra has no matrix realization")
-        return np.tensordot(coords, self.realization, axes=(0, 0))
-
     def element_norm(self, coords: np.ndarray) -> float:
         return self.unit_ball.norm(np.asarray(coords, dtype=complex))
 

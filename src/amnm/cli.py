@@ -37,7 +37,7 @@ from .errors import ConfigError, DomainError, FalsificationError, PreconditionEr
 from .jsonio import dumps, write_json
 from .multilinear import LinearMap, defect, linear_map_norm
 from .rng import stream
-from .stabilizer import StabilizeConfig, stabilize
+from .stabilizer import CSV_COLUMNS, StabilizeConfig, stabilize
 from .tsirelson import (
     TsirelsonVector,
     clone_family,
@@ -215,13 +215,7 @@ def cmd_stabilize(cfg: RunConfig) -> int:
     doc.update(report.to_json_dict())
     write_json(out / "stabilize_report.json", doc)
     with open(out / "iterates.csv", "w", newline="") as handle:
-        writer = csv.DictWriter(
-            handle,
-            fieldnames=[
-                "iter", "step_norm_lo", "step_norm_hi", "def_da_lo", "def_da_hi",
-                "claim_step", "claim_defect",
-            ],
-        )
+        writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         for row in report.csv_rows():
             writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})

@@ -135,24 +135,15 @@ class Cochain:
 
 
 def _target_multiply_left(target: Algebra, coeffs: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """(coeffs-element) * tensor pointwise in the target algebra.
-
-    ``coeffs`` may be a vector (fixed element) or a matrix whose columns are
-    indexed by a new leading slot.
-    """
-    c = target.structure
-    if coeffs.ndim == 1:
-        return np.einsum("p,pqt,q...->t...", coeffs, c, tensor)
-    return np.einsum("pi,pqt,q...->ti...", coeffs, c, tensor)
+    """Pointwise product in the target algebra, coeffs-element on the left;
+    the columns of ``coeffs`` are indexed by a new leading slot."""
+    return np.einsum("pi,pqt,q...->ti...", coeffs, target.structure, tensor)
 
 
 def _target_multiply_right(target: Algebra, tensor: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    c = target.structure
+    """Pointwise product, coeffs-element on the right, as a new last slot."""
     flat = tensor.reshape(tensor.shape[0], -1)
-    if coeffs.ndim == 1:
-        out = np.einsum("pqt,pR,q->tR", c, flat, coeffs)
-        return out.reshape((target.dim,) + tensor.shape[1:])
-    out = np.einsum("pqt,pR,qj->tRj", c, flat, coeffs)
+    out = np.einsum("pqt,pR,qj->tRj", target.structure, flat, coeffs)
     return out.reshape((target.dim,) + tensor.shape[1:] + (coeffs.shape[1],))
 
 

@@ -6,7 +6,9 @@ Norms are reported as intervals [lower, upper]:
   found by alternating maximization.  Each partial step maximizes a linear
   functional over one slot's unit ball in closed form (a singular-vector
   step on Euclidean balls, the polar factor of the gradient functional on
-  spectral balls).
+  spectral balls).  The polar step is exact on every realization whose span
+  is closed under adjoints (a *-subalgebra of M_k, unital or not); other
+  spans take improving steps over the inscribed Euclidean ball.
 * ``upper`` is the smallest spectral norm over the tensor unfoldings,
   converted between norms by the per-slot equivalence factors.
 
@@ -161,14 +163,18 @@ class BoxBall:
 class SpectralBall:
     """Spectral-norm ball of a matrix-realized algebra.
 
-    When the basis realization spans all of M_k, a linear functional
-    l(x) = tr(M X) is maximized exactly at the polar factor of M
-    (value = nuclear norm of M).  Otherwise (``exact`` False: a subalgebra
-    whose structure was not recognized) a partial step maximizes over the
-    inscribed coordinate-Euclidean ball (contained in the spectral ball since
-    ||x||_spec <= ||x||_F) and rescales to the sphere; the sweep accepts such
-    steps only when they improve, so it stays monotone, the witness stays
-    feasible and the reported lower bound remains certified.
+    A linear functional l(x) = tr(M X), M = sum_i c_i R_i*, is maximized over
+    the spectral ball of M_k at the polar factor of M (value = nuclear norm
+    of M).  The step is exact whenever the realized span S is closed under
+    adjoints: then M lies in S, and the Hilbert-Schmidt projection onto the
+    *-subalgebra S is a norm-one conditional expectation (Tomiyama), so the
+    projected polar factor stays in the ball with the same value.  Otherwise
+    (``exact`` False, e.g. upper-triangular matrices) a partial step
+    maximizes over the inscribed coordinate-Euclidean ball (contained in the
+    spectral ball since ||x||_spec <= ||x||_F) and rescales to the sphere; the
+    sweep accepts such steps only when they improve, so it stays monotone,
+    the witness stays feasible and the reported lower bound remains
+    certified.
     """
 
     def __init__(self, realization: np.ndarray):
@@ -176,10 +182,17 @@ class SpectralBall:
         self.dim = realization.shape[0]
         self.k = realization.shape[1]
         # the realized basis is Frobenius-orthonormal, so it spans M_k iff dim = k^2
-        self.exact = self.dim == self.k * self.k
+        self.exact = self.dim == self.k * self.k or self._adjoint_closed()
+
+    def _adjoint_closed(self) -> bool:
+        adjoints = np.conj(np.swapaxes(self.realization, 1, 2))
+        coords = np.einsum("jab,iab->ij", np.conj(self.realization), adjoints)
+        residual = adjoints - np.tensordot(coords, self.realization, axes=(1, 0))
+        return bool(np.abs(residual).max() < 1e-10)
 
     def _coords_of(self, mat: np.ndarray) -> np.ndarray:
-        # Frobenius-orthonormal basis: coordinates are trace inner products.
+        # Frobenius-orthonormal basis: coordinates are trace inner products,
+        # i.e. the Hilbert-Schmidt projection onto the realized span.
         return np.einsum("iab,ab->i", np.conj(self.realization), mat)
 
     def maximize(self, c: np.ndarray):
@@ -219,41 +232,6 @@ class SpectralBall:
         v = complex_gaussian(rng, self.dim)
         n = self.norm(v)
         return v / n if n > 0 else v
-
-
-class ProductBall:
-    """Unit ball of a direct sum under the max of summand norms."""
-
-    def __init__(self, children, slices):
-        self.children = children
-        self.slices = slices
-        self.dim = sum(b.dim for b in children)
-        self.exact = all(b.exact for b in children)
-
-    def maximize(self, c: np.ndarray):
-        coords = np.zeros(self.dim, dtype=complex)
-        total = 0.0
-        for ball, sl in zip(self.children, self.slices):
-            val, x = ball.maximize(c[sl])
-            inner = c[sl] @ x
-            if abs(inner) > 0:
-                # align the part's phase so the contributions add up
-                x = x * (np.conj(inner) / abs(inner))
-            coords[sl] = x
-            total += val
-        return total, coords
-
-    def norm(self, coords: np.ndarray) -> float:
-        return max(ball.norm(coords[sl]) for ball, sl in zip(self.children, self.slices))
-
-    def coords_factor(self) -> float:
-        return float(np.sqrt(sum(b.coords_factor() ** 2 for b in self.children)))
-
-    def random_point(self, rng) -> np.ndarray:
-        coords = np.zeros(self.dim, dtype=complex)
-        for ball, sl in zip(self.children, self.slices):
-            coords[sl] = ball.random_point(rng)
-        return coords
 
 
 class CompositeSumBall:
@@ -359,24 +337,15 @@ def minimal_idempotent_frame(algebra: Algebra):
     return None
 
 
-def _frame_is_hermitian(algebra: Algebra, frame: np.ndarray) -> bool:
-    if algebra.realization is None:
-        return False
-    for i in range(frame.shape[1]):
-        mat = algebra.realize(frame[:, i])
-        if np.abs(mat - mat.conj().T).max() > 1e-8:
-            return False
-    return True
-
-
 def ball_for(algebra: Algebra):
     """Unit-ball optimizer for a slot in ``algebra`` (cached).
 
-    The algebra's ``unit_ball``, except where exact partial steps need more
-    structure: a unitization takes the composite ball over its base's slot
-    ball, and a spectral algebra whose realization does not span M_k takes a
-    box in a frame of self-adjoint minimal idempotents, or a product over its
-    direct summands, when structure recognition finds one.
+    The algebra's ``unit_ball``, with two exceptions: a unitization takes the
+    composite ball over its base's slot ball, and a spectral algebra with
+    exact steps whose realization does not span M_k takes the cheaper box
+    in its minimal idempotents when it is commutative (they are self-adjoint,
+    since the span is adjoint-closed).  Spans that are not adjoint-closed
+    keep the inscribed-Euclidean steps of their ``SpectralBall``.
     """
     cached = algebra._cache.get("ball")
     if cached is not None:
@@ -389,23 +358,12 @@ def ball_for(algebra: Algebra):
 def _build_ball(algebra: Algebra):
     if algebra.norm_mode == "unitization-composite":
         return CompositeSumBall(ball_for(algebra.base))
-    if algebra.norm_mode == "frobenius" or algebra.unit_ball.exact:
-        return algebra.unit_ball
-    # spectral, realization not spanning M_k
-    name = algebra.kind.get("name")
-    if name == "commutative":
-        return BoxBall(np.eye(algebra.dim, dtype=complex))
-    if name == "direct_sum":
-        a1, a2 = algebra.kind["summands"]
-        d1 = a1.dim
-        return ProductBall(
-            [ball_for(a1), ball_for(a2)],
-            [slice(0, d1), slice(d1, algebra.dim)],
-        )
-    frame = minimal_idempotent_frame(algebra)
-    if frame is not None and _frame_is_hermitian(algebra, frame):
-        return BoxBall(frame)
-    return algebra.unit_ball  # inscribed-Euclidean steps
+    ball = algebra.unit_ball
+    if isinstance(ball, SpectralBall) and ball.exact and ball.dim < ball.k * ball.k:
+        frame = minimal_idempotent_frame(algebra)
+        if frame is not None:
+            return BoxBall(frame)
+    return ball
 
 
 # -- the estimator ----------------------------------------------------------------

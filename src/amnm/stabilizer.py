@@ -44,6 +44,10 @@ MAX_ITER_CAP = 63
 # theorem_bound is 12 K^2 L^3 delta0 in Python floats: L**3 overflows past
 # about 5.6e102, and at 1e100 the bound stays finite for K^2 delta0 < 1e7.
 L_CAP = 1e100
+# the columns of a run's iterates.csv, in order
+CSV_COLUMNS = (
+    "iter", "step_norm_lo", "step_norm_hi", "def_da_lo", "def_da_hi", "claim_step", "claim_defect",
+)
 
 
 @dataclass
@@ -135,16 +139,12 @@ class StabilizeReport:
         }
 
     def csv_rows(self) -> list[dict]:
+        """One row per iterate, keyed by ``CSV_COLUMNS``."""
         return [
-            {
-                "iter": r.step,
-                "step_norm_lo": r.step_norm.lower,
-                "step_norm_hi": r.step_norm.upper,
-                "def_da_lo": r.def_da.lower,
-                "def_da_hi": r.def_da.upper,
-                "claim_step": r.claim_step_bound,
-                "claim_defect": r.claim_defect_bound,
-            }
+            dict(zip(CSV_COLUMNS, (
+                r.step, r.step_norm.lower, r.step_norm.upper, r.def_da.lower, r.def_da.upper,
+                r.claim_step_bound, r.claim_defect_bound,
+            )))
             for r in self.iterates
         ]
 

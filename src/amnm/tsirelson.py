@@ -27,6 +27,7 @@ interval mechanism behind it rather than computing isomorphism distances.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,11 @@ SUPPORT_CAP = 64
 _LEVEL_CAP = 64
 
 
+def _is_index(j) -> bool:
+    """An integer (Python or numpy), never a boolean."""
+    return isinstance(j, (int, np.integer)) and not isinstance(j, bool)
+
+
 @dataclass
 class TsirelsonVector:
     """Finitely supported vector over the unit vector basis (1-indexed)."""
@@ -47,8 +53,10 @@ class TsirelsonVector:
     def __post_init__(self):
         clean = {}
         for idx, val in self.entries.items():
-            if not isinstance(idx, (int, np.integer)) or idx < 1:
+            if not _is_index(idx) or idx < 1:
                 raise DomainError("indices must be integers >= 1")
+            if not isinstance(val, numbers.Number) or isinstance(val, bool):
+                raise DomainError(f"entries must be numbers, not {val!r}")
             if val != 0:
                 clean[int(idx)] = complex(val)
         # also refuses NaN and infinite entries, whose moduli are not finite
@@ -134,6 +142,9 @@ def schreier_check(J) -> SchreierCert:
     """|J| <= min J; Schreier sets carry the coefficient-sum bound 2.
 
     J is a set: a repeated index is refused, not counted twice."""
+    J = list(J)
+    if not all(_is_index(j) for j in J):
+        raise DomainError("indices must be integers")
     indices = tuple(sorted(int(j) for j in J))
     if any(j < 1 for j in indices):
         raise DomainError("indices must be >= 1")

@@ -321,3 +321,29 @@ def test_fuzzed_config_validated_or_refused(doc, command):
     assert type(sconf.check_claim_bounds) is bool
     assert all(math.isfinite(v) for v in (cfg.gamma_norm, sconf.L, sconf.tol))
     assert 1 <= sconf.L <= L_CAP
+
+
+# tiny estimator budgets keep an example well under a second; the
+# acceptance budgets are not touched
+_TINY_BUDGETS = {"restarts": 1, "sweeps": 1, "max_iter": 1, "instances": 1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["stabilize", "defect", "suite"]),
+       st.fixed_dictionaries(
+           {"seed": st.integers(-2, 2**64 + 1), "dims": st.fixed_dictionaries({"matrix": st.integers(1, 4)})},
+           optional={"norm_mode": st.sampled_from(["spectral", "frobenius", "unitization-composite"]),
+                     "gamma_norm": st.floats(0.0, 1.0),
+                     "L": st.floats(1.0, 8.0),
+                     "tolerances": st.fixed_dictionaries({"stabilize_tol": st.floats(0.0, 1e-2)}),
+                     "check_claim_bounds": st.booleans()}))
+@example("stabilize", {"seed": 3, "dims": {"matrix": 4}})
+@example("defect", {"seed": 8, "dims": {"matrix": 1}})
+@example("suite", {"seed": 5, "dims": {"matrix": 2}, "norm_mode": "frobenius"})
+def test_fuzzed_estimator_commands_keep_exit_code_contract(command, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps({**doc, **_TINY_BUDGETS, "out": str(Path(tmp) / "out")}))
+        code, err = run_main([command, "--config", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

@@ -32,8 +32,13 @@ def _slot_pairs():
     u = unitize(build_commutative_algebra(2))
     m3 = build_full_matrix_algebra(3)
     e = m3.basis_element
-    # C + M_2 inside M_3: no recognized structure, inscribed-Euclidean steps
+    # *-subalgebras that do not span M_k take exact projected polar steps:
+    # C + M_2 inside M_3 and the non-unital 2x2 corner of M_4
     cm2, _ = generated_subalgebra(m3, [e(0), e(4) + e(8), e(5), e(7)], unital=True)
+    m4 = build_full_matrix_algebra(4)
+    corner, _ = generated_subalgebra(m4, [m4.basis_element(i) for i in (0, 1, 4, 5)], unital=False)
+    # upper-triangular T_2 is not adjoint-closed: inscribed-Euclidean steps
+    t2, _ = generated_subalgebra(m2, [m2.basis_element(0), m2.basis_element(1)], unital=True)
     return [
         ((m2, m2), m2),
         ((m2f, m2f), m2f),
@@ -41,6 +46,8 @@ def _slot_pairs():
         ((mix, mix), mix),
         ((u, u), m2),
         ((cm2, cm2), cm2),
+        ((corner, corner), corner),
+        ((t2, t2), t2),
     ]
 
 

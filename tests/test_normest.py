@@ -4,6 +4,7 @@ import pytest
 from amnm.algebra import (
     build_commutative_algebra,
     build_full_matrix_algebra,
+    direct_sum,
     generated_subalgebra,
     unitize,
 )
@@ -154,8 +155,43 @@ def test_ball_types_recognized():
     m3 = build_full_matrix_algebra(3)
     e = m3.basis_element
     cm2, _ = generated_subalgebra(m3, [e(0), e(4) + e(8), e(5), e(7)], unital=True)
-    ball = ball_for(cm2)  # C + M_2: the inscribed fallback
+    ball = ball_for(cm2)  # C + M_2: adjoint-closed, so polar steps are exact
+    assert isinstance(ball, SpectralBall) and ball.exact is True
+    t2, _ = generated_subalgebra(m2, [m2.basis_element(0), m2.basis_element(1)], unital=True)
+    ball = ball_for(t2)  # upper-triangular: the inscribed fallback
     assert isinstance(ball, SpectralBall) and ball.exact is False
+
+
+def _exactness_cases():
+    m2, m3, m4 = (build_full_matrix_algebra(k) for k in (2, 3, 4))
+    e2, e3, e4 = m2.basis_element, m3.basis_element, m4.basis_element
+    cm2, _ = generated_subalgebra(m3, [e3(0), e3(4) + e3(8), e3(5), e3(7)], unital=True)
+    corner, _ = generated_subalgebra(m4, [e4(0), e4(1), e4(4), e4(5)], unital=False)
+    block = direct_sum(build_full_matrix_algebra(2), build_commutative_algebra(2))
+    t2, _ = generated_subalgebra(m2, [e2(0), e2(1)], unital=True)
+    column, _ = generated_subalgebra(m2, [e2(0), e2(2)], unital=False)
+    return {"C+M_2": (cm2, True), "corner": (corner, True), "M_2+C_2": (block, True),
+            "T_2": (t2, False), "span{e11, e21}": (column, False)}
+
+
+@pytest.mark.parametrize("name", list(_exactness_cases()))
+def test_spectral_ball_exact_iff_adjoint_closed(name):
+    algebra, exact = _exactness_cases()[name]
+    ball = algebra.unit_ball
+    assert ball.dim < ball.k ** 2
+    assert ball.exact is exact
+    if not exact:
+        return
+    # the projected polar factor attains the nuclear norm inside the ball
+    rng = stream(39, 0)
+    adjoints = np.conj(np.swapaxes(algebra.realization, 1, 2))
+    for _ in range(5):
+        c = complex_gaussian(rng, algebra.dim)
+        value, x = ball.maximize(c)
+        nuclear = np.linalg.svd(np.tensordot(c, adjoints, axes=(0, 0)), compute_uv=False).sum()
+        assert value == pytest.approx(nuclear, rel=1e-12)
+        assert abs(c @ x) == pytest.approx(nuclear, rel=1e-12)
+        assert ball.norm(x) <= 1 + 1e-9
 
 
 def test_inverted_interval_is_a_falsification():

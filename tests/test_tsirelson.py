@@ -242,6 +242,20 @@ def test_schreier_refuses_repeated_indices():
         schreier_inequality(TsirelsonVector.from_dense([1, 2, 3, 4]), [3, 3, 4])
 
 
+def test_library_refuses_coercible_inputs():
+    # int(3.7) and complex("3") would silently turn these into other vectors
+    for J in ([3.7, 4], [True, 4], ["3", 4], [np.bool_(True), 4]):
+        with pytest.raises(DomainError):
+            schreier_check(J)
+    for entries in ({1: True}, {1: "3"}, {1: None}, {True: 2.0}, {2.0: 1.0}, {1: np.bool_(True)}):
+        with pytest.raises(DomainError):
+            TsirelsonVector(entries)
+    # numpy integers and numbers stay accepted
+    assert schreier_check(np.array([3, 4, 5])).indices == (3, 4, 5)
+    vec = TsirelsonVector({np.int64(2): np.complex128(1 - 1j), 3: np.float32(2.0), 4: 1})
+    assert vec.entries == {2: 1 - 1j, 3: 2 + 0j, 4: 1 + 0j}
+
+
 def test_schreier_inequality_seeded():
     rng = stream(85, 0)
     for _ in range(50):
