@@ -10,11 +10,18 @@ Norms are reported as intervals [lower, upper]:
   is closed under adjoints (a *-subalgebra of M_k, unital or not); other
   spans take improving steps over the inscribed Euclidean ball.
 * ``upper`` is the smallest spectral norm over the tensor unfoldings,
-  converted between norms by the per-slot equivalence factors.
+  converted between norms by the per-slot equivalence factors (for a
+  spectral slot, the square root of the largest rank in its span).
 
-Restart r of an estimate draws its start point from the stream
+Restart 0 of an estimate starts from the leading singular vectors of the
+unfoldings and restart r > 0 draws its start point from the stream
 (seed, r, slot), so enlarging the restart budget never changes earlier
-restarts and never decreases the lower bound.
+restarts and never decreases the lower bound.  The restarts sweep together
+as one batch: every ball step acts row by row on stacked (restarts, dim)
+arrays, with one stacked SVD per spectral step, and each restart leaves the
+batch at its own stopping sweep, so the streams and the winner (the first
+restart to lead by more than ``TIE_TOL``) are those of restarts run one by
+one.
 """
 
 from __future__ import annotations
@@ -78,16 +85,24 @@ class FalsificationGuard(FalsificationError):
 # over the ball and a maximizer), ``coords_factor`` (the l2 radius of the ball
 # in coordinates) and ``random_point``.  The balls of the three norm modes
 # (Euclidean, Spectral, CompositeSum over a mode ball) are each algebra's
-# ``unit_ball`` and the target norm of every estimate, so they also have a
-# ``norm`` batched over leading axes, ``dual_vector`` (a norming functional)
-# and ``target_factor`` (norm <= factor * l2).
+# ``unit_ball`` and the target norm of every estimate, so they also have
+# ``dual_vector`` (a norming functional) and ``target_factor``
+# (norm <= factor * l2).  ``norm``, ``maximize`` and ``dual_vector`` act row by
+# row on vectors stacked over leading axes; a single vector is one row.
+
+# Singular values of a span's joint column (row) matrix at or below this are
+# not counted in its rank; ``SpectralBall`` charges their mass to the factor.
+RANK_TOL = 1e-8
+
+
+def _conj_phase(v: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """conj(v) / size, and 0 where size is 0 (then v is 0 too)."""
+    return np.conj(v) / np.where(size > 0, size, 1.0)
 
 
 def _l2_step(c: np.ndarray):
-    value = float(np.linalg.norm(c))
-    if value == 0.0:
-        return 0.0, np.zeros(c.shape[0], dtype=complex)
-    return value, np.conj(c) / value
+    value = np.linalg.norm(c, axis=-1)
+    return value, _conj_phase(c, value[..., None])
 
 
 class EuclideanBall:
@@ -139,12 +154,12 @@ class BoxBall:
 
     def maximize(self, c: np.ndarray):
         s = c @ self.frame
-        value = float(np.abs(s).sum())
-        phases = np.where(np.abs(s) > 0, np.conj(s) / np.maximum(np.abs(s), 1e-300), 0.0)
-        return value, self.frame @ phases
+        mag = np.abs(s)
+        return mag.sum(axis=-1), _conj_phase(s, mag) @ self.frame.T
 
-    def norm(self, coords: np.ndarray) -> float:
-        return float(np.abs(self._inv @ coords).max())
+    def norm(self, coords: np.ndarray):
+        top = np.abs(coords @ self._inv.T).max(axis=-1)
+        return float(top) if coords.ndim == 1 else top
 
     def coords_factor(self) -> float:
         per_col = np.linalg.norm(self.frame, axis=0).sum()
@@ -181,6 +196,8 @@ class SpectralBall:
         self.realization = realization
         self.dim = realization.shape[0]
         self.k = realization.shape[1]
+        self._flat = realization.reshape(self.dim, -1)
+        self._adjoints = np.conj(np.swapaxes(realization, 1, 2)).reshape(self.dim, -1)
         # the realized basis is Frobenius-orthonormal, so it spans M_k iff dim = k^2
         self.exact = self.dim == self.k * self.k or self._adjoint_closed()
 
@@ -190,39 +207,53 @@ class SpectralBall:
         residual = adjoints - np.tensordot(coords, self.realization, axes=(1, 0))
         return bool(np.abs(residual).max() < 1e-10)
 
-    def _coords_of(self, mat: np.ndarray) -> np.ndarray:
+    def _matrices(self, coords: np.ndarray) -> np.ndarray:
+        return (coords @ self._flat).reshape(coords.shape[:-1] + (self.k, self.k))
+
+    def _coords_of(self, mats: np.ndarray) -> np.ndarray:
         # Frobenius-orthonormal basis: coordinates are trace inner products,
         # i.e. the Hilbert-Schmidt projection onto the realized span.
-        return np.einsum("iab,ab->i", np.conj(self.realization), mat)
+        return mats.reshape(mats.shape[:-2] + (-1,)) @ np.conj(self._flat).T
 
     def maximize(self, c: np.ndarray):
         if not self.exact:
             _, x = _l2_step(c)
             n = self.norm(x)
-            if n > 0:
-                x = x / n
-            return float(abs(c @ x)), x
-        m = np.tensordot(c, np.conj(np.swapaxes(self.realization, 1, 2)), axes=(0, 0))
+            x = x / np.where(n > 0, n, 1.0)[..., None]
+            return np.abs(np.sum(c * x, axis=-1)), x
+        m = (c @ self._adjoints).reshape(c.shape[:-1] + (self.k, self.k))
         u, sing, vh = np.linalg.svd(m)
-        value = float(sing.sum())
-        x = vh.conj().T @ u.conj().T
-        return value, self._coords_of(x)
+        polar = np.conj(np.swapaxes(u @ vh, -1, -2))
+        return sing.sum(axis=-1), self._coords_of(polar)
 
     def norm(self, coords: np.ndarray):
-        mats = np.tensordot(coords, self.realization, axes=(-1, 0))
-        top = np.linalg.svd(mats, compute_uv=False)[..., 0]
+        top = np.linalg.svd(self._matrices(coords), compute_uv=False)[..., 0]
         return float(top) if coords.ndim == 1 else top
 
     def dual_vector(self, z: np.ndarray) -> np.ndarray:
-        mat = np.tensordot(z, self.realization, axes=(0, 0))
-        if not mat.any():
-            return np.zeros(self.dim, dtype=complex)
-        u, _, vh = np.linalg.svd(mat)
-        p, q = u[:, 0], vh[0].conj()
-        return np.einsum("a,iab,b->i", np.conj(p), self.realization, q)
+        mats = self._matrices(z)
+        u, _, vh = np.linalg.svd(mats)
+        # coordinates of the functional x -> <p, x q> of the top singular pair
+        pair = np.conj(u[..., :, :1] * vh[..., :1, :])
+        coords = pair.reshape(pair.shape[:-2] + (-1,)) @ self._flat.T
+        return np.where(mats.any(axis=(-2, -1))[..., None], coords, 0.0)
 
     def coords_factor(self) -> float:
-        return float(np.sqrt(self.k))
+        """Bound on ||x||_F / ||x|| over the span: sqrt of the largest rank.
+
+        Every element's rank is at most the dimension r of the span's joint
+        column space (likewise of its joint row space), and
+        ||x||_F <= sqrt(rank x) ||x||.  Singular values of the joint matrix at
+        or below ``RANK_TOL`` are not counted; with e2 the sum of their
+        squares, ||x||_F^2 <= r ||x||^2 + e2 ||x||_F^2, so sqrt(r / (1 - e2))
+        stays sound whatever the tolerance.
+        """
+        best = float(self.k)
+        for joint in (np.concatenate(self.realization, axis=1), np.concatenate(self.realization, axis=0)):
+            sigma = np.linalg.svd(joint, compute_uv=False)
+            tail = float(np.sum(sigma[sigma <= RANK_TOL] ** 2))
+            best = min(best, np.count_nonzero(sigma > RANK_TOL) / (1.0 - tail))
+        return float(np.sqrt(best))
 
     def target_factor(self) -> float:
         return 1.0  # spectral norm <= Frobenius norm = coordinate norm
@@ -238,7 +269,7 @@ class CompositeSumBall:
     """Unit ball {|lambda| + ||a|| <= 1} of the l1-composite norm.
 
     Linear functionals attain their maximum at an extreme point: either the
-    adjoined-unit direction or a base-ball maximizer.
+    adjoined-unit direction or a base-ball maximizer, chosen per row.
     """
 
     def __init__(self, base_ball):
@@ -247,14 +278,14 @@ class CompositeSumBall:
         self.exact = base_ball.exact
 
     def maximize(self, c: np.ndarray):
-        scalar_val = float(abs(c[0]))
-        base_val, base_x = self.base.maximize(c[1:])
-        coords = np.zeros(self.dim, dtype=complex)
-        if scalar_val >= base_val:
-            coords[0] = np.conj(c[0]) / scalar_val if scalar_val > 0 else 0.0
-            return scalar_val, coords
-        coords[1:] = base_x
-        return base_val, coords
+        scalar_val = np.abs(c[..., 0])
+        base_val, base_x = self.base.maximize(c[..., 1:])
+        scalar = scalar_val >= base_val
+        coords = np.zeros(c.shape, dtype=complex)
+        coords[..., 0] = np.where(scalar, _conj_phase(c[..., 0], scalar_val), 0.0)
+        coords[..., 1:] = np.where(scalar[..., None], 0.0, base_x)
+        # [()] turns the value of a single vector into a scalar
+        return np.where(scalar, scalar_val, base_val)[()], coords
 
     def norm(self, coords: np.ndarray):
         value = np.abs(coords[..., 0]) + self.base.norm(coords[..., 1:])
@@ -262,11 +293,11 @@ class CompositeSumBall:
 
     def dual_vector(self, z: np.ndarray) -> np.ndarray:
         # the dual norm is max(|c_0|, ||c'||_*): norm the larger part
-        c = np.zeros(self.dim, dtype=complex)
-        if abs(z[0]) >= self.base.norm(z[1:]):
-            c[0] = np.conj(z[0]) / abs(z[0]) if abs(z[0]) > 0 else 0.0
-        else:
-            c[1:] = self.base.dual_vector(z[1:])
+        scalar_val = np.abs(z[..., 0])
+        scalar = scalar_val >= self.base.norm(z[..., 1:])
+        c = np.zeros(z.shape, dtype=complex)
+        c[..., 0] = np.where(scalar, _conj_phase(z[..., 0], scalar_val), 0.0)
+        c[..., 1:] = np.where(scalar[..., None], 0.0, self.base.dual_vector(z[..., 1:]))
         return c
 
     def coords_factor(self) -> float:
@@ -379,24 +410,25 @@ def _unfolding_upper(tensor: np.ndarray) -> float:
     return best
 
 
-def _contract_all_but(tensor: np.ndarray, dual: np.ndarray, xs: list, skip: int) -> np.ndarray:
-    """Gradient functional coefficients for slot ``skip``."""
-    out = np.tensordot(dual, tensor, axes=(0, 0))
-    for s, x in enumerate(xs):
-        if s == skip:
-            continue
-        # slots are consumed in ascending order, so the current slot sits at
-        # axis 0 until the skipped slot is passed, then at axis 1
-        axis = 0 if s < skip else 1
-        out = np.tensordot(out, x, axes=(axis, 0))
-    return out
-
-
 def _apply_slots(tensor: np.ndarray, xs: list) -> np.ndarray:
-    out = tensor
-    for x in xs:
-        out = np.tensordot(out, x, axes=(1, 0))
+    """T(x_1, ..., x_n); the slot vectors may be stacked over a leading axis."""
+    out = xs[0] @ np.moveaxis(tensor, 0, -1).reshape(tensor.shape[1], -1)
+    for x in xs[1:]:
+        out = (x[..., None, :] @ out.reshape(x.shape[:-1] + (x.shape[-1], -1)))[..., 0, :]
     return out
+
+
+def _gradient(w: np.ndarray, xs: list, skip: int) -> np.ndarray:
+    """Gradient functional coefficients for slot ``skip``, one row per restart:
+    the rows of ``w`` (the dual contracted with the tensor) applied to every
+    other slot's point."""
+    rows = w.shape[0]
+    g = w
+    for x in reversed(xs[skip + 1:]):
+        g = (g.reshape(rows, -1, x.shape[1]) @ x[:, :, None])[..., 0]
+    for x in xs[:skip]:
+        g = (x[:, None, :] @ g.reshape(rows, x.shape[1], -1))[:, 0]
+    return g
 
 
 def _svd_start(tensor: np.ndarray, balls) -> list:
@@ -423,8 +455,9 @@ def estimate_tensor_norm(
     """Interval estimate of sup ||T(x_1..x_n)|| over the slot unit balls.
 
     ``target`` is the unit ball whose norm measures the values (the target
-    algebra's ``unit_ball``).  Restart r > 0 starts slot s from
-    ``stream(seed, r, s)``.
+    algebra's ``unit_ball``).  Restart 0 starts from the leading singular
+    vectors of the unfoldings, restart r > 0 starts slot s from
+    ``stream(seed, r, s)``; all restarts sweep together as one batch.
     """
     arity = tensor.ndim - 1
     if arity < 1:
@@ -442,43 +475,58 @@ def estimate_tensor_norm(
         witness = [np.zeros(b.dim, dtype=complex) for b in slot_balls]
         return DefectEstimate(0.0, float(upper), witness, 0, seed)
 
-    best_val = -1.0
-    best_xs = None
-    for r in range(restarts):
-        if r == 0:
-            xs = _svd_start(tensor, slot_balls)
-        else:
-            xs = [
-                slot_balls[s].random_point(stream(seed, r, s))
-                for s in range(arity)
-            ]
-        val, xs = _sweep(tensor, slot_balls, target, xs, sweeps)
-        if val > best_val + TIE_TOL:
-            best_val, best_xs = val, xs
+    starts = [_svd_start(tensor, slot_balls)] + [
+        [slot_balls[s].random_point(stream(seed, r, s)) for s in range(arity)]
+        for r in range(1, restarts)
+    ]
+    values, iterates = _sweep(tensor, slot_balls, target, [np.stack(x) for x in zip(*starts)], sweeps)
+    # restarts are ranked in order: a later one wins only by more than TIE_TOL
+    best = 0
+    for r in range(1, restarts):
+        if values[r] > values[best] + TIE_TOL:
+            best = r
+    witness = [x[best] for x in iterates]
     # the witness certifies the lower bound; re-evaluate to be safe
-    lower = target.norm(_apply_slots(tensor, best_xs))
-    return DefectEstimate(float(lower), float(upper), best_xs, restarts, seed)
+    lower = target.norm(_apply_slots(tensor, witness))
+    return DefectEstimate(float(lower), float(upper), witness, restarts, seed)
 
 
 def _sweep(tensor, balls, target, xs, sweeps):
-    xs = [x.copy() for x in xs]
+    """Alternating maximization of a batch of restarts, one row each.
+
+    Returns every row's best value and best iterate.  Within a sweep the
+    slots update in turn (Gauss-Seidel) against the sweep's dual functional;
+    a row leaves the batch at the sweep where its value moves by less than
+    ``SWEEP_TOL``.
+    """
+    flat = tensor.reshape(tensor.shape[0], -1)
+    xs = list(xs)
     z = _apply_slots(tensor, xs)
     best_val = target.norm(z)
     best_xs = [x.copy() for x in xs]
-    prev = best_val
+    prev = best_val.copy()
+    rows = np.arange(len(prev))
     for _ in range(sweeps):
-        dual = target.dual_vector(z)
-        for s in range(len(xs)):
-            g = _contract_all_but(tensor, dual, xs, s)
-            val, xnew = balls[s].maximize(g)
-            if balls[s].exact or val >= abs(g @ xs[s]):
-                xs[s] = xnew
+        w = target.dual_vector(z) @ flat
+        for s, ball in enumerate(balls):
+            g = _gradient(w, xs, s)
+            val, xnew = ball.maximize(g)
+            if not ball.exact:
+                # inscribed steps are taken only where they do not lose value
+                keep = val >= np.abs(np.sum(g * xs[s], axis=-1))
+                xnew = np.where(keep[:, None], xnew, xs[s])
+            xs[s] = xnew
         z = _apply_slots(tensor, xs)
         v = target.norm(z)
-        if v > best_val:
-            best_val = v
-            best_xs = [x.copy() for x in xs]
-        if abs(v - prev) < SWEEP_TOL:
-            break
+        gained = v > best_val[rows]
+        best_val[rows[gained]] = v[gained]
+        for best, x in zip(best_xs, xs):
+            best[rows[gained]] = x[gained]
+        live = ~(np.abs(v - prev) < SWEEP_TOL)
+        if not live.all():
+            if not live.any():
+                break
+            rows, z, v = rows[live], z[live], v[live]
+            xs = [x[live] for x in xs]
         prev = v
     return best_val, best_xs

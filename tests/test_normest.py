@@ -10,7 +10,16 @@ from amnm.algebra import (
 )
 from amnm.errors import DomainError, FalsificationError
 from amnm.multilinear import Cochain, DefectEstimate, LinearMap, defect, linear_map_norm, multilinear_norm
-from amnm.normest import ball_for, BoxBall, SpectralBall, CompositeSumBall
+from amnm.normest import (
+    SWEEP_TOL,
+    TIE_TOL,
+    BoxBall,
+    CompositeSumBall,
+    SpectralBall,
+    _svd_start,
+    ball_for,
+    estimate_tensor_norm,
+)
 from amnm.rng import complex_gaussian, stream
 from amnm.algebra import opposite
 
@@ -252,3 +261,171 @@ def test_defect_estimate_serialization_schema():
     assert set(doc) == {"lower", "upper", "witness", "restarts_used", "seed"}
     assert doc["restarts_used"] == 4 and doc["seed"] == 12
     assert len(doc["witness"]) == 2
+
+
+# -- the batched estimator against a per-restart reference -------------------------
+
+
+def _reference_apply(tensor, xs):
+    out = tensor
+    for x in xs:
+        out = np.tensordot(out, x, axes=(1, 0))
+    return out
+
+
+def _contract_all_but(tensor, dual, xs, skip):
+    out = np.tensordot(dual, tensor, axes=(0, 0))
+    for s, x in enumerate(xs):
+        if s == skip:
+            continue
+        out = np.tensordot(out, x, axes=(0 if s < skip else 1, 0))
+    return out
+
+
+def _sweep(tensor, balls, target, xs, sweeps):
+    xs = [x.copy() for x in xs]
+    z = _reference_apply(tensor, xs)
+    best_val = target.norm(z)
+    best_xs = [x.copy() for x in xs]
+    prev = best_val
+    for _ in range(sweeps):
+        dual = target.dual_vector(z)
+        for s in range(len(xs)):
+            g = _contract_all_but(tensor, dual, xs, s)
+            val, xnew = balls[s].maximize(g)
+            if balls[s].exact or val >= abs(g @ xs[s]):
+                xs[s] = xnew
+        z = _reference_apply(tensor, xs)
+        v = target.norm(z)
+        if v > best_val:
+            best_val = v
+            best_xs = [x.copy() for x in xs]
+        if abs(v - prev) < SWEEP_TOL:
+            break
+        prev = v
+    return best_val, best_xs
+
+
+def reference_estimate(tensor, balls, target, restarts, sweeps, seed):
+    """One single-vector sweep per restart, in restart order: the estimator
+    before restarts were batched.  Returns the lower bound, the winning
+    restart and every restart's best iterate."""
+    iterates, best, best_val = [], None, -1.0
+    for r in range(restarts):
+        if r == 0:
+            xs = _svd_start(tensor, balls)
+        else:
+            xs = [balls[s].random_point(stream(seed, r, s)) for s in range(len(balls))]
+        val, xs = _sweep(tensor, balls, target, xs, sweeps)
+        iterates.append(xs)
+        if val > best_val + TIE_TOL:
+            best, best_val = r, val
+    lower = target.norm(_reference_apply(tensor, iterates[best]))
+    return lower, best, iterates
+
+
+def _ball_cases():
+    m2 = build_full_matrix_algebra(2)
+    c3 = build_commutative_algebra(3)
+    t2, _ = generated_subalgebra(m2, [m2.basis_element(0), m2.basis_element(1)], unital=True)
+    return {
+        "euclidean": build_full_matrix_algebra(2, norm_mode="frobenius"),
+        "spectral": m2,
+        "spectral-inexact": t2,
+        "box": c3,
+        "composite-box": unitize(build_commutative_algebra(2)),
+        "composite-spectral": unitize(m2),
+    }
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("name", list(_ball_cases()))
+def test_batched_estimate_matches_per_restart_reference(name, arity):
+    algebra = _ball_cases()[name]
+    ball, target = ball_for(algebra), algebra.unit_ball
+    balls = [ball] * arity
+    rng = stream(41, arity)
+    for restarts in (1, 2, 5, 16):
+        tensor = complex_gaussian(rng, (algebra.dim,) * (arity + 1))
+        seed = 100 + restarts
+        est = estimate_tensor_norm(tensor, balls, target, restarts=restarts, sweeps=60, seed=seed)
+        lower, winner, iterates = reference_estimate(tensor, balls, target, restarts, 60, seed)
+        assert est.lower == pytest.approx(lower, rel=1e-12)
+        assert est.restarts_used == restarts
+        # the winner is the first restart whose best iterate is the witness
+        scale = max(np.abs(np.concatenate(est.witness)).max(), 1.0)
+        matches = [
+            r for r, xs in enumerate(iterates)
+            if max(np.abs(x - w).max() for x, w in zip(xs, est.witness)) <= 1e-8 * scale
+        ]
+        assert matches and matches[0] == winner
+
+
+def test_batched_estimate_degenerate_inputs():
+    m2 = build_full_matrix_algebra(2)
+    ball = m2.unit_ball
+    zero = estimate_tensor_norm(np.zeros((4, 4, 4), dtype=complex), [ball, ball], ball, restarts=4)
+    assert (zero.lower, zero.upper, zero.restarts_used) == (0.0, 0.0, 0)
+    tensor = complex_gaussian(stream(42, 0), (4, 4, 4))
+    upper_only = estimate_tensor_norm(tensor, [ball, ball], ball, restarts=0)
+    assert upper_only.lower == 0.0 and upper_only.restarts_used == 0
+    assert upper_only.upper == estimate_tensor_norm(tensor, [ball, ball], ball, restarts=2).upper
+    assert all(not w.any() for w in upper_only.witness)
+
+
+@pytest.mark.parametrize("name", list(_ball_cases()))
+def test_ball_methods_act_row_by_row(name):
+    ball = ball_for(_ball_cases()[name])
+    rows = complex_gaussian(stream(43, 0), (6, ball.dim))
+    rows[2] = 0.0  # a zero functional has every ball point as a maximizer
+    values, points = ball.maximize(rows)
+    norms = ball.norm(rows)
+    assert values.shape == norms.shape == (6,) and points.shape == rows.shape
+    # norming functionals exist where the ball is a target: not over a box
+    targets = hasattr(getattr(ball, "base", ball), "dual_vector")
+    duals = ball.dual_vector(rows) if targets else None
+    for i, row in enumerate(rows):
+        value, point = ball.maximize(row)
+        assert values[i] == pytest.approx(value, rel=1e-12, abs=1e-15)
+        np.testing.assert_allclose(points[i], point, rtol=1e-12, atol=1e-14)
+        assert norms[i] == pytest.approx(ball.norm(row), rel=1e-12, abs=1e-15)
+        if duals is not None:
+            np.testing.assert_allclose(duals[i], ball.dual_vector(row), rtol=1e-12, atol=1e-14)
+
+
+def test_svd_calls_do_not_scale_with_restarts(monkeypatch):
+    # all restarts share each stacked SVD: per sweep one dual functional, one
+    # step per slot and one target norm, plus one normalization per random start
+    m2 = build_full_matrix_algebra(2)
+    phi = LinearMap(m2, m2, np.eye(4) + 0.1 * complex_gaussian(stream(44, 0), (4, 4)))
+    svd, calls = np.linalg.svd, []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    sweeps, slots = 60, 2
+    for restarts in (4, 32):
+        calls.clear()
+        defect(phi, restarts=restarts, sweeps=sweeps, seed=1)
+        assert len(calls) <= (slots + 2) * sweeps + slots * restarts + 16, (restarts, len(calls))
+
+
+# -- rank-aware slot factors ----------------------------------------------------------
+
+
+def test_spectral_coords_factor_is_sqrt_of_span_rank():
+    for k in (2, 3, 4):
+        assert build_full_matrix_algebra(k).unit_ball.coords_factor() == np.sqrt(k)
+    cases = _exactness_cases()
+    assert cases["C+M_2"][0].unit_ball.coords_factor() == pytest.approx(np.sqrt(3.0), rel=1e-12)
+    corner = cases["corner"][0]
+    assert corner.unit_ball.coords_factor() == pytest.approx(np.sqrt(2.0), rel=1e-12)
+    # the corner's bilinear upper is the unfolding bound times sqrt(2) per slot
+    tensor = complex_gaussian(stream(45, 0), (4, 4, 4))
+    est = multilinear_norm(Cochain((corner, corner), corner, tensor), restarts=6, sweeps=40, seed=3)
+    unfolding = min(
+        np.linalg.svd(np.moveaxis(tensor, a, 0).reshape(4, -1), compute_uv=False)[0] for a in range(3)
+    )
+    assert est.upper == pytest.approx(2.0 * unfolding, rel=1e-12)
