@@ -11,14 +11,19 @@ an (optional) identity element, and one of three norms:
 * ``unitization-composite``: |lambda| + ||a|| for an element (lambda, a) of
   a unitization, using the base algebra's norm for a.
 
-Associativity, the identity law and submultiplicativity (sampled) are
-checked eagerly at construction; everything downstream assumes them.
+Associativity, the identity law, the realization and submultiplicativity
+(sampled) are checked eagerly, once, when an algebra object is constructed;
+everything downstream assumes them.  Algebras are immutable (their arrays
+are read-only), so one object may be shared: the library constructors
+``build_full_matrix_algebra`` and ``build_commutative_algebra`` build each
+(k, norm mode) once per process, and ``unitize`` builds one unitization per
+base algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -37,6 +42,13 @@ _CHECK_SEED = 0x5EED  # fixed; construction-time checks must not consume user st
 NORM_MODES = ("spectral", "frobenius", "unitization-composite")
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only complex copy: algebras are shared, so their arrays must not change."""
+    out = np.array(values, dtype=complex)
+    out.flags.writeable = False
+    return out
+
+
 class Algebra:
     """A finite-dimensional normed algebra over the complex numbers."""
 
@@ -51,16 +63,16 @@ class Algebra:
         base: "Algebra | None" = None,
         check: bool = True,
     ):
-        structure = np.asarray(structure, dtype=complex)
+        structure = _frozen(structure)
         if structure.ndim != 3 or len(set(structure.shape)) != 1:
             raise ConfigError("structure tensor must be d x d x d")
         self.structure = structure
         self.dim = structure.shape[0]
-        self.unit_coords = None if unit_coords is None else np.asarray(unit_coords, dtype=complex)
+        self.unit_coords = None if unit_coords is None else _frozen(unit_coords)
         if norm_mode not in NORM_MODES:
             raise ConfigError(f"unknown norm mode {norm_mode!r}")
         self.norm_mode = norm_mode
-        self.realization = None if realization is None else np.asarray(realization, dtype=complex)
+        self.realization = None if realization is None else _frozen(realization)
         self.labels = list(labels) if labels is not None else [f"e{i + 1}" for i in range(self.dim)]
         self.kind = kind or {}
         self.base = base
@@ -76,29 +88,33 @@ class Algebra:
 
     def _check_invariants(self) -> None:
         c = self.structure
-        left = np.einsum("ijm,mkl->ijkl", c, c)
-        right = np.einsum("jkm,iml->ijkl", c, c)
+        d = self.dim
+        # (e_i e_j) e_k less e_i (e_j e_k), indexed [(i, j), (k, l)]; in place,
+        # since at d = 20 each d^4 array takes 2.5 MB
+        gap = c.reshape(d * d, d) @ c.reshape(d, d * d)
+        gap -= np.matmul(c.reshape(d * d, d), c).reshape(d * d, d * d)
         scale = max(1.0, float(np.abs(c).max()) ** 2)
-        if np.abs(left - right).max() > ASSOC_TOL * scale:
+        if np.abs(gap).max() > ASSOC_TOL * scale:
             raise ConfigError("structure constants are not associative")
         if self.unit_coords is not None:
-            if self.unit_coords.shape != (self.dim,):
+            if self.unit_coords.shape != (d,):
                 raise ConfigError("unit coordinate vector has wrong length")
-            basis = np.eye(self.dim)
-            for i in range(self.dim):
-                lhs = self.multiply_coords(self.unit_coords, basis[i])
-                rhs = self.multiply_coords(basis[i], self.unit_coords)
-                if np.abs(lhs - basis[i]).max() > UNIT_TOL or np.abs(rhs - basis[i]).max() > UNIT_TOL:
-                    raise ConfigError("unit coordinates are not a two-sided identity")
+            u = self.unit_coords
+            # row j of each: 1 e_j and e_j 1
+            lhs = (u @ c.reshape(d, d * d)).reshape(d, d)
+            rhs = np.swapaxes(c, 1, 2) @ u
+            if max(np.abs(lhs - np.eye(d)).max(), np.abs(rhs - np.eye(d)).max()) > UNIT_TOL:
+                raise ConfigError("unit coordinates are not a two-sided identity")
         if self.realization is not None:
-            if self.realization.shape[0] != self.dim or self.realization.shape[1] != self.realization.shape[2]:
+            r = self.realization
+            if r.shape[0] != d or r.shape[1] != r.shape[2]:
                 raise ConfigError("realization must be one square matrix per basis element")
-            flat = self.realization.reshape(self.dim, -1)
+            flat = r.reshape(d, -1)
             gram = flat @ flat.conj().T
-            if np.abs(gram - np.eye(self.dim)).max() > 1e-8:
+            if np.abs(gram - np.eye(d)).max() > 1e-8:
                 raise ConfigError("realized basis must be Frobenius-orthonormal")
-            prod = np.einsum("iab,jbc->ijac", self.realization, self.realization)
-            via_struct = np.einsum("ijk,kac->ijac", self.structure, self.realization)
+            prod = (r[:, None] @ r[None, :]).reshape(d * d, -1)
+            via_struct = c.reshape(d * d, d) @ flat
             pscale = max(1.0, float(np.abs(prod).max()))
             if np.abs(prod - via_struct).max() > ASSOC_TOL * pscale:
                 raise ConfigError("realizing matrices do not reproduce the structure constants")
@@ -108,11 +124,12 @@ class Algebra:
         self._check_submultiplicative()
 
     def _check_submultiplicative(self) -> None:
-        rng = stream(_CHECK_SEED, self.dim)
-        a = complex_gaussian(rng, (_SUBMULT_SAMPLES, self.dim))
-        b = complex_gaussian(rng, (_SUBMULT_SAMPLES, self.dim))
-        ab = np.einsum("si,sj,ijk->sk", a, b, self.structure)
-        na, nb, nab = (self.unit_ball.norm(m) for m in (a, b, ab))
+        d = self.dim
+        rng = stream(_CHECK_SEED, d)
+        a = complex_gaussian(rng, (_SUBMULT_SAMPLES, d))
+        b = complex_gaussian(rng, (_SUBMULT_SAMPLES, d))
+        ab = (a[:, :, None] * b[:, None, :]).reshape(-1, d * d) @ self.structure.reshape(d * d, d)
+        na, nb, nab = self.unit_ball.norm(np.stack([a, b, ab]))
         good = (na > 0) & (nb > 0)
         if np.any(nab[good] > na[good] * nb[good] * (1.0 + SUBMULT_TOL) + 1e-12):
             raise ConfigError("norm is not submultiplicative on sampled pairs")
@@ -258,7 +275,13 @@ def identity_embedding(algebra: Algebra) -> Embedding:
 
 
 def build_full_matrix_algebra(k: int, norm_mode: str = "spectral") -> Algebra:
-    """M_k with the matrix-unit basis e_11, e_12, ..., e_kk."""
+    """M_k with the matrix-unit basis e_11, e_12, ..., e_kk; one shared object
+    per (k, norm_mode) and process."""
+    return _full_matrix_algebra(k, norm_mode)
+
+
+@cache
+def _full_matrix_algebra(k: int, norm_mode: str) -> Algebra:
     if k < 1:
         raise DomainError("matrix size must be at least 1")
     dim = k * k
@@ -282,7 +305,13 @@ def build_full_matrix_algebra(k: int, norm_mode: str = "spectral") -> Algebra:
 
 
 def build_commutative_algebra(k: int, norm_mode: str = "spectral") -> Algebra:
-    """C^k with pointwise product; realized as diagonal matrix units."""
+    """C^k with pointwise product, realized as diagonal matrix units; one
+    shared object per (k, norm_mode) and process."""
+    return _commutative_algebra(k, norm_mode)
+
+
+@cache
+def _commutative_algebra(k: int, norm_mode: str) -> Algebra:
     if k < 1:
         raise DomainError("dimension must be at least 1")
     structure = np.zeros((k, k, k), dtype=complex)
@@ -441,7 +470,15 @@ def _find_internal_unit(structure: np.ndarray):
 
 def unitize(algebra: Algebra) -> Algebra:
     """Adjoin a unit: (l1, a1)(l2, a2) = (l1 l2, l1 a2 + l2 a1 + a1 a2),
-    with the l1-sum norm |lambda| + ||a||."""
+    with the l1-sum norm |lambda| + ||a||.  Built once per base algebra,
+    which keeps it in its cache."""
+    cached = algebra._cache.get("unitization")
+    if cached is None:
+        cached = algebra._cache["unitization"] = _unitization(algebra)
+    return cached
+
+
+def _unitization(algebra: Algebra) -> Algebra:
     d = algebra.dim
     dim = d + 1
     structure = np.zeros((dim, dim, dim), dtype=complex)
@@ -453,7 +490,7 @@ def unitize(algebra: Algebra) -> Algebra:
     unit = np.zeros(dim, dtype=complex)
     unit[0] = 1.0
     labels = ["1#"] + list(algebra.labels)
-    out = Algebra(
+    return Algebra(
         structure,
         unit,
         "unitization-composite",
@@ -462,7 +499,6 @@ def unitize(algebra: Algebra) -> Algebra:
         kind={"name": "unitization"},
         base=algebra,
     )
-    return out
 
 
 def opposite(algebra: Algebra) -> Algebra:
@@ -480,7 +516,7 @@ def opposite(algebra: Algebra) -> Algebra:
         kind["k"] = algebra.kind["k"]
     out = Algebra(
         structure,
-        None if algebra.unit_coords is None else algebra.unit_coords.copy(),
+        algebra.unit_coords,
         algebra.norm_mode,
         realization,
         algebra.labels,

@@ -21,6 +21,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -179,19 +180,27 @@ class Instance:
     gamma_norm_measured: float
 
 
+@cache
+def _scenario(k: int, norm_mode: str) -> tuple[Algebra, Embedding, DiagonalCert]:
+    """The seed-free part of every instance: M_k, its diagonal subalgebra D
+    with the embedding, and D's library diagonal; built once per process."""
+    a = build_full_matrix_algebra(k, norm_mode=norm_mode)
+    diag_units = [a.basis_element(i * k + i) for i in range(k)]
+    d, emb = generated_subalgebra(a, diag_units, unital=True)
+    return a, emb, library_diagonal(d)
+
+
 def generate_instance(config: RunConfig, index: int = 0) -> Instance:
     """Seeded scenario: library algebra, diagonal subalgebra with its
     diagonal, and a unit-preserving perturbation of the identity.
 
-    The perturbation gamma kills the unit (gamma(1) = 0) and its coefficient
-    matrix is rescaled so the largest singular value equals ``gamma_norm``
-    exactly; fully deterministic in (seed, index).
+    The algebras, embedding and diagonal are shared by every instance with
+    the same ``matrix_dim`` and ``norm_mode``; only the perturbation gamma is
+    drawn per instance.  It kills the unit (gamma(1) = 0) and its
+    coefficient matrix is rescaled so the largest singular value equals
+    ``gamma_norm`` exactly; fully deterministic in (seed, index).
     """
-    k = config.matrix_dim
-    a = build_full_matrix_algebra(k, norm_mode=config.norm_mode)
-    diag_units = [a.basis_element(i * k + i) for i in range(k)]
-    d, emb = generated_subalgebra(a, diag_units, unital=True)
-    cert = library_diagonal(d)
+    a, emb, cert = _scenario(config.matrix_dim, config.norm_mode)
     gamma = suites.unit_killing_perturbation(a, stream(config.seed, index, 1), config.gamma_norm)
     measured = float(np.linalg.svd(gamma, compute_uv=False)[0])
     phi = LinearMap(a, a, np.eye(a.dim, dtype=complex) + gamma)

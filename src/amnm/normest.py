@@ -27,6 +27,7 @@ one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -83,7 +84,8 @@ class FalsificationGuard(FalsificationError):
 #
 # Every ball has ``norm``, ``maximize`` (the best value of a linear functional
 # over the ball and a maximizer), ``coords_factor`` (the l2 radius of the ball
-# in coordinates) and ``random_point``.  The balls of the three norm modes
+# in coordinates) and ``random_points`` (one start point per generator,
+# stacked).  The balls of the three norm modes
 # (Euclidean, Spectral, CompositeSum over a mode ball) are each algebra's
 # ``unit_ball`` and the target norm of every estimate, so they also have
 # ``dual_vector`` (a norming functional) and ``target_factor``
@@ -94,10 +96,28 @@ class FalsificationGuard(FalsificationError):
 # not counted in its rank; ``SpectralBall`` charges their mass to the factor.
 RANK_TOL = 1e-8
 
+_TINY = np.finfo(float).tiny
+_TINY_SCALE = 2.0**600
+
+
+def _divide(v: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """v / size, with 1 in place of a zero size.
+
+    Complex division multiplies by the reciprocal of the divisor, which
+    overflows to inf below the smallest normal float, so subnormal sizes
+    and their v are first scaled up by a power of two (exactly).
+    """
+    tiny = (size > 0) & (size < _TINY)
+    if np.any(tiny):
+        v = np.where(tiny, v * _TINY_SCALE, v)
+        size = np.where(tiny, size * _TINY_SCALE, size)
+    return v / np.where(size > 0, size, 1.0)
+
 
 def _conj_phase(v: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """conj(v) / size, and 0 where size is 0 (then v is 0 too)."""
-    return np.conj(v) / np.where(size > 0, size, 1.0)
+    """conj(v) / size, and conj(v) where size is 0 (then v is 0, unless its
+    size underflowed)."""
+    return _divide(np.conj(v), size)
 
 
 def _l2_step(c: np.ndarray):
@@ -131,10 +151,10 @@ class EuclideanBall:
     def target_factor(self) -> float:
         return 1.0
 
-    def random_point(self, rng) -> np.ndarray:
-        v = complex_gaussian(rng, self.dim)
-        n = np.linalg.norm(v)
-        return v / n if n > 0 else v
+    def random_points(self, rngs) -> np.ndarray:
+        points = [complex_gaussian(rng, self.dim) for rng in rngs]
+        # normed one by one: a single-vector norm keeps its own rounding
+        return np.stack([_divide(v, np.linalg.norm(v)) for v in points])
 
 
 class BoxBall:
@@ -166,7 +186,10 @@ class BoxBall:
         sigma = np.linalg.svd(self.frame, compute_uv=False)[0] * np.sqrt(self.frame.shape[1])
         return float(min(per_col, sigma))
 
-    def random_point(self, rng) -> np.ndarray:
+    def random_points(self, rngs) -> np.ndarray:
+        return np.stack([self._random_point(rng) for rng in rngs])
+
+    def _random_point(self, rng) -> np.ndarray:
         m = self.frame.shape[1]
         t = complex_gaussian(rng, m)
         t = t / np.maximum(np.abs(t), 1e-300)
@@ -219,7 +242,7 @@ class SpectralBall:
         if not self.exact:
             _, x = _l2_step(c)
             n = self.norm(x)
-            x = x / np.where(n > 0, n, 1.0)[..., None]
+            x = _divide(x, np.expand_dims(n, -1))
             return np.abs(np.sum(c * x, axis=-1)), x
         m = (c @ self._adjoints).reshape(c.shape[:-1] + (self.k, self.k))
         u, sing, vh = np.linalg.svd(m)
@@ -239,6 +262,10 @@ class SpectralBall:
         return np.where(mats.any(axis=(-2, -1))[..., None], coords, 0.0)
 
     def coords_factor(self) -> float:
+        return self._rank_factor
+
+    @cached_property
+    def _rank_factor(self) -> float:
         """Bound on ||x||_F / ||x|| over the span: sqrt of the largest rank.
 
         Every element's rank is at most the dimension r of the span's joint
@@ -258,11 +285,11 @@ class SpectralBall:
     def target_factor(self) -> float:
         return 1.0  # spectral norm <= Frobenius norm = coordinate norm
 
-    def random_point(self, rng) -> np.ndarray:
-        # drawn in coordinates, not matrix entries: seeded reports depend on this draw
-        v = complex_gaussian(rng, self.dim)
-        n = self.norm(v)
-        return v / n if n > 0 else v
+    def random_points(self, rngs) -> np.ndarray:
+        # drawn in coordinates, not matrix entries: seeded reports depend on
+        # this draw; one stacked SVD norms every point
+        v = np.stack([complex_gaussian(rng, self.dim) for rng in rngs])
+        return _divide(v, self.norm(v)[:, None])
 
 
 class CompositeSumBall:
@@ -306,12 +333,13 @@ class CompositeSumBall:
     def target_factor(self) -> float:
         return float(np.sqrt(1.0 + self.base.target_factor() ** 2))
 
-    def random_point(self, rng) -> np.ndarray:
-        t = rng.uniform(0.0, 1.0)
-        coords = np.zeros(self.dim, dtype=complex)
-        phase = np.exp(2j * np.pi * rng.uniform())
-        coords[0] = t * phase
-        coords[1:] = (1.0 - t) * self.base.random_point(rng)
+    def random_points(self, rngs) -> np.ndarray:
+        # each generator draws t and the phase before its base point
+        t = [rng.uniform(0.0, 1.0) for rng in rngs]
+        phase = [np.exp(2j * np.pi * rng.uniform()) for rng in rngs]
+        coords = np.zeros((len(rngs), self.dim), dtype=complex)
+        coords[:, 0] = [ti * p for ti, p in zip(t, phase)]
+        coords[:, 1:] = (1.0 - np.array(t))[:, None] * self.base.random_points(rngs)
         return coords
 
 
@@ -475,11 +503,13 @@ def estimate_tensor_norm(
         witness = [np.zeros(b.dim, dtype=complex) for b in slot_balls]
         return DefectEstimate(0.0, float(upper), witness, 0, seed)
 
-    starts = [_svd_start(tensor, slot_balls)] + [
-        [slot_balls[s].random_point(stream(seed, r, s)) for s in range(arity)]
-        for r in range(1, restarts)
-    ]
-    values, iterates = _sweep(tensor, slot_balls, target, [np.stack(x) for x in zip(*starts)], sweeps)
+    starts = [x[None] for x in _svd_start(tensor, slot_balls)]
+    if restarts > 1:
+        starts = [
+            np.concatenate([x, ball.random_points([stream(seed, r, s) for r in range(1, restarts)])])
+            for s, (ball, x) in enumerate(zip(slot_balls, starts))
+        ]
+    values, iterates = _sweep(tensor, slot_balls, target, starts, sweeps)
     # restarts are ranked in order: a later one wins only by more than TIE_TOL
     best = 0
     for r in range(1, restarts):

@@ -48,7 +48,9 @@ from .perturbation import (
 )
 from .rng import complex_gaussian, stream
 from .stabilizer import (
+    IdealData,
     StabilizeConfig,
+    decompose_over_ideal,
     improve_report,
     stabilize,
     unitize_map,
@@ -111,21 +113,30 @@ _FIXTURES: dict = {}
 
 
 def _fixture(key, builder):
-    """Algebras are immutable, so standard fixtures are shared across checks."""
+    """Seed-free composite fixtures (direct sums, subalgebras, diagonals),
+    built once per process and shared across checks.  Library algebras need
+    no entry: their constructors already build each one once per process.
+    Algebras are immutable and each object is checked once, when it is
+    constructed."""
     if key not in _FIXTURES:
         _FIXTURES[key] = builder()
     return _FIXTURES[key]
+
+
+def _m2_plus_c(mode: str, j: int) -> Algebra:
+    """M_2 + C^j."""
+    return _fixture(("m2c", j, mode), lambda: direct_sum(
+        build_full_matrix_algebra(2, norm_mode=mode), build_commutative_algebra(j, norm_mode=mode)))
 
 
 def _algebra_cycle(mode: str, which: int) -> Algebra:
     """Small library algebras, dims <= 6."""
     which = which % 3
     if which == 0:
-        return _fixture(("m2", mode), lambda: build_full_matrix_algebra(2, norm_mode=mode))
+        return build_full_matrix_algebra(2, norm_mode=mode)
     if which == 1:
-        return _fixture(("c5", mode), lambda: build_commutative_algebra(5, norm_mode=mode))
-    return _fixture(("m2c2", mode), lambda: direct_sum(
-        build_full_matrix_algebra(2, norm_mode=mode), build_commutative_algebra(2, norm_mode=mode)))
+        return build_commutative_algebra(5, norm_mode=mode)
+    return _m2_plus_c(mode, 2)
 
 
 def _m2_with_diagonal(mode: str) -> tuple[Algebra, Embedding]:
@@ -318,24 +329,26 @@ def check_diagonal_residuals(mode: str, seed: int) -> CheckResult:
     elif which == 1:
         alg = build_commutative_algebra(2 + seed % 4, norm_mode=mode)
     else:
-        alg = direct_sum(build_full_matrix_algebra(2, norm_mode=mode),
-                         build_commutative_algebra(1 + seed % 3, norm_mode=mode))
+        alg = _m2_plus_c(mode, 1 + seed % 3)
     cert = library_diagonal(alg)
     resid = max(cert.residual_commute, cert.residual_unit)
     return _exact("library-diagonal-residuals", resid, 1.0 + cert.K)
 
 
-def check_decompose_equality(mode: str, seed: int) -> CheckResult:
-    from .stabilizer import IdealData, decompose_over_ideal
+def _m2_ideal(mode: str) -> tuple[Algebra, IdealData]:
+    """M_2 + C_1 with its ideal M_2 + 0 and the ideal's unit."""
+    def build():
+        a = _m2_plus_c(mode, 1)
+        _, j_emb = generated_subalgebra(a, [a.basis_element(i) for i in range(4)], unital=False)
+        e_coords = np.zeros(a.dim, dtype=complex)
+        e_coords[:4] = build_full_matrix_algebra(2, norm_mode=mode).unit_coords
+        return a, IdealData(j_emb, e_coords)
+    return _fixture(("m2c1ideal", mode), build)
 
+
+def check_decompose_equality(mode: str, seed: int) -> CheckResult:
     rng = stream(seed, 6)
-    a = direct_sum(build_full_matrix_algebra(2, norm_mode=mode),
-                   build_commutative_algebra(1, norm_mode=mode))
-    ideal_basis = [a.basis_element(i) for i in range(4)]
-    j_alg, j_emb = generated_subalgebra(a, ideal_basis, unital=False)
-    e_coords = np.zeros(a.dim, dtype=complex)
-    e_coords[:4] = build_full_matrix_algebra(2, norm_mode=mode).unit_coords
-    ideal = IdealData(j_emb, e_coords)
+    a, ideal = _m2_ideal(mode)
 
     # block map: a unital twist on the matrix block, arbitrary scalar slot
     w = complex_gaussian(rng, (2, 2)) + 2.0 * np.eye(2)
@@ -401,7 +414,7 @@ def _sampled_lower_arity3(chain: Cochain, seed: int, samples: int = 40) -> float
     best = 0.0
     rng = stream(seed, 9)
     for _ in range(samples):
-        args = [b.random_point(rng) for b in balls]
+        args = [b.random_points([rng])[0] for b in balls]
         best = max(best, target.norm(chain.evaluate(*args)))
     return best
 

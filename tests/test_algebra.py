@@ -188,3 +188,63 @@ def test_invalid_structure_rejected():
     bad[0, 1, 0] = 1.0  # breaks associativity
     with pytest.raises(ConfigError):
         Algebra(bad, None, "frobenius")
+
+
+def _semigroup_structure(left_zero: bool) -> np.ndarray:
+    """e_i e_j = e_i (left zero) or e_j (right zero): associative, with a
+    one-sided identity only."""
+    c = np.zeros((2, 2, 2), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            c[i, j, i if left_zero else j] = 1.0
+    return c
+
+
+@pytest.mark.parametrize("left_zero", [False, True], ids=["left-unit-only", "right-unit-only"])
+def test_one_sided_unit_rejected(left_zero):
+    # e_1 is a left identity of the right-zero algebra and a right identity
+    # of the left-zero one, never two-sided
+    with pytest.raises(ConfigError, match="two-sided identity"):
+        Algebra(_semigroup_structure(left_zero), np.array([1.0, 0.0]), "frobenius")
+
+
+def test_non_orthonormal_realization_rejected():
+    scalar = np.ones((1, 1, 1), dtype=complex)
+    with pytest.raises(ConfigError, match="Frobenius-orthonormal"):
+        Algebra(scalar, np.array([1.0]), "frobenius", 2.0 * np.ones((1, 1, 1)))
+
+
+def test_realization_must_reproduce_structure():
+    # C^2 realized by e11 and e12: orthonormal, but e11 e12 = e12 while e1 e2 = 0
+    realization = np.zeros((2, 2, 2), dtype=complex)
+    realization[0, 0, 0] = realization[1, 0, 1] = 1.0
+    with pytest.raises(ConfigError, match="do not reproduce"):
+        Algebra(build_commutative_algebra(2).structure, np.ones(2), "frobenius", realization)
+
+
+def test_non_submultiplicative_norm_rejected():
+    # x * y = 2xy on C with |x| as the norm
+    with pytest.raises(ConfigError, match="not submultiplicative"):
+        Algebra(np.full((1, 1, 1), 2.0), None, "frobenius")
+
+
+def test_algebra_arrays_are_read_only():
+    m2 = build_full_matrix_algebra(2)
+    structure = m2.structure.copy()
+    alg = Algebra(structure, m2.unit_coords, "spectral", m2.realization)
+    for array in (alg.structure, alg.unit_coords, alg.realization):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 5.0
+    # the algebra holds its own copy of what it was given
+    structure[0, 0, 0] = 5.0
+    assert alg.structure[0, 0, 0] == 1.0
+
+
+def test_library_algebras_built_once_per_value():
+    for mode in ("spectral", "frobenius"):
+        m2 = build_full_matrix_algebra(2, mode)
+        assert build_full_matrix_algebra(2, norm_mode=mode) is m2
+        assert build_commutative_algebra(3, mode) is build_commutative_algebra(3, norm_mode=mode)
+        assert unitize(m2) is unitize(m2)
+    assert build_full_matrix_algebra(2) is build_full_matrix_algebra(2, "spectral")
+    assert build_full_matrix_algebra(2, "spectral") is not build_full_matrix_algebra(2, "frobenius")

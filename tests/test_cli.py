@@ -48,6 +48,15 @@ def test_generate_instance_deterministic():
     assert not np.array_equal(a.phi.matrix, c.phi.matrix)
 
 
+def test_generate_instance_shares_the_scenario():
+    first = generate_instance(RunConfig(command="defect", seed=1, matrix_dim=3))
+    second = generate_instance(RunConfig(command="defect", seed=2, matrix_dim=3))
+    assert first.algebra is second.algebra
+    assert first.embedding.sub is second.embedding.sub
+    assert first.cert is second.cert
+    assert first.phi is not second.phi
+
+
 def test_generate_instance_gamma_norm_exact():
     cfg = RunConfig(command="defect", seed=5, gamma_norm=1e-3)
     inst = generate_instance(cfg)
@@ -340,6 +349,7 @@ _TINY_BUDGETS = {"restarts": 1, "sweeps": 1, "max_iter": 1, "instances": 1}
 @example("stabilize", {"seed": 3, "dims": {"matrix": 4}})
 @example("defect", {"seed": 8, "dims": {"matrix": 1}})
 @example("suite", {"seed": 5, "dims": {"matrix": 2}, "norm_mode": "frobenius"})
+@example("stabilize", {"seed": 0, "dims": {"matrix": 3}, "gamma_norm": 1.1125369292536007e-308})
 def test_fuzzed_estimator_commands_keep_exit_code_contract(command, doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"

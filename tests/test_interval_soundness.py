@@ -67,7 +67,7 @@ def test_witness_and_sampling_respect_the_interval():
                 assert ball.norm(w) <= 1 + 1e-9
             # independent sampling stays inside the certified interval
             for _ in range(50):
-                args = [b.random_point(rng) for b in balls]
+                args = [b.random_points([rng])[0] for b in balls]
                 assert target.norm(chain.evaluate(*args)) <= est.upper * (1 + 1e-9) + 1e-12
 
 
