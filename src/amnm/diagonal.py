@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Algebra, Embedding
+from .algebra import Algebra, Embedding, _frozen
 from .errors import DomainError, PreconditionError
 from .multilinear import Cochain, LinearMap
 from .normest import minimal_idempotent_frame
@@ -33,8 +33,9 @@ VALID_RESIDUAL_TOL = 1e-10
 class TensorRep:
     """An element of D (x) D as a finite sum of elementary tensors.
 
-    ``pairs`` holds (c_k, d_k) coordinate vectors over ``algebra``;
-    ``proj_bound`` is sum_k ||c_k|| ||d_k||, recomputable from the pairs.
+    ``pairs`` holds (c_k, d_k) coordinate vectors over ``algebra``, as
+    read-only copies (library diagonals are shared); ``proj_bound`` is
+    sum_k ||c_k|| ||d_k||, recomputable from the pairs.
     """
 
     algebra: Algebra
@@ -44,8 +45,8 @@ class TensorRep:
     def __post_init__(self):
         clean = []
         for c, d in self.pairs:
-            c = np.asarray(c, dtype=complex)
-            d = np.asarray(d, dtype=complex)
+            c = _frozen(c)
+            d = _frozen(d)
             if c.shape != (self.algebra.dim,) or d.shape != (self.algebra.dim,):
                 raise DomainError("tensor leg has wrong coordinate length")
             clean.append((c, d))
@@ -63,10 +64,10 @@ class TensorRep:
 
     def flip(self, opposite_algebra: Algebra) -> "TensorRep":
         """c (x) d -> d (x) c, re-parented to the opposite algebra."""
-        return TensorRep(opposite_algebra, [(d.copy(), c.copy()) for c, d in self.pairs])
+        return TensorRep(opposite_algebra, [(d, c) for c, d in self.pairs])
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiagonalCert:
     """A tensor representation with its verification residuals.
 
@@ -124,14 +125,19 @@ def library_diagonal(algebra: Algebra) -> DiagonalCert:
     algebras (concatenation), unitizations of supported unital algebras, and
     images of supported algebras under a recorded unital isomorphism
     (generated subalgebras spanning their parent, and structurally
-    commutative subalgebras via their minimal idempotents).
+    commutative subalgebras via their minimal idempotents).  Built and
+    verified once per algebra, which keeps the certificate in its cache.
     """
+    cached = algebra._cache.get("diagonal")
+    if cached is not None:
+        return cached
     rep = _library_rep(algebra)
     if rep is None:
         raise NoLibraryDiagonal(f"no library diagonal for {algebra!r}")
     cert = verify_diagonal(algebra, rep)
     if not cert.valid:
         raise NoLibraryDiagonal("constructed representation failed verification")
+    algebra._cache["diagonal"] = cert
     return cert
 
 

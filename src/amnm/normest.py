@@ -21,7 +21,9 @@ as one batch: every ball step acts row by row on stacked (restarts, dim)
 arrays, with one stacked SVD per spectral step, and each restart leaves the
 batch at its own stopping sweep, so the streams and the winner (the first
 restart to lead by more than ``TIE_TOL``) are those of restarts run one by
-one.
+one.  Each evaluation of the target gives the value's norm and its norming
+functional (the next sweep's dual) from one factorization,
+``norm_and_dual``, so a sweep makes one SVD per target evaluation.
 """
 
 from __future__ import annotations
@@ -88,9 +90,11 @@ class FalsificationGuard(FalsificationError):
 # stacked).  The balls of the three norm modes
 # (Euclidean, Spectral, CompositeSum over a mode ball) are each algebra's
 # ``unit_ball`` and the target norm of every estimate, so they also have
-# ``dual_vector`` (a norming functional) and ``target_factor``
-# (norm <= factor * l2).  ``norm``, ``maximize`` and ``dual_vector`` act row by
-# row on vectors stacked over leading axes; a single vector is one row.
+# ``norm_and_dual`` (the norm and a norming functional, from one
+# factorization) and ``target_factor`` (norm <= factor * l2).  ``norm``,
+# ``maximize`` and ``norm_and_dual`` act row by row on vectors stacked over
+# leading axes; a single vector is one row.  Balls are cached per algebra and
+# shared, so their arrays are read-only.
 
 # Singular values of a span's joint column (row) matrix at or below this are
 # not counted in its rank; ``SpectralBall`` charges their mass to the factor.
@@ -98,6 +102,13 @@ RANK_TOL = 1e-8
 
 _TINY = np.finfo(float).tiny
 _TINY_SCALE = 2.0**600
+# below this norm squared entries can underflow (they do below about 1e-154)
+_SMALL_NORM = 2.0**-500
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _divide(v: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -120,8 +131,23 @@ def _conj_phase(v: np.ndarray, size: np.ndarray) -> np.ndarray:
     return _divide(np.conj(v), size)
 
 
+def _l2_norm(c: np.ndarray, axis):
+    """``np.linalg.norm(c, axis=axis)``, safe from underflow.
+
+    The norm squares the entries, so rows whose norm falls below
+    ``_SMALL_NORM`` are normed again after scaling by 2**600, which is exact;
+    every other row keeps its bits.
+    """
+    value = np.linalg.norm(c, axis=axis)
+    small = value < _SMALL_NORM
+    if np.any(small):
+        scale = np.where(small, _TINY_SCALE, 1.0)
+        value = np.linalg.norm(c * (scale if axis is None else scale[..., None]), axis=axis) / scale
+    return value
+
+
 def _l2_step(c: np.ndarray):
-    value = np.linalg.norm(c, axis=-1)
+    value = _l2_norm(c, -1)
     return value, _conj_phase(c, value[..., None])
 
 
@@ -139,11 +165,11 @@ class EuclideanBall:
     def norm(self, coords: np.ndarray):
         if coords.ndim == 1:
             # the unbatched path keeps the rounding of a single-vector norm
-            return float(np.linalg.norm(coords))
-        return np.linalg.norm(coords, axis=-1)
+            return float(_l2_norm(coords, None))
+        return _l2_norm(coords, -1)
 
-    def dual_vector(self, z: np.ndarray) -> np.ndarray:
-        return _l2_step(z)[1]  # the l2 ball is self-dual
+    def norm_and_dual(self, z: np.ndarray):
+        return _l2_step(z)  # the l2 ball is self-dual
 
     def coords_factor(self) -> float:
         return 1.0
@@ -168,9 +194,9 @@ class BoxBall:
     exact = True
 
     def __init__(self, frame: np.ndarray):
-        self.frame = frame
+        self.frame = _read_only(np.array(frame))
         self.dim = frame.shape[0]
-        self._inv = np.linalg.inv(frame)
+        self._inv = _read_only(np.linalg.inv(frame))
 
     def maximize(self, c: np.ndarray):
         s = c @ self.frame
@@ -220,7 +246,8 @@ class SpectralBall:
         self.dim = realization.shape[0]
         self.k = realization.shape[1]
         self._flat = realization.reshape(self.dim, -1)
-        self._adjoints = np.conj(np.swapaxes(realization, 1, 2)).reshape(self.dim, -1)
+        self._adjoints = _read_only(np.conj(np.swapaxes(realization, 1, 2)).reshape(self.dim, -1))
+        self._conj_flat_t = _read_only(np.conj(self._flat)).T
         # the realized basis is Frobenius-orthonormal, so it spans M_k iff dim = k^2
         self.exact = self.dim == self.k * self.k or self._adjoint_closed()
 
@@ -236,7 +263,7 @@ class SpectralBall:
     def _coords_of(self, mats: np.ndarray) -> np.ndarray:
         # Frobenius-orthonormal basis: coordinates are trace inner products,
         # i.e. the Hilbert-Schmidt projection onto the realized span.
-        return mats.reshape(mats.shape[:-2] + (-1,)) @ np.conj(self._flat).T
+        return mats.reshape(mats.shape[:-2] + (-1,)) @ self._conj_flat_t
 
     def maximize(self, c: np.ndarray):
         if not self.exact:
@@ -253,13 +280,13 @@ class SpectralBall:
         top = np.linalg.svd(self._matrices(coords), compute_uv=False)[..., 0]
         return float(top) if coords.ndim == 1 else top
 
-    def dual_vector(self, z: np.ndarray) -> np.ndarray:
+    def norm_and_dual(self, z: np.ndarray):
         mats = self._matrices(z)
-        u, _, vh = np.linalg.svd(mats)
+        u, sing, vh = np.linalg.svd(mats)
         # coordinates of the functional x -> <p, x q> of the top singular pair
         pair = np.conj(u[..., :, :1] * vh[..., :1, :])
         coords = pair.reshape(pair.shape[:-2] + (-1,)) @ self._flat.T
-        return np.where(mats.any(axis=(-2, -1))[..., None], coords, 0.0)
+        return sing[..., 0], np.where(mats.any(axis=(-2, -1))[..., None], coords, 0.0)
 
     def coords_factor(self) -> float:
         return self._rank_factor
@@ -318,14 +345,15 @@ class CompositeSumBall:
         value = np.abs(coords[..., 0]) + self.base.norm(coords[..., 1:])
         return float(value) if coords.ndim == 1 else value
 
-    def dual_vector(self, z: np.ndarray) -> np.ndarray:
-        # the dual norm is max(|c_0|, ||c'||_*): norm the larger part
+    def norm_and_dual(self, z: np.ndarray):
+        # the dual norm is max(|c_0|, ||c'||_*), so the phase of z_0 and a
+        # norming functional of z' together norm z, each part at dual norm 1
         scalar_val = np.abs(z[..., 0])
-        scalar = scalar_val >= self.base.norm(z[..., 1:])
-        c = np.zeros(z.shape, dtype=complex)
-        c[..., 0] = np.where(scalar, _conj_phase(z[..., 0], scalar_val), 0.0)
-        c[..., 1:] = np.where(scalar[..., None], 0.0, self.base.dual_vector(z[..., 1:]))
-        return c
+        base_val, base_dual = self.base.norm_and_dual(z[..., 1:])
+        c = np.empty(z.shape, dtype=complex)
+        c[..., 0] = _conj_phase(z[..., 0], scalar_val)
+        c[..., 1:] = base_dual
+        return scalar_val + base_val, c
 
     def coords_factor(self) -> float:
         return max(1.0, self.base.coords_factor())
@@ -438,9 +466,10 @@ def _unfolding_upper(tensor: np.ndarray) -> float:
     return best
 
 
-def _apply_slots(tensor: np.ndarray, xs: list) -> np.ndarray:
-    """T(x_1, ..., x_n); the slot vectors may be stacked over a leading axis."""
-    out = xs[0] @ np.moveaxis(tensor, 0, -1).reshape(tensor.shape[1], -1)
+def _apply_slots(lead: np.ndarray, xs: list) -> np.ndarray:
+    """T(x_1, ..., x_n) from ``lead``, T as a matrix with its first input
+    slot leading; the slot vectors may be stacked over a leading axis."""
+    out = xs[0] @ lead
     for x in xs[1:]:
         out = (x[..., None, :] @ out.reshape(x.shape[:-1] + (x.shape[-1], -1)))[..., 0, :]
     return out
@@ -509,7 +538,9 @@ def estimate_tensor_norm(
             np.concatenate([x, ball.random_points([stream(seed, r, s) for r in range(1, restarts)])])
             for s, (ball, x) in enumerate(zip(slot_balls, starts))
         ]
-    values, iterates = _sweep(tensor, slot_balls, target, starts, sweeps)
+    # built once per estimate: for arity >= 2 the reshape copies the tensor
+    lead = np.moveaxis(tensor, 0, -1).reshape(tensor.shape[1], -1)
+    values, iterates = _sweep(tensor, lead, slot_balls, target, starts, sweeps)
     # restarts are ranked in order: a later one wins only by more than TIE_TOL
     best = 0
     for r in range(1, restarts):
@@ -517,27 +548,26 @@ def estimate_tensor_norm(
             best = r
     witness = [x[best] for x in iterates]
     # the witness certifies the lower bound; re-evaluate to be safe
-    lower = target.norm(_apply_slots(tensor, witness))
+    lower = target.norm(_apply_slots(lead, witness))
     return DefectEstimate(float(lower), float(upper), witness, restarts, seed)
 
 
-def _sweep(tensor, balls, target, xs, sweeps):
+def _sweep(tensor, lead, balls, target, xs, sweeps):
     """Alternating maximization of a batch of restarts, one row each.
 
     Returns every row's best value and best iterate.  Within a sweep the
-    slots update in turn (Gauss-Seidel) against the sweep's dual functional;
-    a row leaves the batch at the sweep where its value moves by less than
-    ``SWEEP_TOL``.
+    slots update in turn (Gauss-Seidel) against the dual functional that the
+    previous target evaluation returned with its norm; a row leaves the batch
+    at the sweep where its value moves by less than ``SWEEP_TOL``.
     """
     flat = tensor.reshape(tensor.shape[0], -1)
     xs = list(xs)
-    z = _apply_slots(tensor, xs)
-    best_val = target.norm(z)
+    best_val, dual = target.norm_and_dual(_apply_slots(lead, xs))
     best_xs = [x.copy() for x in xs]
     prev = best_val.copy()
     rows = np.arange(len(prev))
     for _ in range(sweeps):
-        w = target.dual_vector(z) @ flat
+        w = dual @ flat
         for s, ball in enumerate(balls):
             g = _gradient(w, xs, s)
             val, xnew = ball.maximize(g)
@@ -546,8 +576,7 @@ def _sweep(tensor, balls, target, xs, sweeps):
                 keep = val >= np.abs(np.sum(g * xs[s], axis=-1))
                 xnew = np.where(keep[:, None], xnew, xs[s])
             xs[s] = xnew
-        z = _apply_slots(tensor, xs)
-        v = target.norm(z)
+        v, dual = target.norm_and_dual(_apply_slots(lead, xs))
         gained = v > best_val[rows]
         best_val[rows[gained]] = v[gained]
         for best, x in zip(best_xs, xs):
@@ -556,7 +585,7 @@ def _sweep(tensor, balls, target, xs, sweeps):
         if not live.all():
             if not live.any():
                 break
-            rows, z, v = rows[live], z[live], v[live]
+            rows, v, dual = rows[live], v[live], dual[live]
             xs = [x[live] for x in xs]
         prev = v
     return best_val, best_xs

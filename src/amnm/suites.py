@@ -113,11 +113,11 @@ _FIXTURES: dict = {}
 
 
 def _fixture(key, builder):
-    """Seed-free composite fixtures (direct sums, subalgebras, diagonals),
-    built once per process and shared across checks.  Library algebras need
-    no entry: their constructors already build each one once per process.
-    Algebras are immutable and each object is checked once, when it is
-    constructed."""
+    """Seed-free composite fixtures (direct sums, subalgebras), built once
+    per process and shared across checks.  Library algebras need no entry
+    (their constructors build each one once per process), nor do diagonals
+    (``library_diagonal`` builds one per algebra).  Algebras are immutable
+    and each object is checked once, when it is constructed."""
     if key not in _FIXTURES:
         _FIXTURES[key] = builder()
     return _FIXTURES[key]
@@ -148,7 +148,7 @@ def _m2_with_diagonal(mode: str) -> tuple[Algebra, Embedding]:
 
 
 def _m2_diagonal_cert(mode: str):
-    return _fixture(("m2diagcert", mode), lambda: library_diagonal(_m2_with_diagonal(mode)[1].sub))
+    return library_diagonal(_m2_with_diagonal(mode)[1].sub)
 
 
 def random_map(a: Algebra, b: Algebra, rng, scale: float = 1.0) -> LinearMap:

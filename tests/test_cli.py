@@ -55,6 +55,8 @@ def test_generate_instance_shares_the_scenario():
     assert first.embedding.sub is second.embedding.sub
     assert first.cert is second.cert
     assert first.phi is not second.phi
+    with pytest.raises(ValueError):
+        first.cert.rep.pairs[0][0][0] = 0.0  # shared, so its legs are read-only
 
 
 def test_generate_instance_gamma_norm_exact():
@@ -133,6 +135,16 @@ def test_defect_command(tmp_path):
     for key in ("def", "def_da", "def_ad", "def_dd", "norm"):
         assert est[key]["lower"] <= est[key]["upper"]
     assert est["def_dd"]["lower"] <= est["def_da"]["upper"] * (1 + 1e-9)
+
+
+def test_defect_lowers_survive_underflow(tmp_path):
+    # Euclidean norms square the entries, which underflow below about 1e-154
+    cfg = write_config(tmp_path, seed=8, norm_mode="frobenius", gamma_norm=1e-170)
+    out = tmp_path / "tiny"
+    assert main(["defect", "--config", str(cfg), "--out", str(out)]) == 0
+    est = json.loads((out / "defect_report.json").read_text())["estimates"]
+    for key in ("def", "def_da", "def_ad", "def_dd"):
+        assert 0.0 < est[key]["lower"] <= est[key]["upper"]
 
 
 def test_tsirelson_command(capsys):

@@ -67,6 +67,18 @@ def test_unitization_diagonal():
     assert cert.K == pytest.approx((1 + 1) ** 2 + 2.0)
 
 
+def test_library_diagonal_built_once_with_read_only_legs():
+    for alg in (build_full_matrix_algebra(3), unitize(build_commutative_algebra(2))):
+        cert = library_diagonal(alg)
+        assert library_diagonal(alg) is cert
+        c, d = cert.rep.pairs[0]
+        for leg in (c, d):
+            with pytest.raises(ValueError):
+                leg[0] = 0.0
+        with pytest.raises(AttributeError):
+            cert.K = 0.0
+
+
 def test_generated_subalgebra_diagonal_via_idempotents():
     m2 = build_full_matrix_algebra(2)
     d, _ = generated_subalgebra(m2, [m2.basis_element(0)], unital=True)

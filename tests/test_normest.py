@@ -15,6 +15,7 @@ from amnm.normest import (
     TIE_TOL,
     BoxBall,
     CompositeSumBall,
+    EuclideanBall,
     SpectralBall,
     _svd_start,
     ball_for,
@@ -284,19 +285,16 @@ def _contract_all_but(tensor, dual, xs, skip):
 
 def _sweep(tensor, balls, target, xs, sweeps):
     xs = [x.copy() for x in xs]
-    z = _reference_apply(tensor, xs)
-    best_val = target.norm(z)
+    best_val, dual = target.norm_and_dual(_reference_apply(tensor, xs))
     best_xs = [x.copy() for x in xs]
     prev = best_val
     for _ in range(sweeps):
-        dual = target.dual_vector(z)
         for s in range(len(xs)):
             g = _contract_all_but(tensor, dual, xs, s)
             val, xnew = balls[s].maximize(g)
             if balls[s].exact or val >= abs(g @ xs[s]):
                 xs[s] = xnew
-        z = _reference_apply(tensor, xs)
-        v = target.norm(z)
+        v, dual = target.norm_and_dual(_reference_apply(tensor, xs))
         if v > best_val:
             best_val = v
             best_xs = [x.copy() for x in xs]
@@ -382,15 +380,15 @@ def test_ball_methods_act_row_by_row(name):
     norms = ball.norm(rows)
     assert values.shape == norms.shape == (6,) and points.shape == rows.shape
     # norming functionals exist where the ball is a target: not over a box
-    targets = hasattr(getattr(ball, "base", ball), "dual_vector")
-    duals = ball.dual_vector(rows) if targets else None
+    targets = hasattr(getattr(ball, "base", ball), "norm_and_dual")
+    duals = ball.norm_and_dual(rows)[1] if targets else None
     for i, row in enumerate(rows):
         value, point = ball.maximize(row)
         assert values[i] == pytest.approx(value, rel=1e-12, abs=1e-15)
         np.testing.assert_allclose(points[i], point, rtol=1e-12, atol=1e-14)
         assert norms[i] == pytest.approx(ball.norm(row), rel=1e-12, abs=1e-15)
         if duals is not None:
-            np.testing.assert_allclose(duals[i], ball.dual_vector(row), rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(duals[i], ball.norm_and_dual(row)[1], rtol=1e-12, atol=1e-14)
     # stacked start points are bit-identical to points drawn one at a time
     starts = ball.random_points([stream(43, r) for r in range(1, 4)])
     for r, start in enumerate(starts, 1):
@@ -408,9 +406,10 @@ def test_ball_steps_stay_finite_on_subnormal_functionals(name):
 
 
 def test_svd_calls_do_not_scale_with_restarts(monkeypatch):
-    # all restarts share each stacked SVD: per sweep one dual functional, one
-    # step per slot and one target norm; the random starts of a slot are
-    # normed by one stacked SVD, and the slot factors are computed once per ball
+    # all restarts share each stacked SVD: per sweep one step per slot and one
+    # target evaluation, which gives the value's norm and the next sweep's
+    # dual functional; the random starts of a slot are normed by one stacked
+    # SVD, and the slot factors are computed once per ball
     m2 = build_full_matrix_algebra(2)
     phi = LinearMap(m2, m2, np.eye(4) + 0.1 * complex_gaussian(stream(44, 0), (4, 4)))
     svd, calls = np.linalg.svd, []
@@ -424,7 +423,68 @@ def test_svd_calls_do_not_scale_with_restarts(monkeypatch):
     for restarts in (4, 32):
         calls.clear()
         defect(phi, restarts=restarts, sweeps=sweeps, seed=1)
-        assert len(calls) <= (slots + 2) * sweeps + 16, (restarts, len(calls))
+        assert len(calls) <= (slots + 1) * sweeps + 16, (restarts, len(calls))
+
+
+# -- the fused target step and shared balls -------------------------------------------
+
+
+@pytest.mark.parametrize("name", list(_ball_cases()))
+def test_norm_and_dual_norms_every_row(name):
+    target = _ball_cases()[name].unit_ball
+    rows = complex_gaussian(stream(47, 0), (6, target.dim))
+    rows[2] = 0.0
+    rows[3] *= 1e-200  # squared entries underflow
+    rows[4] *= 1e-310  # subnormal entries
+    values, duals = target.norm_and_dual(rows)
+    norms = target.norm(rows)
+    if isinstance(target, EuclideanBall):
+        assert np.array_equal(values, norms)
+    # subnormal values are rounded to multiples of the smallest subnormal
+    grid = 8 * np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(values - norms) <= 1e-15 * norms + grid)
+    # each row's functional norms it ...
+    assert np.all(np.abs(np.sum(duals * rows, axis=-1) - values) <= 1e-14 * values + 1e-320)
+    # ... at dual norm at most 1: exactly where maximize is exact, and on samples
+    if target.exact:
+        assert np.all(target.maximize(duals)[0] <= 1 + 1e-12)
+    samples = complex_gaussian(stream(47, 1), (200, target.dim))
+    assert np.all(np.abs(duals @ samples.T) <= target.norm(samples) * (1 + 1e-12))
+
+
+def test_euclidean_norms_survive_underflow():
+    ball = EuclideanBall(4)
+    v = complex_gaussian(stream(48, 0), (3, 4))
+    rows = v * np.array([1.0, 1e-200, 1e-310])[:, None]
+    norms = ball.norm(rows)
+    assert norms[0] == np.linalg.norm(v[0], axis=-1)  # normal rows keep their bits
+    assert norms[1] == pytest.approx(1e-200 * np.linalg.norm(v[1]), rel=1e-15)
+    # subnormal entries carry about 1e-13 relative rounding of their own
+    assert norms[2] == pytest.approx(1e-310 * np.linalg.norm(v[2]), rel=1e-12)
+    assert [ball.norm(row) for row in rows[1:]] == pytest.approx(list(norms[1:]), rel=1e-15)
+    values, points = ball.maximize(rows)
+    assert np.array_equal(values, norms)
+    assert ball.norm(points) == pytest.approx([1.0, 1.0, 1.0], rel=1e-15)
+
+
+def _ball_arrays(ball):
+    for value in vars(ball).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif hasattr(value, "maximize"):  # a composite ball's base
+            yield from _ball_arrays(value)
+
+
+def test_cached_ball_arrays_refuse_writes():
+    # balls are cached per algebra and shared by every estimate in the process
+    algebras = list(_ball_cases().values()) + [a for a, _ in _exactness_cases().values()]
+    for algebra in algebras:
+        for ball in (algebra.unit_ball, ball_for(algebra)):
+            arrays = list(_ball_arrays(ball))
+            assert arrays or isinstance(ball, EuclideanBall)
+            for array in arrays:
+                with pytest.raises(ValueError):
+                    array.flat[0] = 0.0
 
 
 # -- rank-aware slot factors ----------------------------------------------------------
