@@ -28,7 +28,6 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .jsonio import complex_from_json, complex_to_json
 from .normest import CompositeSumBall, EuclideanBall, SpectralBall
 from .rng import complex_gaussian, stream
 
@@ -38,6 +37,7 @@ RANK_TOL = 1e-9
 SUBMULT_TOL = 1e-9
 _SUBMULT_SAMPLES = 200
 _CHECK_SEED = 0x5EED  # fixed; construction-time checks must not consume user streams
+_FRAME_SEED = 0xF4A3E  # fixed stream for structural idempotent recovery
 
 NORM_MODES = ("spectral", "frobenius", "unitization-composite")
 
@@ -50,7 +50,11 @@ def _frozen(values) -> np.ndarray:
 
 
 class Algebra:
-    """A finite-dimensional normed algebra over the complex numbers."""
+    """A finite-dimensional normed algebra over the complex numbers.
+
+    ``kind`` holds a name, read only by ``__repr__``, and for a direct sum
+    its ``summands``; everything else is read from the structure.
+    """
 
     def __init__(
         self,
@@ -58,7 +62,6 @@ class Algebra:
         unit_coords=None,
         norm_mode: str = "frobenius",
         realization=None,
-        labels=None,
         kind: dict | None = None,
         base: "Algebra | None" = None,
         check: bool = True,
@@ -73,7 +76,6 @@ class Algebra:
             raise ConfigError(f"unknown norm mode {norm_mode!r}")
         self.norm_mode = norm_mode
         self.realization = None if realization is None else _frozen(realization)
-        self.labels = list(labels) if labels is not None else [f"e{i + 1}" for i in range(self.dim)]
         self.kind = kind or {}
         self.base = base
         self._cache: dict = {}
@@ -139,14 +141,63 @@ class Algebra:
         """Unit ball of the norm mode (see ``amnm.normest``).
 
         Built from the norm mode, realization and base only, so it is ready
-        for the construction-time checks before constructors attach structure
-        to ``kind``.
+        for the construction-time checks.
         """
         if self.norm_mode == "spectral":
             return SpectralBall(self.realization)
         if self.norm_mode == "frobenius":
             return EuclideanBall(self.dim)
         return CompositeSumBall(self.base.unit_ball)
+
+    @cached_property
+    def idempotent_frame(self) -> np.ndarray | None:
+        """Columns = coordinates of minimal orthogonal idempotents summing to 1
+        (read-only), or None.
+
+        Works structurally (no realization needed): a generic element of a
+        commutative semisimple algebra has simple multiplication spectrum, and
+        the normalized eigenvectors of its multiplication operator are the
+        component idempotents.  None when the algebra is not unital and
+        commutative, or when recovery fails.  Both the box slot ball and the
+        library diagonal ``sum p_i (x) p_i`` read this one frame.
+        """
+        d = self.dim
+        if not self.is_unital or not _is_commutative(self):
+            return None
+        rng = stream(_FRAME_SEED, d)
+        for _ in range(4):
+            g = complex_gaussian(rng, d)
+            lmat = self.left_mult_matrix(g)
+            eigvals, eigvecs = np.linalg.eig(lmat)
+            if np.min(np.abs(eigvals[:, None] - eigvals[None, :]) + np.eye(d)) < 1e-6:
+                continue  # spectrum not simple for this sample; retry
+            frame = np.zeros((d, d), dtype=complex)
+            ok = True
+            for i in range(d):
+                v = eigvecs[:, i]
+                w = self.multiply_coords(v, v)
+                denom = np.vdot(v, v)
+                lam = np.vdot(v, w) / denom
+                if abs(lam) < 1e-10:
+                    ok = False
+                    break
+                p = v / lam
+                if np.abs(self.multiply_coords(p, p) - p).max() > 1e-8:
+                    ok = False
+                    break
+                frame[:, i] = p
+            if not ok:
+                continue
+            # orthogonality and partition of the identity
+            for i in range(d):
+                for j in range(d):
+                    if i != j and np.abs(self.multiply_coords(frame[:, i], frame[:, j])).max() > 1e-8:
+                        ok = False
+            if not ok or np.abs(frame.sum(axis=1) - self.unit_coords).max() > 1e-8:
+                continue
+            frame.flags.writeable = False
+            return frame
+        return None
 
     # -- arithmetic --------------------------------------------------------
 
@@ -190,28 +241,9 @@ class Algebra:
         name = self.kind.get("name", "algebra")
         return f"Algebra({name}, dim={self.dim}, norm={self.norm_mode})"
 
-    # -- serialization -------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        doc = {
-            "dim": self.dim,
-            "labels": self.labels,
-            "structure": complex_to_json(self.structure),
-            "unit": None if self.unit_coords is None else complex_to_json(self.unit_coords),
-            "norm_mode": self.norm_mode,
-        }
-        if self.realization is not None:
-            doc["realization"] = complex_to_json(self.realization)
-        return doc
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Algebra":
-        structure = complex_from_json(doc["structure"])
-        unit = None if doc.get("unit") is None else complex_from_json(doc["unit"])
-        realization = None
-        if doc.get("realization") is not None:
-            realization = complex_from_json(doc["realization"])
-        return cls(structure, unit, doc["norm_mode"], realization, doc.get("labels"))
+def _is_commutative(algebra: Algebra) -> bool:
+    return bool(np.abs(algebra.structure - np.swapaxes(algebra.structure, 0, 1)).max() < 1e-10)
 
 
 @dataclass
@@ -288,11 +320,9 @@ def _full_matrix_algebra(k: int, norm_mode: str) -> Algebra:
     idx = lambda i, j: i * k + j
     structure = np.zeros((dim, dim, dim), dtype=complex)
     realization = np.zeros((dim, k, k), dtype=complex)
-    labels = []
     for i in range(k):
         for j in range(k):
             realization[idx(i, j), i, j] = 1.0
-            labels.append(f"e{i + 1}{j + 1}")
     for i in range(k):
         for j in range(k):
             for l in range(k):
@@ -301,7 +331,7 @@ def _full_matrix_algebra(k: int, norm_mode: str) -> Algebra:
     unit = np.zeros(dim, dtype=complex)
     for i in range(k):
         unit[idx(i, i)] = 1.0
-    return Algebra(structure, unit, norm_mode, realization, labels, kind={"name": "matrix", "k": k})
+    return Algebra(structure, unit, norm_mode, realization, kind={"name": "matrix"})
 
 
 def build_commutative_algebra(k: int, norm_mode: str = "spectral") -> Algebra:
@@ -320,7 +350,7 @@ def _commutative_algebra(k: int, norm_mode: str) -> Algebra:
         structure[i, i, i] = 1.0
         realization[i, i, i] = 1.0
     unit = np.ones(k, dtype=complex)
-    return Algebra(structure, unit, norm_mode, realization, kind={"name": "commutative", "k": k})
+    return Algebra(structure, unit, norm_mode, realization, kind={"name": "commutative"})
 
 
 def direct_sum(a1: Algebra, a2: Algebra) -> Algebra:
@@ -347,10 +377,8 @@ def direct_sum(a1: Algebra, a2: Algebra) -> Algebra:
         realization = np.zeros((dim, k1 + k2, k1 + k2), dtype=complex)
         realization[:d1, :k1, :k1] = a1.realization
         realization[d1:, k1:, k1:] = a2.realization
-    labels = [f"L.{s}" for s in a1.labels] + [f"R.{s}" for s in a2.labels]
-    alg = Algebra(structure, unit, a1.norm_mode, realization, labels, kind={"name": "direct_sum"})
-    alg.kind["summands"] = (a1, a2)
-    return alg
+    kind = {"name": "direct_sum", "summands": (a1, a2)}
+    return Algebra(structure, unit, a1.norm_mode, realization, kind=kind)
 
 
 def summand_quotient(sum_algebra: Algebra, keep: int) -> tuple[Algebra, np.ndarray]:
@@ -358,7 +386,7 @@ def summand_quotient(sum_algebra: Algebra, keep: int) -> tuple[Algebra, np.ndarr
 
     Returns the kept summand and the coordinate matrix of the quotient map.
     """
-    if sum_algebra.kind.get("name") != "direct_sum":
+    if "summands" not in sum_algebra.kind:
         raise DomainError("not a direct sum")
     a1, a2 = sum_algebra.kind["summands"]
     d1, d2 = a1.dim, a2.dim
@@ -436,18 +464,8 @@ def generated_subalgebra(
     realization = None
     if parent.realization is not None:
         realization = np.tensordot(basis.T, parent.realization, axes=(1, 0))
-    sub = Algebra(
-        structure,
-        unit_coords,
-        parent.norm_mode,
-        realization,
-        kind={"name": "generated"},
-        base=parent.base,
-    )
-    sub.kind["parent"] = parent
-    emb = Embedding(sub, parent, basis)
-    sub.kind["embedding_matrix"] = basis
-    return sub, emb
+    sub = Algebra(structure, unit_coords, parent.norm_mode, realization, kind={"name": "generated"})
+    return sub, Embedding(sub, parent, basis)
 
 
 def _find_internal_unit(structure: np.ndarray):
@@ -489,16 +507,7 @@ def _unitization(algebra: Algebra) -> Algebra:
     structure[1:, 1:, 1:] = algebra.structure
     unit = np.zeros(dim, dtype=complex)
     unit[0] = 1.0
-    labels = ["1#"] + list(algebra.labels)
-    return Algebra(
-        structure,
-        unit,
-        "unitization-composite",
-        None,
-        labels,
-        kind={"name": "unitization"},
-        base=algebra,
-    )
+    return Algebra(structure, unit, "unitization-composite", None, kind={"name": "unitization"}, base=algebra)
 
 
 def opposite(algebra: Algebra) -> Algebra:
@@ -510,20 +519,6 @@ def opposite(algebra: Algebra) -> Algebra:
         realization = np.swapaxes(algebra.realization, 1, 2)
     base = None if algebra.base is None else opposite(algebra.base)
     kind = {"name": algebra.kind.get("name", "")}
-    if algebra.kind.get("name") == "matrix":
-        kind["k"] = algebra.kind["k"]
-    if algebra.kind.get("name") == "commutative":
-        kind["k"] = algebra.kind["k"]
-    out = Algebra(
-        structure,
-        algebra.unit_coords,
-        algebra.norm_mode,
-        realization,
-        algebra.labels,
-        kind=kind,
-        base=base,
-    )
-    if algebra.kind.get("name") == "direct_sum":
-        a1, a2 = algebra.kind["summands"]
-        out.kind["summands"] = (opposite(a1), opposite(a2))
-    return out
+    if "summands" in algebra.kind:
+        kind["summands"] = tuple(opposite(s) for s in algebra.kind["summands"])
+    return Algebra(structure, algebra.unit_coords, algebra.norm_mode, realization, kind=kind, base=base)

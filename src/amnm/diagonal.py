@@ -24,7 +24,6 @@ import numpy as np
 from .algebra import Algebra, Embedding, _frozen
 from .errors import DomainError, PreconditionError
 from .multilinear import Cochain, LinearMap
-from .normest import minimal_idempotent_frame
 
 VALID_RESIDUAL_TOL = 1e-10
 
@@ -118,15 +117,19 @@ class NoLibraryDiagonal(DomainError):
 
 
 def library_diagonal(algebra: Algebra) -> DiagonalCert:
-    """Exact diagonal for a library algebra.
+    """Exact diagonal for a library algebra, chosen by structure.
 
-    Supported: full matrix algebras M_k (Delta = (1/k) sum e_ij (x) e_ji),
-    commutative C^k (Delta = sum e_i (x) e_i), direct sums of supported
-    algebras (concatenation), unitizations of supported unital algebras, and
-    images of supported algebras under a recorded unital isomorphism
-    (generated subalgebras spanning their parent, and structurally
-    commutative subalgebras via their minimal idempotents).  Built and
-    verified once per algebra, which keeps the certificate in its cache.
+    Supported, in this order:
+
+    * a realization spanning M_k (dim = k^2): Delta = (1/k) sum e_ij (x) e_ji
+      over the realized matrix units;
+    * a direct sum of supported algebras: the summands' diagonals side by side;
+    * a unitization of a supported unital algebra;
+    * an algebra with an ``idempotent_frame`` (commutative semisimple, C^k
+      among them): Delta = sum p_i (x) p_i over its minimal idempotents.
+
+    Anything else raises ``NoLibraryDiagonal``.  Built and verified once per
+    algebra, which keeps the certificate in its cache.
     """
     cached = algebra._cache.get("diagonal")
     if cached is not None:
@@ -142,23 +145,15 @@ def library_diagonal(algebra: Algebra) -> DiagonalCert:
 
 
 def _library_rep(algebra: Algebra) -> TensorRep | None:
-    name = algebra.kind.get("name")
-    if name == "matrix":
-        k = algebra.kind["k"]
-        idx = lambda i, j: i * k + j
-        pairs = []
-        for i in range(k):
-            for j in range(k):
-                c = np.zeros(algebra.dim, dtype=complex)
-                c[idx(i, j)] = 1.0 / k
-                dvec = np.zeros(algebra.dim, dtype=complex)
-                dvec[idx(j, i)] = 1.0
-                pairs.append((c, dvec))
-        return TensorRep(algebra, pairs)
-    if name == "commutative":
-        basis = np.eye(algebra.dim, dtype=complex)
-        return TensorRep(algebra, [(basis[i], basis[i]) for i in range(algebra.dim)])
-    if name == "direct_sum":
+    """The library diagonal, chosen by the algebra's structure, or None."""
+    real = algebra.realization
+    if real is not None and algebra.dim == real.shape[1] ** 2:
+        # a Frobenius-orthonormal realized basis spanning M_k: the matrix unit
+        # e_ij has coordinates conj(R[:, i, j]), and Delta = (1/k) sum e_ij (x) e_ji
+        k = real.shape[1]
+        units = np.conj(real)
+        return TensorRep(algebra, [(units[:, i, j] / k, units[:, j, i]) for i in range(k) for j in range(k)])
+    if "summands" in algebra.kind:
         a1, a2 = algebra.kind["summands"]
         rep1, rep2 = _library_rep(a1), _library_rep(a2)
         if rep1 is None or rep2 is None:
@@ -170,7 +165,7 @@ def _library_rep(algebra: Algebra) -> TensorRep | None:
         for c, d in rep2.pairs:
             pairs.append((_pad(c, d1, algebra.dim), _pad(d, d1, algebra.dim)))
         return TensorRep(algebra, pairs)
-    if name == "unitization":
+    if algebra.base is not None:
         base = algebra.base
         if not base.is_unital:
             return None
@@ -186,20 +181,11 @@ def _library_rep(algebra: Algebra) -> TensorRep | None:
         for c, d in base_rep.pairs:
             pairs.append((_pad(c, 1, algebra.dim), _pad(d, 1, algebra.dim)))
         return TensorRep(algebra, pairs)
-    if name == "generated":
-        parent = algebra.kind.get("parent")
-        basis = algebra.kind.get("embedding_matrix")
-        if parent is not None and basis is not None and algebra.dim == parent.dim:
-            parent_rep = _library_rep(parent)
-            if parent_rep is not None:
-                proj = basis.conj().T
-                return TensorRep(algebra, [(proj @ c, proj @ d) for c, d in parent_rep.pairs])
-        frame = minimal_idempotent_frame(algebra)
-        if frame is not None:
-            return TensorRep(
-                algebra, [(frame[:, i].copy(), frame[:, i].copy()) for i in range(frame.shape[1])]
-            )
-    return None
+    frame = algebra.idempotent_frame
+    if frame is None:
+        return None
+    # commutative and semisimple: Delta = sum p_i (x) p_i over the minimal idempotents
+    return TensorRep(algebra, [(p, p) for p in frame.T])
 
 
 def _pad(coords: np.ndarray, offset: int, dim: int) -> np.ndarray:

@@ -21,13 +21,6 @@ def complex_to_json(value):
     return [complex_to_json(sub) for sub in arr]
 
 
-def complex_from_json(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.shape[-1] != 2:
-        raise ValueError("complex JSON payload must end in [re, im] pairs")
-    return (arr[..., 0] + 1j * arr[..., 1]).astype(complex)
-
-
 def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
 

@@ -45,7 +45,6 @@ DEFAULT_RESTARTS = 32
 DEFAULT_SWEEPS = 200
 SWEEP_TOL = 1e-12
 TIE_TOL = 1e-12
-_FRAME_SEED = 0xF4A3E  # fixed stream for structural idempotent recovery
 
 
 @dataclass
@@ -371,68 +370,16 @@ class CompositeSumBall:
         return coords
 
 
-# -- structural recognition -----------------------------------------------------
-
-
-def _is_commutative(algebra: Algebra) -> bool:
-    return bool(np.abs(algebra.structure - np.swapaxes(algebra.structure, 0, 1)).max() < 1e-10)
-
-
-def minimal_idempotent_frame(algebra: Algebra):
-    """Columns = coordinates of minimal orthogonal idempotents summing to 1.
-
-    Works structurally (no realization needed): a generic element of a
-    commutative semisimple algebra has simple multiplication spectrum, and
-    the normalized eigenvectors of its multiplication operator are the
-    component idempotents.  Returns None when recovery fails.
-    """
-    d = algebra.dim
-    if not algebra.is_unital or not _is_commutative(algebra):
-        return None
-    rng = stream(_FRAME_SEED, d)
-    for _ in range(4):
-        g = complex_gaussian(rng, d)
-        lmat = algebra.left_mult_matrix(g)
-        eigvals, eigvecs = np.linalg.eig(lmat)
-        if np.min(np.abs(eigvals[:, None] - eigvals[None, :]) + np.eye(d)) < 1e-6:
-            continue  # spectrum not simple for this sample; retry
-        frame = np.zeros((d, d), dtype=complex)
-        ok = True
-        for i in range(d):
-            v = eigvecs[:, i]
-            w = algebra.multiply_coords(v, v)
-            denom = np.vdot(v, v)
-            lam = np.vdot(v, w) / denom
-            if abs(lam) < 1e-10:
-                ok = False
-                break
-            p = v / lam
-            if np.abs(algebra.multiply_coords(p, p) - p).max() > 1e-8:
-                ok = False
-                break
-            frame[:, i] = p
-        if not ok:
-            continue
-        # orthogonality and partition of the identity
-        for i in range(d):
-            for j in range(d):
-                if i != j and np.abs(algebra.multiply_coords(frame[:, i], frame[:, j])).max() > 1e-8:
-                    ok = False
-        if not ok or np.abs(frame.sum(axis=1) - algebra.unit_coords).max() > 1e-8:
-            continue
-        return frame
-    return None
-
-
 def ball_for(algebra: Algebra):
     """Unit-ball optimizer for a slot in ``algebra`` (cached).
 
     The algebra's ``unit_ball``, with two exceptions: a unitization takes the
     composite ball over its base's slot ball, and a spectral algebra with
     exact steps whose realization does not span M_k takes the cheaper box
-    in its minimal idempotents when it is commutative (they are self-adjoint,
-    since the span is adjoint-closed).  Spans that are not adjoint-closed
-    keep the inscribed-Euclidean steps of their ``SpectralBall``.
+    in the algebra's ``idempotent_frame`` when it has one, i.e. when it is
+    commutative (the idempotents are self-adjoint, since the span is
+    adjoint-closed).  Spans that are not adjoint-closed keep the
+    inscribed-Euclidean steps of their ``SpectralBall``.
     """
     cached = algebra._cache.get("ball")
     if cached is not None:
@@ -447,7 +394,7 @@ def _build_ball(algebra: Algebra):
         return CompositeSumBall(ball_for(algebra.base))
     ball = algebra.unit_ball
     if isinstance(ball, SpectralBall) and ball.exact and ball.dim < ball.k * ball.k:
-        frame = minimal_idempotent_frame(algebra)
+        frame = algebra.idempotent_frame
         if frame is not None:
             return BoxBall(frame)
     return ball

@@ -11,6 +11,7 @@ bound assembled from certified uppers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -109,24 +110,28 @@ def _nofalsify(check: str, lhs_lo: float, lhs_hi: float, rhs_hi: float) -> Check
 # -- seeded building blocks -----------------------------------------------------
 
 
-_FIXTURES: dict = {}
+# The seed-free composite fixtures (direct sums, subalgebras) are cached
+# builders: built once per process and shared across checks.  Library
+# algebras need no cache of their own (their constructors build each one once
+# per process), nor do diagonals (``library_diagonal`` builds one per
+# algebra).  Algebras are immutable and each object is checked once, when it
+# is constructed.
 
 
-def _fixture(key, builder):
-    """Seed-free composite fixtures (direct sums, subalgebras), built once
-    per process and shared across checks.  Library algebras need no entry
-    (their constructors build each one once per process), nor do diagonals
-    (``library_diagonal`` builds one per algebra).  Algebras are immutable
-    and each object is checked once, when it is constructed."""
-    if key not in _FIXTURES:
-        _FIXTURES[key] = builder()
-    return _FIXTURES[key]
-
-
+@cache
 def _m2_plus_c(mode: str, j: int) -> Algebra:
     """M_2 + C^j."""
-    return _fixture(("m2c", j, mode), lambda: direct_sum(
-        build_full_matrix_algebra(2, norm_mode=mode), build_commutative_algebra(j, norm_mode=mode)))
+    return direct_sum(build_full_matrix_algebra(2, norm_mode=mode), build_commutative_algebra(j, norm_mode=mode))
+
+
+@cache
+def _m2_plus_m2() -> Algebra:
+    return direct_sum(build_full_matrix_algebra(2), build_full_matrix_algebra(2))
+
+
+@cache
+def _m4_plus_m2() -> Algebra:
+    return direct_sum(build_full_matrix_algebra(4), build_full_matrix_algebra(2))
 
 
 def _algebra_cycle(mode: str, which: int) -> Algebra:
@@ -139,12 +144,11 @@ def _algebra_cycle(mode: str, which: int) -> Algebra:
     return _m2_plus_c(mode, 2)
 
 
+@cache
 def _m2_with_diagonal(mode: str) -> tuple[Algebra, Embedding]:
-    def build():
-        a = build_full_matrix_algebra(2, norm_mode=mode)
-        d, emb = generated_subalgebra(a, [a.basis_element(0), a.basis_element(3)], unital=True)
-        return a, emb
-    return _fixture(("m2diag", mode), build)
+    a = build_full_matrix_algebra(2, norm_mode=mode)
+    _, emb = generated_subalgebra(a, [a.basis_element(0), a.basis_element(3)], unital=True)
+    return a, emb
 
 
 def _m2_diagonal_cert(mode: str):
@@ -335,15 +339,14 @@ def check_diagonal_residuals(mode: str, seed: int) -> CheckResult:
     return _exact("library-diagonal-residuals", resid, 1.0 + cert.K)
 
 
+@cache
 def _m2_ideal(mode: str) -> tuple[Algebra, IdealData]:
     """M_2 + C_1 with its ideal M_2 + 0 and the ideal's unit."""
-    def build():
-        a = _m2_plus_c(mode, 1)
-        _, j_emb = generated_subalgebra(a, [a.basis_element(i) for i in range(4)], unital=False)
-        e_coords = np.zeros(a.dim, dtype=complex)
-        e_coords[:4] = build_full_matrix_algebra(2, norm_mode=mode).unit_coords
-        return a, IdealData(j_emb, e_coords)
-    return _fixture(("m2c1ideal", mode), build)
+    a = _m2_plus_c(mode, 1)
+    _, j_emb = generated_subalgebra(a, [a.basis_element(i) for i in range(4)], unital=False)
+    e_coords = np.zeros(a.dim, dtype=complex)
+    e_coords[:4] = build_full_matrix_algebra(2, norm_mode=mode).unit_coords
+    return a, IdealData(j_emb, e_coords)
 
 
 def check_decompose_equality(mode: str, seed: int) -> CheckResult:
@@ -615,8 +618,7 @@ def scan_separation_check(seed: int) -> CheckResult:
     """Family scan with a nonempty large set: a block homomorphism kills
     half the family, and the retained idempotents' witness vectors must stay
     pairwise separated."""
-    q = _fixture(("m2m2", "spectral"),
-                 lambda: direct_sum(build_full_matrix_algebra(2), build_full_matrix_algebra(2)))
+    q = _m2_plus_m2()
     mat = np.zeros((q.dim, q.dim), dtype=complex)
     mat[:4, :4] = np.eye(4)
     psi = LinearMap(q, q, mat)
@@ -642,8 +644,7 @@ def scan_pipeline_check(seed: int) -> CheckResult:
     standing in for the whole space is the upper-left block, whose identity
     is the vu of the shift factorization."""
     rng = stream(seed, 17)
-    big = _fixture(("m4m2", "spectral"),
-                   lambda: direct_sum(build_full_matrix_algebra(4), build_full_matrix_algebra(2)))
+    big = _m4_plus_m2()
     q_alg, _ = summand_quotient(big, keep=0)
 
     k = 4

@@ -169,16 +169,13 @@ def test_summand_quotient():
     assert np.allclose(qmat @ s.multiply_coords(a, b), q.multiply_coords(qmat @ a, qmat @ b))
 
 
-def test_json_round_trip():
-    for alg in (build_full_matrix_algebra(2), build_commutative_algebra(3, norm_mode="frobenius")):
-        doc = alg.to_json_dict()
-        back = Algebra.from_json_dict(doc)
-        assert back.dim == alg.dim
-        assert np.allclose(back.structure, alg.structure)
-        assert back.norm_mode == alg.norm_mode
-        rng = stream(10, alg.dim)
-        a = complex_gaussian(rng, alg.dim)
-        assert back.element_norm(a) == pytest.approx(alg.element_norm(a))
+def test_kind_holds_only_a_name_and_summands():
+    m2, c2 = build_full_matrix_algebra(2), build_commutative_algebra(2)
+    s = direct_sum(m2, c2)
+    d, _ = generated_subalgebra(m2, [m2.basis_element(0)], unital=True)
+    for alg in (m2, c2, s, d, unitize(m2), opposite(m2), opposite(s)):
+        assert set(alg.kind) <= {"name", "summands"}
+    assert [a.dim for a in opposite(s).kind["summands"]] == [4, 2]
 
 
 def test_invalid_structure_rejected():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from amnm.algebra import (
+    Algebra,
     build_commutative_algebra,
     build_full_matrix_algebra,
     direct_sum,
@@ -18,8 +19,10 @@ from amnm.diagonal import (
     split,
     verify_diagonal,
 )
+from amnm.cli import _scenario
 from amnm.errors import PreconditionError
 from amnm.multilinear import Cochain, LinearMap, defect_cochain, identity_map
+from amnm.normest import ball_for
 from amnm.rng import complex_gaussian, stream
 
 
@@ -93,6 +96,60 @@ def test_full_span_pullback_diagonal():
     assert d.dim == 4
     cert = library_diagonal(d)
     assert cert.valid
+
+
+def _unnamed(alg):
+    """The same algebra built from its arrays alone, with no ``kind``."""
+    return Algebra(alg.structure, alg.unit_coords, alg.norm_mode, alg.realization)
+
+
+def _rotated_m2(mode):
+    """M_2 in a random Frobenius-orthonormal basis, structure read off the
+    realized products."""
+    q, _ = np.linalg.qr(complex_gaussian(stream(46, 0), (4, 4)))
+    real = np.tensordot(q, np.eye(4).reshape(4, 2, 2), axes=(1, 0))
+    flat = real.reshape(4, -1)
+    prods = (real[:, None] @ real[None, :]).reshape(16, -1)
+    structure = (prods @ flat.conj().T).reshape(4, 4, 4)
+    unit = flat.conj() @ np.eye(2).reshape(-1)
+    return Algebra(structure, unit, mode, real)
+
+
+@pytest.mark.parametrize("mode", ["spectral", "frobenius"])
+def test_library_diagonal_chosen_by_structure(mode):
+    m2, c3 = build_full_matrix_algebra(2, mode), build_commutative_algebra(3, mode)
+    for alg, k in ((m2, 2), (c3, 3), (opposite(m2), 2), (opposite(c3), 3)):
+        for built in (alg, _unnamed(alg)):
+            cert = library_diagonal(built)
+            assert cert.valid
+            assert cert.K == pytest.approx(k, rel=1e-12)
+    # matrix units read off a rotated realized basis
+    cert = library_diagonal(_rotated_m2(mode))
+    assert cert.valid and cert.K == pytest.approx(2.0, rel=1e-12)
+
+
+def test_idempotent_frame_of_commutative_library_is_the_identity():
+    # C^k takes its diagonal from the frame, so its legs must stay the unit vectors
+    for mode in ("spectral", "frobenius"):
+        for k in range(1, 7):
+            frame = build_commutative_algebra(k, mode).idempotent_frame
+            assert np.array_equal(frame, np.eye(k))
+
+
+@pytest.mark.parametrize("mode", ["spectral", "frobenius"])
+def test_one_frame_serves_the_ball_and_the_diagonal(mode):
+    for k in (2, 3):
+        _, emb, cert = _scenario(k, mode)
+        d = emb.sub
+        frame = d.idempotent_frame
+        assert d.idempotent_frame is frame
+        with pytest.raises(ValueError):
+            frame[0, 0] = 0.0
+        if mode == "spectral":
+            assert np.array_equal(ball_for(d).frame, frame)
+        legs = np.array([c for c, _ in cert.rep.pairs]).T
+        assert np.array_equal(legs, frame)
+        assert all(np.array_equal(c, dd) for c, dd in cert.rep.pairs)
 
 
 def test_unsupported_algebra_refused():
