@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import suites
 from .algebra import (
     Algebra,
     Embedding,
@@ -36,18 +35,9 @@ from .algebra import (
 from .diagonal import DiagonalCert, library_diagonal
 from .errors import ConfigError, DomainError, FalsificationError, PreconditionError
 from .jsonio import dumps, write_json
-from .multilinear import LinearMap, defect, linear_map_norm
+from .multilinear import LinearMap, defect, linear_map_norm, unit_killing_perturbation
 from .rng import stream
 from .stabilizer import CSV_COLUMNS, StabilizeConfig, stabilize
-from .tsirelson import (
-    TsirelsonVector,
-    clone_family,
-    clone_system_verify,
-    intersection_size,
-    interval_schreier_report,
-    schreier_inequality,
-    tsirelson_norm_levels,
-)
 
 SCHEMA_VERSION = 1
 CLONES_MAX_N = 64
@@ -201,7 +191,7 @@ def generate_instance(config: RunConfig, index: int = 0) -> Instance:
     ``gamma_norm`` exactly; fully deterministic in (seed, index).
     """
     a, emb, cert = _scenario(config.matrix_dim, config.norm_mode)
-    gamma = suites.unit_killing_perturbation(a, stream(config.seed, index, 1), config.gamma_norm)
+    gamma = unit_killing_perturbation(a, stream(config.seed, index, 1), config.gamma_norm)
     measured = float(np.linalg.svd(gamma, compute_uv=False)[0])
     phi = LinearMap(a, a, np.eye(a.dim, dtype=complex) + gamma)
     return Instance(a, emb, cert, phi, measured)
@@ -259,6 +249,8 @@ def cmd_defect(cfg: RunConfig) -> int:
 
 
 def cmd_suite(cfg: RunConfig) -> int:
+    from . import suites
+
     out = _ensure_out(cfg)
     flat = suites.suite_rows(cfg)
     passed = all(r["passed"] for r in flat)
@@ -297,6 +289,8 @@ def _json_array(flag: str, text: str, kind: type) -> list:
 
 
 def cmd_tsirelson(args: argparse.Namespace) -> int:
+    from .tsirelson import TsirelsonVector, schreier_inequality, tsirelson_norm_levels
+
     if args.vector is None:
         raise ConfigError("--vector is required")
     vec = TsirelsonVector.from_dense(_json_array("--vector", args.vector, float))
@@ -321,6 +315,8 @@ def cmd_tsirelson(args: argparse.Namespace) -> int:
 
 
 def cmd_clones(args: argparse.Namespace) -> int:
+    from .tsirelson import clone_family, clone_system_verify, intersection_size, interval_schreier_report
+
     words = args.word or []
     if not words:
         raise ConfigError("at least one --word is required")

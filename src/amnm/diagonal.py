@@ -101,12 +101,13 @@ def verify_diagonal(algebra: Algebra, rep: TensorRep) -> DiagonalCert:
     pi = np.zeros(d, dtype=complex)
     for c, dd in rep.pairs:
         pi += algebra.multiply_coords(c, dd)
-    unit_resid = 0.0
-    for i in range(d):
-        for prod in (algebra.multiply_coords(basis[i], pi), algebra.multiply_coords(pi, basis[i])):
-            unit_resid = max(unit_resid, algebra.element_norm(prod - basis[i]))
+    # the 2d unit residuals and the d basis vectors, normed in one stacked call
+    rows = [prod - basis[i] for i in range(d)
+            for prod in (algebra.multiply_coords(basis[i], pi), algebra.multiply_coords(pi, basis[i]))]
+    norms = algebra.unit_ball.norm(np.concatenate([np.array(rows), basis]))
+    unit_resid = float(norms[: 2 * d].max())
     valid = commute <= VALID_RESIDUAL_TOL * scale and unit_resid <= VALID_RESIDUAL_TOL * max(
-        1.0, max(algebra.element_norm(basis[i]) for i in range(d))
+        1.0, float(norms[2 * d :].max())
     )
     return DiagonalCert(rep, rep.proj_bound, commute, unit_resid, bool(valid))
 

@@ -2,11 +2,12 @@
 
 The central objects:
 
-* ``LinearMap``: a linear map between algebras as a coefficient matrix.
+* ``LinearMap``: a linear map between algebras as a coefficient matrix,
+  immutable like the algebras (its matrix is a read-only copy).
 * ``Cochain``: an n-multilinear map into a target algebra as a dense
   coefficient tensor, one slot algebra per argument.
 * ``defect_cochain(phi)``: the bilinear map (a, b) -> phi(ab) - phi(a)phi(b)
-  whose norm is the multiplicative defect of phi.
+  whose norm is the multiplicative defect of phi, built once per map.
 * ``coboundary(phi, psi)``: the degree-raising operator
 
       (d psi)(a_1..a_{n+1}) = phi(a_1) psi(a_2..a_{n+1})
@@ -24,10 +25,11 @@ no-falsification form, lower(LHS) <= upper(RHS).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import Algebra, Embedding
+from .algebra import Algebra, Embedding, _frozen
 from .errors import DomainError
 from .normest import (
     DEFAULT_RESTARTS,
@@ -37,6 +39,7 @@ from .normest import (
     ball_for,
     estimate_tensor_norm,
 )
+from .rng import complex_gaussian
 
 __all__ = [
     "LinearMap",
@@ -52,18 +55,31 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearMap:
-    """A linear map between algebras; ``matrix`` is dim(target) x dim(source)."""
+    """A linear map between algebras; ``matrix`` is dim(target) x dim(source).
+
+    Maps are immutable like algebras: ``matrix`` is a read-only copy, so a
+    map's defect cochain is built once (``defect_cochain``).
+    """
 
     source: Algebra
     target: Algebra
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
+        object.__setattr__(self, "matrix", _frozen(self.matrix))
         if self.matrix.shape != (self.target.dim, self.source.dim):
             raise DomainError("matrix shape does not match the algebras")
+
+    @cached_property
+    def _defect(self) -> "Cochain":
+        a, b = self.source, self.target
+        lin = np.einsum("ijm,tm->tij", a.structure, self.matrix)
+        quad = np.einsum("pqt,pi,qj->tij", b.structure, self.matrix, self.matrix)
+        tensor = lin - quad
+        tensor.flags.writeable = False
+        return Cochain((a, a), b, tensor)
 
     def apply(self, coords: np.ndarray) -> np.ndarray:
         return self.matrix @ coords
@@ -91,6 +107,19 @@ class LinearMap:
 
 def identity_map(algebra: Algebra) -> LinearMap:
     return LinearMap(algebra, algebra, np.eye(algebra.dim, dtype=complex))
+
+
+def unit_killing_perturbation(a: Algebra, rng, scale: float) -> np.ndarray:
+    """Coefficient matrix gamma with gamma(1_A) = 0 and top singular value
+    exactly ``scale``; the zero matrix when ``scale`` or the projected draw
+    is zero."""
+    gamma = complex_gaussian(rng, (a.dim, a.dim))
+    unit = a.unit_coords
+    gamma = gamma - np.outer(gamma @ unit, unit.conj()) / np.vdot(unit, unit)
+    top = np.linalg.svd(gamma, compute_uv=False)[0]
+    if scale == 0 or top == 0:
+        return np.zeros_like(gamma)
+    return gamma / top * scale
 
 
 @dataclass
@@ -148,11 +177,12 @@ def _target_multiply_right(target: Algebra, tensor: np.ndarray, coeffs: np.ndarr
 
 
 def defect_cochain(phi: LinearMap) -> Cochain:
-    """The bilinear map (a, b) -> phi(ab) - phi(a)phi(b)."""
-    a, b = phi.source, phi.target
-    lin = np.einsum("ijm,tm->tij", a.structure, phi.matrix)
-    quad = np.einsum("pqt,pi,qj->tij", b.structure, phi.matrix, phi.matrix)
-    return Cochain((a, a), b, lin - quad)
+    """The bilinear map (a, b) -> phi(ab) - phi(a)phi(b).
+
+    Built on the first call for each map (maps are immutable) and shared by
+    every later one, so its tensor is read-only.
+    """
+    return phi._defect
 
 
 def coboundary(phi: LinearMap, psi: Cochain) -> Cochain:

@@ -18,12 +18,35 @@ unfoldings and restart r > 0 draws its start point from the stream
 (seed, r, slot), so enlarging the restart budget never changes earlier
 restarts and never decreases the lower bound.  The restarts sweep together
 as one batch: every ball step acts row by row on stacked (restarts, dim)
-arrays, with one stacked SVD per spectral step, and each restart leaves the
-batch at its own stopping sweep, so the streams and the winner (the first
-restart to lead by more than ``TIE_TOL``) are those of restarts run one by
-one.  Each evaluation of the target gives the value's norm and its norming
-functional (the next sweep's dual) from one factorization,
-``norm_and_dual``, so a sweep makes one SVD per target evaluation.
+arrays, and each restart leaves the batch at its own stopping sweep, so the
+streams and the winner (the first restart to lead by more than ``TIE_TOL``)
+are those of restarts run one by one.  Each evaluation of the target gives
+the value's norm and its norming functional (the next sweep's dual) from one
+factorization, ``norm_and_dual``.
+
+A spectral step on M_k with k >= 3 is one stacked SVD.  On 2x2 realizations
+the steps are closed forms, element-wise over the rows.  For M with
+singular values s1 >= s2, F = |M|_F^2 and row Gram matrix
+M M^H = [[p, g], [conj g, r]]:
+
+* s1^2 = (p + r)/2 + hypot((p - r)/2, |g|) and the nuclear norm
+  s1 + s2 = sqrt(F + 2 |det M|) are sums of non-negative terms, so they
+  are accurate to a few ulps (the textbook
+  s1 = (sqrt(F + 2|det|) + sqrt(F - 2|det|)) / 2 cancels as s2 -> s1);
+* the polar factor is U = (M + (det/|det|) adj(M)^H) / (s1 + s2), as
+  (det/|det|) adj(M)^H = u diag(s2, s1) v^H; a singular M gets the partial
+  isometry M / s1.  A determinant phase rounded by an angle e gives
+  u diag(s1 + w s2, s2 + w s1) v^H / (s1 + s2) with w = exp(i e), still a
+  contraction, whose value is lower by at most 4 s2: below rounding
+  wherever det is so small against F that its phase is unreliable;
+* the top singular pair is u1 v1^H = P M / s1 with P = (I + N)/2 the top
+  eigenprojector of M M^H, N = [[p - r, 2g], [2 conj g, r - p]] / (2 hypot).
+  N has entries of modulus at most 1, so P is rounded by a few ulps in
+  absolute terms, which moves <u1 v1^H, M> and its dual norm by a few ulps
+  relative however close s2 is to s1 (at s2 = s1, P = I/2 is exact).
+
+Rows whose squares would under- or overflow are first scaled by an exact
+power of two (``_in_safe_range``).
 """
 
 from __future__ import annotations
@@ -62,7 +85,9 @@ class DefectEstimate:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lower > self.upper * (1.0 + 1e-9) + 1e-12:
+        # relative slack for rounding; the absolute slack covers only
+        # subnormal rounding, so the guard holds at every scale
+        if self.lower > self.upper * (1.0 + 1e-9) + _TINY:
             raise FalsificationGuard(self.lower, self.upper)
         self.upper = max(self.upper, self.lower)
 
@@ -148,6 +173,97 @@ def _l2_norm(c: np.ndarray, axis):
 def _l2_step(c: np.ndarray):
     value = _l2_norm(c, -1)
     return value, _conj_phase(c, value[..., None])
+
+
+# -- closed-form 2x2 spectral steps ----------------------------------------------
+#
+# The formulas are in the module docstring; a 2x2 matrix is held as its
+# row-major entries (..., 4).  Squares under- and overflow far inside the
+# float range.  A batch whose entries all have modulus at most 2^100 and
+# whose rows all have F >= 2^-200 is computed as it is; otherwise the rows
+# whose largest entry modulus leaves [2^-100, 2^100] are multiplied by the
+# power of two that brings it into [1/2, 1) (exact; rows of subnormals stop
+# at a factor of 2^1020, which leaves it above 2^-54), their results are
+# scaled back with ``ldexp``, and the other rows keep their bits.  Either
+# way F >= 2^-200, so a divisor (|det|, or the hypot of the Gram form) below
+# the smallest normal float belongs to a negligible s2, or to a negligible
+# gap s1^2 - s2^2; it is raised to that float, which keeps the polar factor
+# a contraction and the projector's trace at 1.
+
+_LOW_ENTRY = 2.0**-100
+_HIGH_ENTRY = 2.0**100
+_LOW_SQUARE = 2.0**-200
+_EXP_CLIP = 1020
+_ADJUGATE_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
+_IDENTITY_2X2 = np.array([1.0, 0.0, 0.0, 1.0])
+
+
+def _in_safe_range(kernel, e: np.ndarray):
+    """``kernel(e, |e|)`` -> (F, value, *rest), ``value`` of degree 1 in the
+    entries and ``rest`` of degree 0; returns [value, *rest], computing the
+    rows out of the safe range after an exact scaling."""
+    mags = np.abs(e)
+    if mags.max() <= _HIGH_ENTRY:
+        f, *out = kernel(e, mags)
+        if f.min() >= _LOW_SQUARE:
+            return out
+    big = mags.max(axis=-1)
+    exp = np.where((big >= _LOW_ENTRY) & (big <= _HIGH_ENTRY), 0,
+                   np.clip(np.frexp(big)[1], -_EXP_CLIP, _EXP_CLIP))
+    scale = np.ldexp(1.0, -exp)[..., None]
+    _, value, *rest = kernel(e * scale, mags * scale)
+    return [np.ldexp(value, exp), *rest]
+
+
+def _gram_2x2(e: np.ndarray, mags: np.ndarray):
+    """F, (p - r)/2, g and hypot((p - r)/2, |g|) of the row Gram matrix,
+    and s1."""
+    sq = mags * mags
+    pr = sq[..., 0::2] + sq[..., 1::2]
+    p, r = pr[..., 0], pr[..., 1]
+    gc = e[..., :2] * np.conj(e[..., 2:])
+    g = gc[..., 0] + gc[..., 1]
+    half = 0.5 * (p - r)
+    h = np.hypot(half, np.abs(g))
+    f = p + r
+    return f, half, g, h, np.sqrt(0.5 * f + h)
+
+
+def _top_2x2(e: np.ndarray, mags: np.ndarray):
+    """F and the largest singular value of each row's matrix."""
+    f, _, _, _, top = _gram_2x2(e, mags)
+    return f, top
+
+
+def _polar_2x2(e: np.ndarray, mags: np.ndarray):
+    """F, the nuclear norm and the adjoint polar factor U^H (row-major) of
+    each row's matrix: tr(M U^H) is the nuclear norm and ||U^H|| <= 1.  A
+    zero row gets the identity."""
+    f = (mags * mags).sum(axis=-1)
+    det = e[..., 0] * e[..., 3] - e[..., 1] * e[..., 2]
+    size = np.abs(det)
+    nuclear = np.sqrt(f + 2.0 * size)
+    phase = np.conj(det) / np.maximum(size, _TINY)
+    transpose = np.swapaxes(e.reshape(e.shape[:-1] + (2, 2)), -1, -2).reshape(e.shape)
+    # M^H + phase adj(M); reversed, M^T is [d, b, c, a]
+    polar = np.conj(transpose) + phase[..., None] * (transpose[..., ::-1] * _ADJUGATE_SIGN)
+    polar /= np.maximum(nuclear, _TINY)[..., None]
+    if not nuclear.all():
+        polar = np.where((nuclear == 0)[..., None], _IDENTITY_2X2, polar)
+    return f, nuclear, polar
+
+
+def _top_pair_2x2(e: np.ndarray, mags: np.ndarray):
+    """F, s1 and conj(u1 v1^H) (row-major) of each row's matrix; 0 for a
+    zero row."""
+    f, half, g, h, top = _gram_2x2(e, mags)
+    # P = (I + N)/2 with N = [[x, y], [conj y, -x]]
+    h = np.maximum(h, _TINY)
+    x = (half / h)[..., None]
+    y = (g / h)[..., None]
+    rows = e[..., :2], e[..., 2:]
+    pm = np.concatenate([(1.0 + x) * rows[0] + y * rows[1], np.conj(y) * rows[0] + (1.0 - x) * rows[1]], axis=-1)
+    return f, top, np.conj(pm) / (2.0 * np.maximum(top, _TINY))[..., None]
 
 
 class EuclideanBall:
@@ -238,6 +354,10 @@ class SpectralBall:
     sweep accepts such steps only when they improve, so it stays monotone,
     the witness stays feasible and the reported lower bound remains
     certified.
+
+    For k = 2, ``maximize``, ``norm`` and ``norm_and_dual`` take the closed
+    forms of the 2x2 steps instead of LAPACK; for k >= 3 each call is one
+    stacked SVD.
     """
 
     def __init__(self, realization: np.ndarray):
@@ -270,16 +390,25 @@ class SpectralBall:
             n = self.norm(x)
             x = _divide(x, np.expand_dims(n, -1))
             return np.abs(np.sum(c * x, axis=-1)), x
-        m = (c @ self._adjoints).reshape(c.shape[:-1] + (self.k, self.k))
-        u, sing, vh = np.linalg.svd(m)
+        m = c @ self._adjoints
+        if self.k == 2:
+            nuclear, polar = _in_safe_range(_polar_2x2, m)
+            return nuclear, polar @ self._conj_flat_t
+        u, sing, vh = np.linalg.svd(m.reshape(c.shape[:-1] + (self.k, self.k)))
         polar = np.conj(np.swapaxes(u @ vh, -1, -2))
         return sing.sum(axis=-1), self._coords_of(polar)
 
     def norm(self, coords: np.ndarray):
-        top = np.linalg.svd(self._matrices(coords), compute_uv=False)[..., 0]
+        if self.k == 2:
+            top = _in_safe_range(_top_2x2, coords @ self._flat)[0]
+        else:
+            top = np.linalg.svd(self._matrices(coords), compute_uv=False)[..., 0]
         return float(top) if coords.ndim == 1 else top
 
     def norm_and_dual(self, z: np.ndarray):
+        if self.k == 2:
+            top, pair = _in_safe_range(_top_pair_2x2, z @ self._flat)
+            return top, pair @ self._flat.T
         mats = self._matrices(z)
         u, sing, vh = np.linalg.svd(mats)
         # coordinates of the functional x -> <p, x q> of the top singular pair

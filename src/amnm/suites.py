@@ -35,6 +35,7 @@ from .multilinear import (
     linear_map_norm,
     multilinear_norm,
     restrict_first,
+    unit_killing_perturbation,
 )
 from .normest import ball_for
 from .perturbation import (
@@ -157,19 +158,6 @@ def _m2_diagonal_cert(mode: str):
 
 def random_map(a: Algebra, b: Algebra, rng, scale: float = 1.0) -> LinearMap:
     return LinearMap(a, b, scale * complex_gaussian(rng, (b.dim, a.dim)))
-
-
-def unit_killing_perturbation(a: Algebra, rng, scale: float) -> np.ndarray:
-    """Coefficient matrix gamma with gamma(1_A) = 0 and top singular value
-    exactly ``scale``; the zero matrix when ``scale`` or the projected draw
-    is zero."""
-    gamma = complex_gaussian(rng, (a.dim, a.dim))
-    unit = a.unit_coords
-    gamma = gamma - np.outer(gamma @ unit, unit.conj()) / np.vdot(unit, unit)
-    top = np.linalg.svd(gamma, compute_uv=False)[0]
-    if scale == 0 or top == 0:
-        return np.zeros_like(gamma)
-    return gamma / top * scale
 
 
 def random_tensor_rep(d: Algebra, rng, pairs: int = 2) -> TensorRep:

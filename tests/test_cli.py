@@ -164,6 +164,31 @@ def test_clones_command(capsys):
     assert doc["projections"]["rank_ok"]
 
 
+def test_suite_and_tsirelson_load_only_in_their_commands(tmp_path):
+    # stabilize and defect processes never import the suite or Tsirelson
+    # modules; the commands that need them import them and keep their exit codes
+    cfg = write_config(tmp_path, instances=1)
+    script = f"""
+import sys
+import amnm.cli
+from amnm.cli import main
+assert not {{"amnm.suites", "amnm.tsirelson", "amnm.perturbation"}} & set(sys.modules), sorted(sys.modules)
+codes = [
+    main(["tsirelson", "--vector", "[0,1,1,1]"]),
+    main(["tsirelson", "--vector", "[1,2"]),
+    main(["clones", "--word", "0110", "--word", "1010", "--n", "10", "--horizon", "20"]),
+    main(["clones", "--word", "0x2", "--n", "5", "--horizon", "5"]),
+    main(["suite", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "r")!r}]),
+]
+print("codes", codes)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "codes [0, 2, 0, 2, 0]"
+
+
 def test_malformed_vector_exit_two(tmp_path):
     assert main(["tsirelson", "--vector", "[1,2"]) == 2
     assert main(["clones", "--n", "5"]) == 2

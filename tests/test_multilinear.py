@@ -50,6 +50,25 @@ def test_defect_cochain_matches_brute_evaluation():
             assert np.allclose(chain.tensor[:, i, j], direct)
 
 
+def test_maps_are_immutable_and_build_one_defect_cochain():
+    m2 = build_full_matrix_algebra(2)
+    source = complex_gaussian(stream(24, 0), (4, 4))
+    phi = LinearMap(m2, m2, source)
+    source[0, 0] = 0.0  # the map holds its own copy
+    assert phi.matrix[0, 0] != 0.0
+    with pytest.raises(ValueError):
+        phi.matrix[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        phi.matrix = np.eye(4)
+    chain = defect_cochain(phi)
+    assert defect_cochain(phi) is chain
+    with pytest.raises(ValueError):
+        chain.tensor[0, 0, 0] = 0.0
+    # a new map with the same matrix gets its own cochain with the same tensor
+    twin = defect_cochain(LinearMap(m2, m2, phi.matrix))
+    assert twin is not chain and np.array_equal(twin.tensor, chain.tensor)
+
+
 def test_coboundary_degree_one_formula():
     m2 = build_full_matrix_algebra(2)
     phi = random_map(m2, m2, 22)

@@ -16,6 +16,7 @@ from amnm.normest import (
     BoxBall,
     CompositeSumBall,
     EuclideanBall,
+    FalsificationGuard,
     SpectralBall,
     _svd_start,
     ball_for,
@@ -207,6 +208,9 @@ def test_spectral_ball_exact_iff_adjoint_closed(name):
 def test_inverted_interval_is_a_falsification():
     with pytest.raises(FalsificationError):
         DefectEstimate(2.0, 1.0)
+    # the guard is relative: an inverted interval at tiny scale is caught too
+    with pytest.raises(FalsificationGuard):
+        DefectEstimate(5e-13, 1e-20)
 
 
 def test_box_ball_linear_functional():
@@ -405,13 +409,7 @@ def test_ball_steps_stay_finite_on_subnormal_functionals(name):
     assert np.all(ball.norm(points) <= 1.0 + 1e-9)
 
 
-def test_svd_calls_do_not_scale_with_restarts(monkeypatch):
-    # all restarts share each stacked SVD: per sweep one step per slot and one
-    # target evaluation, which gives the value's norm and the next sweep's
-    # dual functional; the random starts of a slot are normed by one stacked
-    # SVD, and the slot factors are computed once per ball
-    m2 = build_full_matrix_algebra(2)
-    phi = LinearMap(m2, m2, np.eye(4) + 0.1 * complex_gaussian(stream(44, 0), (4, 4)))
+def _count_svd_calls(monkeypatch):
     svd, calls = np.linalg.svd, []
 
     def counting_svd(*args, **kwargs):
@@ -419,11 +417,37 @@ def test_svd_calls_do_not_scale_with_restarts(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+def test_svd_calls_do_not_scale_with_restarts(monkeypatch):
+    # on M_k, k >= 3, all restarts share each stacked SVD: per sweep one step
+    # per slot and one target evaluation, which gives the value's norm and
+    # the next sweep's dual functional; the random starts of a slot are normed
+    # by one stacked SVD, and the slot factors are computed once per ball
+    m3 = build_full_matrix_algebra(3)
+    phi = LinearMap(m3, m3, np.eye(9) + 0.1 * complex_gaussian(stream(44, 1), (9, 9)))
+    calls = _count_svd_calls(monkeypatch)
     sweeps, slots = 60, 2
     for restarts in (4, 32):
         calls.clear()
         defect(phi, restarts=restarts, sweeps=sweeps, seed=1)
         assert len(calls) <= (slots + 1) * sweeps + 16, (restarts, len(calls))
+
+
+def test_m2_spectral_steps_make_no_svd_per_sweep(monkeypatch):
+    # on M_2 the steps are closed forms: only the unfolding bound and the
+    # start from the unfoldings' singular vectors call the SVD
+    m2 = build_full_matrix_algebra(2)
+    phi = LinearMap(m2, m2, np.eye(4) + 0.1 * complex_gaussian(stream(44, 0), (4, 4)))
+    defect(phi, restarts=2, sweeps=2, seed=1)  # the slot factors, once per ball
+    calls = _count_svd_calls(monkeypatch)
+    counts = []
+    for restarts, sweeps in ((4, 5), (4, 60), (32, 60)):
+        calls.clear()
+        defect(phi, restarts=restarts, sweeps=sweeps, seed=1)
+        counts.append(len(calls))
+    assert counts == [3 + 2] * 3, counts
 
 
 # -- the fused target step and shared balls -------------------------------------------
@@ -504,3 +528,49 @@ def test_spectral_coords_factor_is_sqrt_of_span_rank():
         np.linalg.svd(np.moveaxis(tensor, a, 0).reshape(4, -1), compute_uv=False)[0] for a in range(3)
     )
     assert est.upper == pytest.approx(2.0 * unfolding, rel=1e-12)
+
+
+# -- closed-form 2x2 spectral steps against LAPACK -------------------------------------
+
+
+def _two_by_two_cases():
+    rng = stream(49, 0)
+    mats = complex_gaussian(rng, (64, 2, 2))
+    u, _, vh = np.linalg.svd(mats)
+    left = complex_gaussian(rng, (16, 2, 1))
+    cases = {
+        "random": mats,
+        "unitary-multiples": 10.0 ** np.linspace(-3, 3, 64)[:, None, None] * (u @ vh),
+        "nearly-equal-singular-values": u @ (np.array([1.0, 1.0 - 1e-9])[:, None] * vh),
+        "ill-conditioned": u @ (np.array([1.0, 1e-7])[:, None] * vh),
+        "rank-one": left @ np.conj(np.swapaxes(complex_gaussian(rng, (16, 2, 1)), 1, 2)),
+        "zero": np.zeros((2, 2, 2), dtype=complex),
+    }
+    for scale in (1e-310, 1e-200, 1e200):
+        cases[f"scaled-{scale:g}"] = scale * mats[:16]
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_two_by_two_cases()))
+def test_two_by_two_spectral_steps_match_lapack(name):
+    mats = _two_by_two_cases()[name]
+    m2 = build_full_matrix_algebra(2)
+    ball, real = m2.unit_ball, m2.realization
+    sing = np.linalg.svd(mats, compute_uv=False)
+    # subnormal results are rounded to multiples of the smallest subnormal
+    grid = 8 * np.finfo(float).smallest_subnormal
+    # norm: the matrix of coordinates z is sum_i z_i R_i
+    coords = np.einsum("kab,rab->rk", np.conj(real), mats)
+    assert np.all(np.abs(ball.norm(coords) - sing[:, 0]) <= 1e-15 * sing[:, 0] + grid)
+    # maximize: the functional c has matrix sum_i c_i R_i^H = mats
+    c = np.einsum("kab,rba->rk", real, mats)
+    nuclear = sing.sum(axis=-1)
+    value, x = ball.maximize(c)
+    assert np.all(np.abs(value - nuclear) <= 1e-14 * nuclear + grid)
+    assert np.all(np.linalg.svd(np.tensordot(x, real, axes=(1, 0)), compute_uv=False)[:, 0] <= 1 + 1e-12)
+    assert np.all(np.abs(np.sum(c * x, axis=-1) - nuclear) <= 1e-14 * nuclear + grid)
+    # norm_and_dual: the top singular value and a functional that norms the row
+    top, dual = ball.norm_and_dual(coords)
+    assert np.array_equal(top, ball.norm(coords))
+    assert np.all(np.abs(np.sum(dual * coords, axis=-1) - top) <= 1e-14 * top + grid)
+    assert np.all(ball.maximize(dual)[0] <= 1 + 1e-12)
