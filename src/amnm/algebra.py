@@ -28,7 +28,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .normest import CompositeSumBall, EuclideanBall, SpectralBall
+from .normest import BoxBall, CompositeSumBall, EuclideanBall, SpectralBall
 from .rng import complex_gaussian, stream
 
 ASSOC_TOL = 1e-9
@@ -64,7 +64,6 @@ class Algebra:
         realization=None,
         kind: dict | None = None,
         base: "Algebra | None" = None,
-        check: bool = True,
     ):
         structure = _frozen(structure)
         if structure.ndim != 3 or len(set(structure.shape)) != 1:
@@ -83,14 +82,15 @@ class Algebra:
             raise ConfigError("spectral mode requires a matrix realization")
         if norm_mode == "unitization-composite" and base is None:
             raise ConfigError("unitization-composite mode requires a base algebra")
-        if check:
-            self._check_invariants()
+        self._check_invariants()
 
     # -- construction-time invariants -------------------------------------
 
     def _check_invariants(self) -> None:
         c = self.structure
         d = self.dim
+        if d == 0:
+            return  # every invariant holds vacuously in the zero algebra
         # (e_i e_j) e_k less e_i (e_j e_k), indexed [(i, j), (k, l)]; in place,
         # since at d = 20 each d^4 array takes 2.5 MB
         gap = c.reshape(d * d, d) @ c.reshape(d, d * d)
@@ -138,16 +138,22 @@ class Algebra:
 
     @cached_property
     def unit_ball(self):
-        """Unit ball of the norm mode (see ``amnm.normest``).
-
-        Built from the norm mode, realization and base only, so it is ready
-        for the construction-time checks.
+        """The unit ball of the norm, for slots and values alike (see
+        ``amnm.normest``): Euclidean in frobenius mode, the composite over the
+        base's ball for a unitization, the box in the ``idempotent_frame`` of
+        an adjoint-closed spectral span short of M_k that has one (its
+        idempotents are then orthogonal projections, so the box norm is the
+        spectral norm), else the ``SpectralBall``.  The construction checks
+        read it, so it reads only the structure, realization and base.
         """
-        if self.norm_mode == "spectral":
-            return SpectralBall(self.realization)
         if self.norm_mode == "frobenius":
             return EuclideanBall(self.dim)
-        return CompositeSumBall(self.base.unit_ball)
+        if self.norm_mode == "unitization-composite":
+            return CompositeSumBall(self.base.unit_ball)
+        ball = SpectralBall(self.realization)
+        if ball.exact and ball.dim < ball.k * ball.k and self.idempotent_frame is not None:
+            return BoxBall(self.idempotent_frame)
+        return ball
 
     @cached_property
     def idempotent_frame(self) -> np.ndarray | None:
@@ -158,8 +164,9 @@ class Algebra:
         commutative semisimple algebra has simple multiplication spectrum, and
         the normalized eigenvectors of its multiplication operator are the
         component idempotents.  None when the algebra is not unital and
-        commutative, or when recovery fails.  Both the box slot ball and the
-        library diagonal ``sum p_i (x) p_i`` read this one frame.
+        commutative, or when recovery fails.  Both the box unit ball and the
+        library diagonal ``sum p_i (x) p_i`` read this one frame, so it reads
+        only the structure constants and the unit, never ``unit_ball``.
         """
         d = self.dim
         if not self.is_unital or not _is_commutative(self):

@@ -36,7 +36,6 @@ from .normest import (
     DEFAULT_SWEEPS,
     DefectEstimate,
     EuclideanBall,
-    ball_for,
     estimate_tensor_norm,
 )
 from .rng import complex_gaussian
@@ -236,7 +235,7 @@ def multilinear_norm(
     """
     if psi.arity > 2:
         raise DomainError("norm estimation supports arities 1 and 2 only")
-    balls = [ball_for(s) for s in psi.slots]
+    balls = [s.unit_ball for s in psi.slots]
     target = psi.target.unit_ball
     if psi.arity == 1 and all(isinstance(b, EuclideanBall) for b in balls + [target]):
         mat = psi.tensor

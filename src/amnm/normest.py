@@ -1,14 +1,18 @@
 """Certified estimation of multilinear operator norms.
 
-Norms are reported as intervals [lower, upper]:
+Each algebra has one unit ball, ``Algebra.unit_ball`` (Euclidean, spectral,
+a box in minimal idempotents or a composite), which an estimate reads for its
+slots and its target norm alike.  Norms are reported as intervals
+[lower, upper]:
 
 * ``lower`` is the value achieved by an explicit witness in the unit balls,
   found by alternating maximization.  Each partial step maximizes a linear
   functional over one slot's unit ball in closed form (a singular-vector
-  step on Euclidean balls, the polar factor of the gradient functional on
-  spectral balls).  The polar step is exact on every realization whose span
-  is closed under adjoints (a *-subalgebra of M_k, unital or not); other
-  spans take improving steps over the inscribed Euclidean ball.
+  step on Euclidean balls, a phase per idempotent on boxes, the polar factor
+  of the gradient functional on spectral balls).  The polar step is exact on
+  every realization whose span is closed under adjoints (a *-subalgebra of
+  M_k, unital or not); other spans take improving steps over the inscribed
+  Euclidean ball.
 * ``upper`` is the smallest spectral norm over the tensor unfoldings,
   converted between norms by the per-slot equivalence factors (for a
   spectral slot, the square root of the largest rank in its span).
@@ -53,16 +57,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, FalsificationError
 from .jsonio import complex_to_json
 from .rng import complex_gaussian, stream
-
-if TYPE_CHECKING:
-    from .algebra import Algebra
 
 DEFAULT_RESTARTS = 32
 DEFAULT_SWEEPS = 200
@@ -108,14 +108,13 @@ class FalsificationGuard(FalsificationError):
 
 # -- unit balls ----------------------------------------------------------------
 #
-# Every ball has ``norm``, ``maximize`` (the best value of a linear functional
-# over the ball and a maximizer), ``coords_factor`` (the l2 radius of the ball
-# in coordinates) and ``random_points`` (one start point per generator,
-# stacked).  The balls of the three norm modes
-# (Euclidean, Spectral, CompositeSum over a mode ball) are each algebra's
-# ``unit_ball`` and the target norm of every estimate, so they also have
-# ``norm_and_dual`` (the norm and a norming functional, from one
-# factorization) and ``target_factor`` (norm <= factor * l2).  ``norm``,
+# Every ball is some algebra's ``unit_ball``, which serves both as a slot
+# ball and as the target norm of an estimate.  Each has ``norm``,
+# ``maximize`` (the best value of a linear functional over the ball and a
+# maximizer), ``norm_and_dual`` (the norm and a norming functional of dual
+# norm 1, from one factorization), ``coords_factor`` (the l2 radius of the
+# ball in coordinates), ``target_factor`` (norm <= factor * l2) and
+# ``random_points`` (one start point per generator, stacked).  ``norm``,
 # ``maximize`` and ``norm_and_dual`` act row by row on vectors stacked over
 # leading axes; a single vector is one row.  Balls are cached per algebra and
 # shared, so their arrays are read-only.
@@ -302,8 +301,10 @@ class BoxBall:
     """Sup-norm ball in a frame of orthogonal self-adjoint idempotents.
 
     Elements x = sum_i t_i p_i with max |t_i| <= 1; columns of ``frame`` are
-    the idempotent coordinates.  Covers C^k with the spectral (sup) norm and
-    commutative spectral subalgebras via their minimal idempotents.
+    the idempotent coordinates.  The unit ball of C^k and of every other
+    commutative, adjoint-closed spectral span short of M_k: its minimal
+    idempotents are orthogonal projections, so max |t_i| is the spectral
+    norm, which is at most the Frobenius norm, i.e. the coordinate l2 norm.
     """
 
     exact = True
@@ -322,10 +323,22 @@ class BoxBall:
         top = np.abs(coords @ self._inv.T).max(axis=-1)
         return float(top) if coords.ndim == 1 else top
 
+    def norm_and_dual(self, z: np.ndarray):
+        # the largest |t_i|, normed by the phased row i of the frame's inverse,
+        # a functional of dual norm 1 over the box
+        t = z @ self._inv.T
+        mag = np.abs(t)
+        i = mag.argmax(axis=-1)[..., None]
+        top = np.take_along_axis(mag, i, -1)
+        return top[..., 0], _conj_phase(np.take_along_axis(t, i, -1), top) * self._inv[i[..., 0]]
+
     def coords_factor(self) -> float:
         per_col = np.linalg.norm(self.frame, axis=0).sum()
         sigma = np.linalg.svd(self.frame, compute_uv=False)[0] * np.sqrt(self.frame.shape[1])
         return float(min(per_col, sigma))
+
+    def target_factor(self) -> float:
+        return 1.0  # box norm = spectral norm <= Frobenius norm = coordinate norm
 
     def random_points(self, rngs) -> np.ndarray:
         return np.stack([self._random_point(rng) for rng in rngs])
@@ -497,36 +510,6 @@ class CompositeSumBall:
         coords[:, 0] = [ti * p for ti, p in zip(t, phase)]
         coords[:, 1:] = (1.0 - np.array(t))[:, None] * self.base.random_points(rngs)
         return coords
-
-
-def ball_for(algebra: Algebra):
-    """Unit-ball optimizer for a slot in ``algebra`` (cached).
-
-    The algebra's ``unit_ball``, with two exceptions: a unitization takes the
-    composite ball over its base's slot ball, and a spectral algebra with
-    exact steps whose realization does not span M_k takes the cheaper box
-    in the algebra's ``idempotent_frame`` when it has one, i.e. when it is
-    commutative (the idempotents are self-adjoint, since the span is
-    adjoint-closed).  Spans that are not adjoint-closed keep the
-    inscribed-Euclidean steps of their ``SpectralBall``.
-    """
-    cached = algebra._cache.get("ball")
-    if cached is not None:
-        return cached
-    ball = _build_ball(algebra)
-    algebra._cache["ball"] = ball
-    return ball
-
-
-def _build_ball(algebra: Algebra):
-    if algebra.norm_mode == "unitization-composite":
-        return CompositeSumBall(ball_for(algebra.base))
-    ball = algebra.unit_ball
-    if isinstance(ball, SpectralBall) and ball.exact and ball.dim < ball.k * ball.k:
-        frame = algebra.idempotent_frame
-        if frame is not None:
-            return BoxBall(frame)
-    return ball
 
 
 # -- the estimator ----------------------------------------------------------------

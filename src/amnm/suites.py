@@ -37,7 +37,6 @@ from .multilinear import (
     restrict_first,
     unit_killing_perturbation,
 )
-from .normest import ball_for
 from .perturbation import (
     absorption_check,
     clone_constant,
@@ -400,7 +399,7 @@ def check_relative_perturbed(mode: str, seed: int) -> CheckResult:
 
 
 def _sampled_lower_arity3(chain: Cochain, seed: int, samples: int = 40) -> float:
-    balls = [ball_for(s) for s in chain.slots]
+    balls = [s.unit_ball for s in chain.slots]
     target = chain.target.unit_ball
     best = 0.0
     rng = stream(seed, 9)

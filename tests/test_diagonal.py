@@ -22,7 +22,7 @@ from amnm.diagonal import (
 from amnm.cli import _scenario
 from amnm.errors import PreconditionError
 from amnm.multilinear import Cochain, LinearMap, defect_cochain, identity_map
-from amnm.normest import ball_for
+from amnm.normest import BoxBall, SpectralBall
 from amnm.rng import complex_gaussian, stream
 
 
@@ -146,7 +146,13 @@ def test_one_frame_serves_the_ball_and_the_diagonal(mode):
         with pytest.raises(ValueError):
             frame[0, 0] = 0.0
         if mode == "spectral":
-            assert np.array_equal(ball_for(d).frame, frame)
+            # the box is the spectral ball on the diagonal, at a cheaper step
+            box = d.unit_ball
+            assert isinstance(box, BoxBall) and np.array_equal(box.frame, frame)
+            points = complex_gaussian(stream(131, k), (50, d.dim))
+            spectral = SpectralBall(d.realization)
+            np.testing.assert_allclose(box.norm(points), spectral.norm(points), rtol=1e-14)
+            np.testing.assert_allclose(box.norm_and_dual(points)[0], spectral.norm_and_dual(points)[0], rtol=1e-14)
         legs = np.array([c for c, _ in cert.rep.pairs]).T
         assert np.array_equal(legs, frame)
         assert all(np.array_equal(c, dd) for c, dd in cert.rep.pairs)

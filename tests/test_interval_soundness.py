@@ -18,7 +18,6 @@ from amnm.algebra import (
     unitize,
 )
 from amnm.multilinear import Cochain, LinearMap, defect, linear_map_norm, multilinear_norm
-from amnm.normest import ball_for
 from amnm.rng import complex_gaussian, stream
 from amnm.stabilizer import StabilizeConfig, stabilize
 from amnm.diagonal import library_diagonal
@@ -48,6 +47,7 @@ def _slot_pairs():
         ((cm2, cm2), cm2),
         ((corner, corner), corner),
         ((t2, t2), t2),
+        ((c3, c3), c3),
     ]
 
 
@@ -55,7 +55,7 @@ def test_witness_and_sampling_respect_the_interval():
     rng = stream(91, 0)
     for slots, target_alg in _slot_pairs():
         target = target_alg.unit_ball
-        balls = [ball_for(s) for s in slots]
+        balls = [s.unit_ball for s in slots]
         for trial in range(4):
             tensor = complex_gaussian(rng, (target_alg.dim,) + tuple(s.dim for s in slots))
             chain = Cochain(slots, target_alg, tensor)

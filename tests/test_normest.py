@@ -19,7 +19,6 @@ from amnm.normest import (
     FalsificationGuard,
     SpectralBall,
     _svd_start,
-    ball_for,
     estimate_tensor_norm,
 )
 from amnm.rng import complex_gaussian, stream
@@ -156,21 +155,30 @@ def test_conjugation_norm_against_sampling_oracle():
 
 def test_ball_types_recognized():
     m2 = build_full_matrix_algebra(2)
-    assert isinstance(ball_for(m2), SpectralBall)
+    assert isinstance(m2.unit_ball, SpectralBall)
     c3 = build_commutative_algebra(3)
-    assert isinstance(ball_for(c3), BoxBall)
+    assert isinstance(c3.unit_ball, BoxBall)
     d, _ = generated_subalgebra(m2, [m2.basis_element(0)], unital=True)
-    assert isinstance(ball_for(d), BoxBall)  # minimal idempotents recovered
+    assert isinstance(d.unit_ball, BoxBall)  # minimal idempotents recovered
     u = unitize(m2)
-    assert isinstance(ball_for(u), CompositeSumBall)
+    assert isinstance(u.unit_ball, CompositeSumBall)
     m3 = build_full_matrix_algebra(3)
     e = m3.basis_element
     cm2, _ = generated_subalgebra(m3, [e(0), e(4) + e(8), e(5), e(7)], unital=True)
-    ball = ball_for(cm2)  # C + M_2: adjoint-closed, so polar steps are exact
+    ball = cm2.unit_ball  # C + M_2: adjoint-closed, so polar steps are exact
     assert isinstance(ball, SpectralBall) and ball.exact is True
     t2, _ = generated_subalgebra(m2, [m2.basis_element(0), m2.basis_element(1)], unital=True)
-    ball = ball_for(t2)  # upper-triangular: the inscribed fallback
+    ball = t2.unit_ball  # upper-triangular: the inscribed fallback
     assert isinstance(ball, SpectralBall) and ball.exact is False
+    # span{1, N}, N = [[1, 1], [0, 2]]: commutative with a frame, but not
+    # adjoint-closed, so its idempotents have spectral norm sqrt(2), not 1
+    n = m2.element([1.0, 1.0, 0.0, 2.0])
+    sn, _ = generated_subalgebra(m2, [n], unital=True)
+    ball = sn.unit_ball
+    assert isinstance(ball, SpectralBall) and ball.exact is False
+    assert sn.idempotent_frame is not None
+    for p in sn.idempotent_frame.T:
+        assert sn.element_norm(p) == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
 def _exactness_cases():
@@ -215,7 +223,7 @@ def test_inverted_interval_is_a_falsification():
 
 def test_box_ball_linear_functional():
     c3 = build_commutative_algebra(3)
-    ball = ball_for(c3)
+    ball = c3.unit_ball
     c = np.array([1.0, -2.0, 3.0j])
     value, x = ball.maximize(c)
     assert value == pytest.approx(6.0)
@@ -225,7 +233,7 @@ def test_box_ball_linear_functional():
 
 def test_spectral_ball_polar_maximizer():
     m2 = build_full_matrix_algebra(2)
-    ball = ball_for(m2)
+    ball = m2.unit_ball
     rng = stream(36, 0)
     c = complex_gaussian(rng, 4)
     value, x = ball.maximize(c)
@@ -344,8 +352,8 @@ def _ball_cases():
 @pytest.mark.parametrize("name", list(_ball_cases()))
 def test_batched_estimate_matches_per_restart_reference(name, arity):
     algebra = _ball_cases()[name]
-    ball, target = ball_for(algebra), algebra.unit_ball
-    balls = [ball] * arity
+    target = algebra.unit_ball
+    balls = [target] * arity
     rng = stream(41, arity)
     for restarts in (1, 2, 5, 16):
         tensor = complex_gaussian(rng, (algebra.dim,) * (arity + 1))
@@ -377,22 +385,19 @@ def test_batched_estimate_degenerate_inputs():
 
 @pytest.mark.parametrize("name", list(_ball_cases()))
 def test_ball_methods_act_row_by_row(name):
-    ball = ball_for(_ball_cases()[name])
+    ball = _ball_cases()[name].unit_ball
     rows = complex_gaussian(stream(43, 0), (6, ball.dim))
     rows[2] = 0.0  # a zero functional has every ball point as a maximizer
     values, points = ball.maximize(rows)
     norms = ball.norm(rows)
     assert values.shape == norms.shape == (6,) and points.shape == rows.shape
-    # norming functionals exist where the ball is a target: not over a box
-    targets = hasattr(getattr(ball, "base", ball), "norm_and_dual")
-    duals = ball.norm_and_dual(rows)[1] if targets else None
+    duals = ball.norm_and_dual(rows)[1]
     for i, row in enumerate(rows):
         value, point = ball.maximize(row)
         assert values[i] == pytest.approx(value, rel=1e-12, abs=1e-15)
         np.testing.assert_allclose(points[i], point, rtol=1e-12, atol=1e-14)
         assert norms[i] == pytest.approx(ball.norm(row), rel=1e-12, abs=1e-15)
-        if duals is not None:
-            np.testing.assert_allclose(duals[i], ball.norm_and_dual(row)[1], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(duals[i], ball.norm_and_dual(row)[1], rtol=1e-12, atol=1e-14)
     # stacked start points are bit-identical to points drawn one at a time
     starts = ball.random_points([stream(43, r) for r in range(1, 4)])
     for r, start in enumerate(starts, 1):
@@ -402,7 +407,7 @@ def test_ball_methods_act_row_by_row(name):
 @pytest.mark.parametrize("name", list(_ball_cases()))
 def test_ball_steps_stay_finite_on_subnormal_functionals(name):
     # complex division by a subnormal size overflows unless it is rescaled
-    ball = ball_for(_ball_cases()[name])
+    ball = _ball_cases()[name].unit_ball
     rows = 1e-310 * complex_gaussian(stream(46, 0), (3, ball.dim))
     values, points = ball.maximize(rows)
     assert np.all(np.isfinite(points)) and np.all(np.isfinite(values))
@@ -503,12 +508,11 @@ def test_cached_ball_arrays_refuse_writes():
     # balls are cached per algebra and shared by every estimate in the process
     algebras = list(_ball_cases().values()) + [a for a, _ in _exactness_cases().values()]
     for algebra in algebras:
-        for ball in (algebra.unit_ball, ball_for(algebra)):
-            arrays = list(_ball_arrays(ball))
-            assert arrays or isinstance(ball, EuclideanBall)
-            for array in arrays:
-                with pytest.raises(ValueError):
-                    array.flat[0] = 0.0
+        arrays = list(_ball_arrays(algebra.unit_ball))
+        assert arrays or isinstance(algebra.unit_ball, EuclideanBall)
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array.flat[0] = 0.0
 
 
 # -- rank-aware slot factors ----------------------------------------------------------

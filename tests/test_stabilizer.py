@@ -292,7 +292,7 @@ def test_ideal_decomposition_whole_algebra():
 def test_ideal_decomposition_zero_ideal():
     # J = 0 and e = 0: p = 0, phi = 0, the singular part is everything
     a = build_full_matrix_algebra(2)
-    zero_alg = Algebra(np.zeros((0, 0, 0)), None, "spectral", np.zeros((0, 2, 2)), check=False)
+    zero_alg = Algebra(np.zeros((0, 0, 0)), None, "spectral", np.zeros((0, 2, 2)))
     emb = Embedding(zero_alg, a, np.zeros((4, 0)))
     ideal = IdealData(emb, np.zeros(4))
     theta = LinearMap(a, a, complex_gaussian(stream(61, 0), (4, 4)))
