@@ -1,6 +1,13 @@
 """Numerical laboratory for stability of approximately multiplicative maps
 between finite-dimensional normed algebras."""
 
+import os
+
+# One BLAS thread per process unless the caller chose a number: commands run
+# their independent estimates on the other CPUs (``parallel.run_all``), and
+# OpenBLAS's idle threads would spin on those CPUs.  Set before numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .algebra import (
     Algebra,
     Element,

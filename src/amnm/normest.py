@@ -104,6 +104,11 @@ class DefectEstimate:
 class FalsificationGuard(FalsificationError):
     def __init__(self, lower, upper):
         super().__init__(f"certified lower {lower} exceeds certified upper {upper}")
+        self.lower, self.upper = lower, upper
+
+    def __reduce__(self):
+        # pickle re-creates an exception from its args, here only the message
+        return type(self), (self.lower, self.upper)
 
 
 # -- unit balls ----------------------------------------------------------------
@@ -333,6 +338,10 @@ class BoxBall:
         return top[..., 0], _conj_phase(np.take_along_axis(t, i, -1), top) * self._inv[i[..., 0]]
 
     def coords_factor(self) -> float:
+        return self._frame_factor
+
+    @cached_property
+    def _frame_factor(self) -> float:
         per_col = np.linalg.norm(self.frame, axis=0).sum()
         sigma = np.linalg.svd(self.frame, compute_uv=False)[0] * np.sqrt(self.frame.shape[1])
         return float(min(per_col, sigma))

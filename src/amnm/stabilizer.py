@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .diagonal import DiagonalCert, split
 from .errors import ConfigError, DomainError, FalsificationError, PreconditionError
 from .multilinear import DefectEstimate, LinearMap, defect, defect_cochain, linear_map_norm
 from .normest import DEFAULT_RESTARTS, DEFAULT_SWEEPS
+from .parallel import run_all
 
 UNIT_PRESERVE_TOL = 1e-9
 STRUCTURAL_ZERO_TOL = 1e-10
@@ -274,10 +276,19 @@ def stabilize(
         "amenability constant uses the representation bound; theorem_bound is an upper envelope",
     ]
 
-    dda0 = defect(phi, left=emb, restarts=config.restarts, sweeps=config.sweeps, seed=counter.next())
-    dad0 = defect(phi, right=emb, restarts=config.restarts, sweeps=config.sweeps, seed=counter.next())
+    # Each round of estimates runs in parallel (run_all).  A map's defect
+    # cochain is built before its round, so that helpers inherit it.  The
+    # norm of a near-identity map is the longest estimate (it runs to the
+    # sweep cap), so it goes first; the seeds keep the order of the report.
+    budget = {"restarts": config.restarts, "sweeps": config.sweeps}
+    defect_cochain(phi)
+    seeds = [counter.next() for _ in range(3)]
+    norm0, dda0, dad0 = run_all([
+        partial(linear_map_norm, phi, seed=seeds[2], **budget),
+        partial(defect, phi, left=emb, seed=seeds[0], **budget),
+        partial(defect, phi, right=emb, seed=seeds[1], **budget),
+    ])
     delta0 = max(dda0.upper, dad0.upper)
-    norm0 = linear_map_norm(phi, config.restarts, config.sweeps, seed=counter.next())
 
     frobenius_mode = phi.source.norm_mode == "frobenius" or phi.target.norm_mode == "frobenius"
     if frobenius_mode:
@@ -301,10 +312,14 @@ def stabilize(
     while not converged and n < config.max_iter:
         n += 1
         improved = improve(current, emb, cert)
-        step = linear_map_norm(improved - current, config.restarts, config.sweeps, seed=counter.next())
-        dda = defect(improved, left=emb, restarts=config.restarts, sweeps=config.sweeps, seed=counter.next())
-        ddd = defect(improved, left=emb, right=emb, restarts=config.restarts, sweeps=config.sweeps, seed=counter.next())
-        norm_n = linear_map_norm(improved, config.restarts, config.sweeps, seed=counter.next())
+        defect_cochain(improved)
+        seeds = [counter.next() for _ in range(4)]
+        norm_n, step, dda, ddd = run_all([
+            partial(linear_map_norm, improved, seed=seeds[3], **budget),
+            partial(linear_map_norm, improved - current, seed=seeds[0], **budget),
+            partial(defect, improved, left=emb, seed=seeds[1], **budget),
+            partial(defect, improved, left=emb, right=emb, seed=seeds[2], **budget),
+        ])
         claim_step = k_const * L * delta0 * 2.0 ** (-(n - 1))
         claim_defect = 3.0 * delta0 * 2.0 ** (-2 * n - 1)
         rec = IterateRecord(

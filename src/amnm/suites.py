@@ -11,7 +11,7 @@ bound assembled from certified uppers.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .perturbation import (
     orthogonal_family_scan,
     small_on_identity,
 )
+from .parallel import run_all
 from .rng import complex_gaussian, stream
 from .stabilizer import (
     IdealData,
@@ -767,7 +768,12 @@ def tsirelson_battery(seed: int) -> list[CheckResult]:
 
 
 def suite_rows(cfg) -> list[dict]:
-    """Every row of the suite for a run configuration, sorted by id."""
+    """Every row of the suite for a run configuration, sorted by id.
+
+    The rows come in independent blocks, costliest kinds first: one per
+    instance, per stabilize run and per checker seed, then the dichotomy
+    grid with the Tsirelson battery; ``run_all`` spreads them over the CPUs.
+    """
     mode = cfg.norm_mode
     n = cfg.instances
     exact_checks = [
@@ -781,26 +787,35 @@ def suite_rows(cfg) -> list[dict]:
     ]
     stabilize_config = replace(cfg.stabilize, restarts=min(cfg.stabilize.restarts, 16),
                                sweeps=min(cfg.stabilize.sweeps, 120))
-    rows = []
-    for i in range(n):
+
+    def instance_rows(i: int) -> list[dict]:
         seed = cfg.seed + i
-        rows += [fn(mode, seed).row(f"exact-{i:04d}-{fn.__name__}", seed) for fn in exact_checks]
+        rows = [fn(mode, seed).row(f"exact-{i:04d}-{fn.__name__}", seed) for fn in exact_checks]
         seed = cfg.seed + 3000 + i
         rows += [fn(mode, seed).row(f"nofalsify-{i:04d}-{fn.__name__}", seed) for fn in nofalsify_checks]
-        rows += [r.row(f"nofalsify-{i:04d}-improving-{j}", seed)
-                 for j, r in enumerate(check_improving_bounds(mode, seed))]
-    for i in range(max(1, n // 4)):
+        return rows + [r.row(f"nofalsify-{i:04d}-improving-{j}", seed)
+                       for j, r in enumerate(check_improving_bounds(mode, seed))]
+
+    def stabilize_rows(i: int) -> list[dict]:
         seed = cfg.seed + 6000 + i
         checks = run_stabilize_checks(mode, seed, cfg.gamma_norm, stabilize_config)
-        rows += [r.row(f"stabilize-{i:04d}-{j:02d}", seed) for j, r in enumerate(checks)]
-    for i in range(max(1, n // 2)):
+        return [r.row(f"stabilize-{i:04d}-{j:02d}", seed) for j, r in enumerate(checks)]
+
+    def checker_rows(i: int) -> list[dict]:
         seed = cfg.seed + 9000 + i
-        rows += [r.row(f"checkers-{i:04d}-{j:02d}", seed)
-                 for j, r in enumerate(checker_valid_battery(seed))]
-        rows += [r.row(f"refusals-{i:04d}-{j:02d}", seed)
-                 for j, r in enumerate(checker_refusal_battery(seed))]
-    rows.append(dichotomy_grid_check().row("dichotomy-grid-0000", cfg.seed))
-    rows += [r.row(f"tsirelson-0000-{j:02d}", cfg.seed)
-             for j, r in enumerate(tsirelson_battery(cfg.seed))]
+        rows = [r.row(f"checkers-{i:04d}-{j:02d}", seed)
+                for j, r in enumerate(checker_valid_battery(seed))]
+        return rows + [r.row(f"refusals-{i:04d}-{j:02d}", seed)
+                       for j, r in enumerate(checker_refusal_battery(seed))]
+
+    def tail_rows() -> list[dict]:
+        return [dichotomy_grid_check().row("dichotomy-grid-0000", cfg.seed)] + [
+            r.row(f"tsirelson-0000-{j:02d}", cfg.seed) for j, r in enumerate(tsirelson_battery(cfg.seed))]
+
+    blocks = [partial(instance_rows, i) for i in range(n)]
+    blocks += [partial(stabilize_rows, i) for i in range(max(1, n // 4))]
+    blocks += [partial(checker_rows, i) for i in range(max(1, n // 2))]
+    blocks.append(tail_rows)
+    rows = [row for block in run_all(blocks) for row in block]
     rows.sort(key=lambda r: r["id"])
     return rows

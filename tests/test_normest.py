@@ -578,3 +578,13 @@ def test_two_by_two_spectral_steps_match_lapack(name):
     assert np.array_equal(top, ball.norm(coords))
     assert np.all(np.abs(np.sum(dual * coords, axis=-1) - top) <= 1e-14 * top + grid)
     assert np.all(ball.maximize(dual)[0] <= 1 + 1e-12)
+
+
+def test_box_ball_factor_is_computed_once(monkeypatch):
+    ball = BoxBall(np.eye(3))
+    first = ball.coords_factor()
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    assert ball.coords_factor() == first
+    assert calls == []
