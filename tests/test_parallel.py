@@ -78,10 +78,6 @@ def test_exceptions_round_trip_through_pickle(exc):
     assert str(back) == str(exc)
 
 
-def test_guard_message_is_unchanged():
-    assert str(FalsificationGuard(2.5, 1.0)) == "certified lower 2.5 exceeds certified upper 1.0"
-
-
 def _meet(arrivals: Path, count: int = 2) -> None:
     """Wait until ``count`` units have arrived, so that they run at the same
     time, in as many processes."""
