@@ -167,6 +167,11 @@ class Algebra:
         commutative, or when recovery fails.  Both the box unit ball and the
         library diagonal ``sum p_i (x) p_i`` read this one frame, so it reads
         only the structure constants and the unit, never ``unit_ball``.
+
+        Each eigenvector v is scaled by lam = <v, v v> / <v, v>, one vector at
+        a time: the frame's entries reach reports, so they keep the rounding
+        of one ``vdot`` each.  The checks only decide, so idempotence and
+        orthogonality are read off one contraction of all frame pairs.
         """
         d = self.dim
         if not self.is_unital or not _is_commutative(self):
@@ -174,33 +179,17 @@ class Algebra:
         rng = stream(_FRAME_SEED, d)
         for _ in range(4):
             g = complex_gaussian(rng, d)
-            lmat = self.left_mult_matrix(g)
-            eigvals, eigvecs = np.linalg.eig(lmat)
+            eigvals, eigvecs = np.linalg.eig(self.left_mult_matrix(g))
             if np.min(np.abs(eigvals[:, None] - eigvals[None, :]) + np.eye(d)) < 1e-6:
                 continue  # spectrum not simple for this sample; retry
-            frame = np.zeros((d, d), dtype=complex)
-            ok = True
-            for i in range(d):
-                v = eigvecs[:, i]
-                w = self.multiply_coords(v, v)
-                denom = np.vdot(v, v)
-                lam = np.vdot(v, w) / denom
-                if abs(lam) < 1e-10:
-                    ok = False
-                    break
-                p = v / lam
-                if np.abs(self.multiply_coords(p, p) - p).max() > 1e-8:
-                    ok = False
-                    break
-                frame[:, i] = p
-            if not ok:
+            lams = np.array([np.vdot(v, self.multiply_coords(v, v)) / np.vdot(v, v) for v in eigvecs.T])
+            if np.abs(lams).min() < 1e-10:
                 continue
-            # orthogonality and partition of the identity
-            for i in range(d):
-                for j in range(d):
-                    if i != j and np.abs(self.multiply_coords(frame[:, i], frame[:, j])).max() > 1e-8:
-                        ok = False
-            if not ok or np.abs(frame.sum(axis=1) - self.unit_coords).max() > 1e-8:
+            frame = eigvecs / lams
+            # pairs[i, j] = p_i p_j, less p_i on the diagonal: idempotent and orthogonal iff all vanish
+            pairs = np.einsum("ai,bj,abk->ijk", frame, frame, self.structure)
+            pairs[range(d), range(d)] -= frame.T
+            if np.abs(pairs).max() > 1e-8 or np.abs(frame.sum(axis=1) - self.unit_coords).max() > 1e-8:
                 continue
             frame.flags.writeable = False
             return frame

@@ -26,18 +26,13 @@ import csv
 import json
 import sys
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .algebra import (
-    Algebra,
-    Embedding,
-    build_full_matrix_algebra,
-    generated_subalgebra,
-)
-from .diagonal import DiagonalCert, library_diagonal
+from .algebra import Algebra, Embedding
+from .diagonal import DiagonalCert, _scenario
 from .errors import ConfigError, DomainError, FalsificationError, PreconditionError
 from .jsonio import dumps, write_json
 from .multilinear import LinearMap, defect, defect_cochain, linear_map_norm, unit_killing_perturbation
@@ -174,16 +169,6 @@ class Instance:
     cert: DiagonalCert
     phi: LinearMap
     gamma_norm_measured: float
-
-
-@cache
-def _scenario(k: int, norm_mode: str) -> tuple[Algebra, Embedding, DiagonalCert]:
-    """The seed-free part of every instance: M_k, its diagonal subalgebra D
-    with the embedding, and D's library diagonal; built once per process."""
-    a = build_full_matrix_algebra(k, norm_mode=norm_mode)
-    diag_units = [a.basis_element(i * k + i) for i in range(k)]
-    d, emb = generated_subalgebra(a, diag_units, unital=True)
-    return a, emb, library_diagonal(d)
 
 
 def generate_instance(config: RunConfig, index: int = 0) -> Instance:

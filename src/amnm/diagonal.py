@@ -18,10 +18,11 @@ only get stronger under this substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
-from .algebra import Algebra, Embedding, _frozen
+from .algebra import Algebra, Embedding, _frozen, build_full_matrix_algebra, generated_subalgebra
 from .errors import DomainError, PreconditionError
 from .multilinear import Cochain, LinearMap
 
@@ -85,19 +86,22 @@ class DiagonalCert:
 
 
 def verify_diagonal(algebra: Algebra, rep: TensorRep) -> DiagonalCert:
-    """Compute both diagonal residuals exactly over a basis of the algebra."""
+    """Compute both diagonal residuals exactly over a basis of the algebra.
+
+    The commutator residual e_i.Delta - Delta.e_i is one stacked product over
+    the structure tensor's slices (left multiplication by e_i is
+    ``structure[i].T``, right multiplication ``structure[:, i].T``).  pi(Delta)
+    and the unit rows stay one product per vector: they set the reported
+    ``residual_unit`` and decide validity near the tolerance, so they keep the
+    rounding of ``multiply_coords``.
+    """
     if rep.algebra is not algebra:
         raise DomainError("representation parented to a different algebra")
     d = algebra.dim
     w = rep.dense()
     scale = max(1.0, float(np.abs(w).max()))
-    commute = 0.0
+    commute = float(np.abs(np.swapaxes(algebra.structure, 1, 2) @ w - w @ np.swapaxes(algebra.structure, 0, 1)).max())
     basis = np.eye(d)
-    for i in range(d):
-        lmat = algebra.left_mult_matrix(basis[i])
-        rmat = algebra.right_mult_matrix(basis[i])
-        resid = lmat @ w - w @ rmat.T
-        commute = max(commute, float(np.abs(resid).max()))
     pi = np.zeros(d, dtype=complex)
     for c, dd in rep.pairs:
         pi += algebra.multiply_coords(c, dd)
@@ -143,6 +147,16 @@ def library_diagonal(algebra: Algebra) -> DiagonalCert:
         raise NoLibraryDiagonal("constructed representation failed verification")
     algebra._cache["diagonal"] = cert
     return cert
+
+
+@cache
+def _scenario(k: int, norm_mode: str) -> tuple[Algebra, Embedding, DiagonalCert]:
+    """M_k, its diagonal subalgebra D with the embedding, and D's library
+    diagonal: the seed-free part of every CLI instance and of the suite's
+    M_2 checks; built once per process."""
+    a = build_full_matrix_algebra(k, norm_mode=norm_mode)
+    d, emb = generated_subalgebra(a, [a.basis_element(i * k + i) for i in range(k)], unital=True)
+    return a, emb, library_diagonal(d)
 
 
 def _library_rep(algebra: Algebra) -> TensorRep | None:

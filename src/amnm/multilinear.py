@@ -40,19 +40,6 @@ from .normest import (
 )
 from .rng import complex_gaussian
 
-__all__ = [
-    "LinearMap",
-    "Cochain",
-    "DefectEstimate",
-    "defect_cochain",
-    "coboundary",
-    "restrict_first",
-    "restrict_slot",
-    "multilinear_norm",
-    "linear_map_norm",
-    "defect",
-]
-
 
 @dataclass(frozen=True)
 class LinearMap:

@@ -379,11 +379,11 @@ class _SeedCounter:
         return (self.seed << 8) + self._n
 
 
-def unitize_map(psi: LinearMap, unitized_source: Algebra | None = None) -> LinearMap:
+def unitize_map(psi: LinearMap) -> LinearMap:
     """Extend psi: A -> B to the unitization, (lambda, a) -> lambda 1_B + psi(a)."""
     if not psi.target.is_unital:
         raise DomainError("target must be unital to extend over the adjoined unit")
-    source_u = unitized_source if unitized_source is not None else unitize(psi.source)
+    source_u = unitize(psi.source)
     matrix = np.zeros((psi.target.dim, source_u.dim), dtype=complex)
     matrix[:, 0] = psi.target.unit_coords
     matrix[:, 1:] = psi.matrix
@@ -414,7 +414,7 @@ def stabilize_via_unitization(
     a_u = unitize(psi.source)
     d_u = unitize(emb0.sub)
     emb_u = unitized_embedding(emb0, a_u, d_u)
-    psi_u = unitize_map(psi, a_u)
+    psi_u = unitize_map(psi)
     cert_u = library_diagonal(d_u)
     report = stabilize(psi_u, emb_u, cert_u, config)
     restricted = LinearMap(psi.source, psi.target, report.final_map.matrix[:, 1:])
@@ -437,23 +437,15 @@ class IdealData:
     def __post_init__(self):
         self.e_coords = np.asarray(self.e_coords, dtype=complex)
         parent, q = self.emb.parent, self.emb.matrix
-        proj = q @ q.conj().T
-        for i in range(parent.dim):
-            basis = np.zeros(parent.dim)
-            basis[i] = 1.0
-            for j in range(q.shape[1]):
-                x = q[:, j]
-                for prod in (parent.multiply_coords(basis, x), parent.multiply_coords(x, basis)):
-                    resid = np.linalg.norm(prod - proj @ prod)
-                    if resid > IDEAL_TOL * max(1.0, np.linalg.norm(prod)):
-                        raise PreconditionError("subalgebra is not a two-sided ideal")
-        for j in range(q.shape[1]):
-            x = q[:, j]
-            if (
-                np.abs(parent.multiply_coords(self.e_coords, x) - x).max() > IDEAL_TOL
-                or np.abs(parent.multiply_coords(x, self.e_coords) - x).max() > IDEAL_TOL
-            ):
-                raise PreconditionError("e is not a two-sided identity on the ideal")
+        c = parent.structure
+        # prods[:, :, j] = e_i x and then x e_i over the basis e_i, x = column j of q
+        prods = np.concatenate([np.swapaxes(c, 1, 2) @ q, np.transpose(c, (1, 2, 0)) @ q])
+        resid = np.linalg.norm(prods - q @ q.conj().T @ prods, axis=1)
+        if np.any(resid > IDEAL_TOL * np.maximum(1.0, np.linalg.norm(prods, axis=1))):
+            raise PreconditionError("subalgebra is not a two-sided ideal")
+        sides = np.stack([parent.left_mult_matrix(self.e_coords), parent.right_mult_matrix(self.e_coords)])
+        if np.any(np.abs(sides @ q - q) > IDEAL_TOL):
+            raise PreconditionError("e is not a two-sided identity on the ideal")
 
     @property
     def bound(self) -> float:

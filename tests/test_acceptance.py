@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from amnm import suites
+from amnm.diagonal import _scenario
 from amnm.multilinear import LinearMap
 from amnm.perturbation import dichotomy_roots, norm_dichotomy_check
 from amnm.rng import stream
@@ -97,8 +98,7 @@ def test_criterion_2_no_falsification():
 
 def test_criterion_3_convergence():
     t0 = time.time()
-    a, emb = suites._m2_with_diagonal("spectral")
-    cert = suites._m2_diagonal_cert("spectral")
+    a, emb, cert = _scenario(2, "spectral")
     k_const, L = cert.K, 2.0
     converged = 0
     claim_failures = []

@@ -14,12 +14,12 @@ from amnm.algebra import (
 from amnm.diagonal import (
     NoLibraryDiagonal,
     TensorRep,
+    _scenario,
     average,
     library_diagonal,
     split,
     verify_diagonal,
 )
-from amnm.cli import _scenario
 from amnm.errors import PreconditionError
 from amnm.multilinear import Cochain, LinearMap, defect_cochain, identity_map
 from amnm.normest import BoxBall, SpectralBall
@@ -165,6 +165,65 @@ def test_unsupported_algebra_refused():
     assert d.dim == 3
     with pytest.raises(NoLibraryDiagonal):
         library_diagonal(d)
+
+
+@pytest.mark.parametrize("mode", ["spectral", "frobenius"])
+def test_no_frame_without_a_commutative_semisimple_algebra(mode):
+    # span{1, e12} is commutative but e12 is nilpotent: every multiplication
+    # operator has a repeated eigenvalue, so no frame and no library diagonal
+    m2 = build_full_matrix_algebra(2, mode)
+    nil, _ = generated_subalgebra(m2, [m2.basis_element(1)], unital=True)
+    assert nil.dim == 2
+    assert nil.idempotent_frame is None
+    assert m2.idempotent_frame is None  # not commutative
+    with pytest.raises(NoLibraryDiagonal):
+        library_diagonal(nil)
+
+
+def _verify_by_basis(algebra, rep):
+    """verify_diagonal's residuals as one basis vector at a time: the loop the
+    stacked commutator residual replaced, kept as its reference."""
+    d = algebra.dim
+    w = rep.dense()
+    scale = max(1.0, float(np.abs(w).max()))
+    commute = 0.0
+    basis = np.eye(d)
+    for i in range(d):
+        lmat = algebra.left_mult_matrix(basis[i])
+        rmat = algebra.right_mult_matrix(basis[i])
+        commute = max(commute, float(np.abs(lmat @ w - w @ rmat.T).max()))
+    pi = np.zeros(d, dtype=complex)
+    for c, dd in rep.pairs:
+        pi += algebra.multiply_coords(c, dd)
+    rows = [prod - basis[i] for i in range(d)
+            for prod in (algebra.multiply_coords(basis[i], pi), algebra.multiply_coords(pi, basis[i]))]
+    norms = algebra.unit_ball.norm(np.concatenate([np.array(rows), basis]))
+    unit_resid = float(norms[: 2 * d].max())
+    valid = commute <= 1e-10 * scale and unit_resid <= 1e-10 * max(1.0, float(norms[2 * d :].max()))
+    return rep.proj_bound, commute, unit_resid, bool(valid)
+
+
+@pytest.mark.parametrize("mode", ["spectral", "frobenius"])
+def test_verify_diagonal_matches_the_basis_loop_bit_for_bit(mode):
+    algebras = [build_full_matrix_algebra(k, mode) for k in range(1, 5)]
+    algebras += [build_commutative_algebra(k, mode) for k in range(1, 7)]
+    algebras += [
+        direct_sum(build_full_matrix_algebra(2, mode), build_commutative_algebra(2, mode)),
+        direct_sum(build_full_matrix_algebra(3, mode), build_full_matrix_algebra(2, mode)),
+        unitize(build_full_matrix_algebra(2, mode)),
+        _scenario(2, mode)[1].sub,
+        _scenario(3, mode)[1].sub,
+    ]
+    for n, alg in enumerate(algebras):
+        rng = stream(151, n)
+        reps = [library_diagonal(alg).rep, TensorRep(alg, [])]
+        reps += [TensorRep(alg, [(complex_gaussian(rng, alg.dim), complex_gaussian(rng, alg.dim))
+                                 for _ in range(3)]) for _ in range(2)]
+        for rep in reps:
+            cert = verify_diagonal(alg, rep)
+            got = (cert.K, cert.residual_commute, cert.residual_unit, cert.valid)
+            want = _verify_by_basis(alg, rep)
+            assert [float(x).hex() for x in got] == [float(x).hex() for x in want], alg
 
 
 def test_verify_flags_bad_representations():

@@ -12,7 +12,7 @@ from amnm.algebra import (
     opposite,
     unitize,
 )
-from amnm.diagonal import TensorRep, library_diagonal, verify_diagonal
+from amnm.diagonal import TensorRep, _scenario, library_diagonal, verify_diagonal
 from amnm.errors import ConfigError, PreconditionError
 from amnm.multilinear import LinearMap, defect, defect_cochain, identity_map, linear_map_norm
 from amnm.rng import complex_gaussian, stream
@@ -192,7 +192,7 @@ def test_improve_right_matches_opposite_round_trip():
         cases = [
             (perturbed_identity(a, 58 + seed, 0.05), emb, cert),
             (perturbed_identity(m3, 58 + seed, 0.05), m3_emb, m3_cert),
-            (unitize_map(LinearMap(a, a, np.eye(4) + 0.05 * complex_gaussian(stream(58 + seed, 1), (4, 4))), a_u),
+            (unitize_map(LinearMap(a, a, np.eye(4) + 0.05 * complex_gaussian(stream(58 + seed, 1), (4, 4)))),
              emb_u, cert_u),
         ]
         for phi, e, c in cases:
@@ -310,6 +310,85 @@ def test_ideal_decomposition_refuses_non_modular():
     theta = LinearMap(a, a, complex_gaussian(stream(62, 0), (5, 5)))
     with pytest.raises(PreconditionError):
         decompose_over_ideal(theta, ideal)
+
+
+@pytest.mark.parametrize("mode", ["spectral", "frobenius"])
+def test_ideal_data_refuses_a_subalgebra_that_is_not_an_ideal(mode):
+    # D = span{e11, e22} of M_2 holds the unit, yet e12 e11 = e12 leaves it
+    _, emb, _ = _scenario(2, mode)
+    with pytest.raises(PreconditionError, match="not a two-sided ideal"):
+        IdealData(emb, emb.parent.unit_coords)
+    # the ideal check runs before the local-identity check, which e = 0 fails too
+    with pytest.raises(PreconditionError, match="not a two-sided ideal"):
+        IdealData(emb, np.zeros(4))
+    # the first column of M_2 is only a left ideal (e11 e12 = e12), the first row only a right one
+    m2 = emb.parent
+    for pair in ((0, 2), (0, 1)):
+        _, one_sided = generated_subalgebra(m2, [m2.basis_element(i) for i in pair], unital=False)
+        with pytest.raises(PreconditionError, match="not a two-sided ideal"):
+            IdealData(one_sided, m2.basis_element(0).coords)
+
+
+@pytest.mark.parametrize("mode", ["spectral", "frobenius"])
+def test_ideal_data_refuses_a_false_local_identity(mode):
+    # M_2 + 0 is an ideal of M_2 + C, but e11 fixes neither e12 from the right nor e21 from the left
+    a = direct_sum(build_full_matrix_algebra(2, mode), build_commutative_algebra(1, mode))
+    _, j_emb = generated_subalgebra(a, [a.basis_element(i) for i in range(4)], unital=False)
+    e11 = np.zeros(a.dim, dtype=complex)
+    e11[0] = 1.0
+    with pytest.raises(PreconditionError, match="e is not a two-sided identity on the ideal"):
+        IdealData(j_emb, e11)
+    e11[3] = 1.0
+    IdealData(j_emb, e11)  # the block's unit passes
+
+
+def _right_modular_by_columns(a, emb, rng, scale):
+    """right_modular_perturbation with its constraint matrix assembled one
+    elementary coefficient matrix at a time: the loop the Kronecker form
+    replaced, kept as its reference."""
+    d = a.dim
+    rights = [a.right_mult_matrix(emb.matrix[:, m]) for m in range(emb.sub.dim)]
+    columns = []
+    for t in range(d):
+        for s in range(d):
+            e = np.zeros((d, d))
+            e[t, s] = 1.0
+            pieces = [(e @ rx - rx @ e).reshape(-1) for rx in rights] + [(e @ emb.matrix).reshape(-1)]
+            columns.append(np.concatenate(pieces))
+    _, sv, vh = np.linalg.svd(np.stack(columns, axis=1))
+    rank = int(np.sum(sv > 1e-9 * sv[0])) if sv.size else 0
+    null = vh[rank:].conj().T
+    if null.shape[1] == 0:
+        return None
+    gamma = (null @ complex_gaussian(rng, null.shape[1])).reshape(d, d)
+    return gamma / np.linalg.svd(gamma, compute_uv=False)[0] * scale
+
+
+@pytest.mark.parametrize("mode", ["spectral", "frobenius"])
+def test_right_modular_perturbation_matches_the_column_loop_bit_for_bit(mode):
+    algebras = [build_full_matrix_algebra(k, mode) for k in range(1, 5)]
+    algebras += [build_commutative_algebra(k, mode) for k in range(1, 7)]
+    algebras += [
+        direct_sum(build_full_matrix_algebra(2, mode), build_commutative_algebra(2, mode)),
+        direct_sum(build_full_matrix_algebra(3, mode), build_full_matrix_algebra(2, mode)),
+    ]
+    cases = [_scenario(k, mode)[:2] for k in (2, 3)]  # the suite's fixture is k = 2
+    for alg in algebras:
+        cases.append((alg, generated_subalgebra(alg, [], unital=True)[1]))
+        cases.append((alg, generated_subalgebra(alg, [alg.basis_element(0)], unital=True)[1]))
+    _, emb = cases[0]
+    a_u = unitize(emb.parent)
+    cases.append((a_u, unitized_embedding(emb, a_u, unitize(emb.sub))))
+    found = 0
+    for n, (alg, emb) in enumerate(cases):
+        want = _right_modular_by_columns(alg, emb, stream(152, n), 0.05)
+        if want is None:
+            with pytest.raises(PreconditionError):
+                right_modular_perturbation(alg, emb, stream(152, n), 0.05)
+            continue
+        found += 1
+        assert right_modular_perturbation(alg, emb, stream(152, n), 0.05).tobytes() == want.tobytes(), alg
+    assert found >= 20
 
 
 def test_unitized_embedding_shape():
