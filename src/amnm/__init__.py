@@ -41,7 +41,6 @@ from .stabilizer import (
     StabilizeReport,
     decompose_over_ideal,
     improve,
-    improve_report,
     improve_right,
     stabilize,
     stabilize_via_unitization,

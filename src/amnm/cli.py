@@ -59,7 +59,7 @@ class RunConfig:
     out: str = "reports"
     stabilize: StabilizeConfig = field(default_factory=StabilizeConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.command not in ("stabilize", "defect", "suite", "tsirelson", "clones"):
             raise ConfigError(f"unknown command {self.command!r}")
         if self.norm_mode not in ("spectral", "frobenius"):
@@ -138,6 +138,8 @@ def load_config(path: str | None, command: str, seed_flag: int | None, out_flag:
         raise ConfigError(f"config is for command {json.dumps(echoed)}, not {command!r}")
     leaves = []
     for key, value in doc.items():
+        if "." in key:
+            raise ConfigError(f"config key {key!r} must be nested, not dotted")
         if key not in _SECTIONS:
             leaves.append((key, value))
         elif isinstance(value, dict):
@@ -157,9 +159,7 @@ def load_config(path: str | None, command: str, seed_flag: int | None, out_flag:
         run["out"] = out_flag
     if "seed" not in run:
         raise ConfigError("a seed is mandatory (config 'seed' or --seed)")
-    cfg = RunConfig(command=command, stabilize=StabilizeConfig(**values[StabilizeConfig]), **run)
-    cfg.validate()
-    return cfg
+    return RunConfig(command=command, stabilize=StabilizeConfig(**values[StabilizeConfig]), **run)
 
 
 @dataclass
@@ -329,7 +329,7 @@ def cmd_clones(args: argparse.Namespace) -> int:
         fam_docs.append({
             "word": w,
             "terms": fam.terms,
-            "doubling_ok": all(b <= 2 * a + 2 for a, b in zip(fam.terms, fam.terms[1:])),
+            "doubling_ok": fam.doubling_ok,
             "gaps_in_horizon": [[lo, hi] for lo, hi in gaps],
         })
     pair_docs = []

@@ -35,8 +35,8 @@ from .normest import DEFAULT_RESTARTS, DEFAULT_SWEEPS
 from .parallel import run_all
 
 UNIT_PRESERVE_TOL = 1e-9
-STRUCTURAL_ZERO_TOL = 1e-10
 SELF_MODULAR_TOL = 1e-8
+NORM_GROWTH = 1.25
 IDEAL_TOL = 1e-9
 
 
@@ -191,70 +191,6 @@ def modular_residuals(chain: np.ndarray, q: np.ndarray) -> tuple[float, float]:
     return float(np.abs(left).max()), float(np.abs(right).max())
 
 
-@dataclass
-class ImproveReport:
-    unit_preserved: bool
-    step_bound_ok: bool
-    defect_bound_ok: bool
-    right_modularity_input: float
-    right_modularity_output: float
-    right_modularity_preserved: bool
-    step_norm: DefectEstimate
-    step_bound: float
-    defect_bound: float
-    def_da_in: DefectEstimate
-    def_da_out: DefectEstimate
-    def_dd_in: DefectEstimate
-    norm_phi: DefectEstimate
-
-
-def improve_report(
-    phi: LinearMap,
-    emb: Embedding,
-    cert: DiagonalCert,
-    seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
-    sweeps: int = DEFAULT_SWEEPS,
-) -> tuple[LinearMap, ImproveReport]:
-    """Apply the improving operator and check its four contract properties.
-
-    (i) unit preservation is exact; (ii) the step is bounded by
-    K ||phi|| defDA(phi); (iii) the new left defect is bounded by
-    3 K^2 ||phi||^2 defDD(phi) defDA(phi); (iv) exact right-modularity is
-    preserved.  (ii) and (iii) are tested in no-falsification form, and the
-    report carries the two bounds built from certified uppers.
-    """
-    k_const = cert.K
-    improved = improve(phi, emb, cert)
-    scale = max(1.0, float(np.abs(phi.matrix).max()) ** 2)
-
-    unit_resid = np.abs(improved.apply(emb.unit_in_parent()) - phi.target.unit_coords).max()
-    unit_ok = bool(unit_resid <= STRUCTURAL_ZERO_TOL * scale)
-
-    step = linear_map_norm(improved - phi, restarts, sweeps, seed=seed)
-    norm_phi = linear_map_norm(phi, restarts, sweeps, seed=seed + 1)
-    dda_in = defect(phi, left=emb, restarts=restarts, sweeps=sweeps, seed=seed + 2)
-    ddd_in = defect(phi, left=emb, right=emb, restarts=restarts, sweeps=sweeps, seed=seed + 3)
-    dda_out = defect(improved, left=emb, restarts=restarts, sweeps=sweeps, seed=seed + 4)
-
-    step_bound = k_const * norm_phi.upper * dda_in.upper
-    defect_bound = 3.0 * k_const**2 * norm_phi.upper**2 * ddd_in.upper * dda_in.upper
-    step_ok = step.lower <= step_bound * (1 + 1e-9) + 1e-12
-    defect_ok = dda_out.lower <= defect_bound * (1 + 1e-9) + 1e-12
-
-    _, rm_in = modular_residuals(defect_cochain(phi).tensor, emb.matrix)
-    _, rm_out = modular_residuals(defect_cochain(improved).tensor, emb.matrix)
-    rm_preserved = True
-    if rm_in <= STRUCTURAL_ZERO_TOL * scale:
-        rm_preserved = bool(rm_out <= STRUCTURAL_ZERO_TOL * scale)
-
-    report = ImproveReport(
-        unit_ok, bool(step_ok), bool(defect_ok), rm_in, rm_out, rm_preserved,
-        step, step_bound, defect_bound, dda_in, dda_out, ddd_in, norm_phi,
-    )
-    return improved, report
-
-
 def stabilize(
     phi: LinearMap, emb: Embedding, cert: DiagonalCert, config: StabilizeConfig
 ) -> StabilizeReport:
@@ -332,7 +268,7 @@ def stabilize(
             claim_defect,
             step_ok=bool(step.lower <= claim_step * (1 + 1e-9) + 1e-15),
             defect_ok=bool(dda.lower <= claim_defect * (1 + 1e-9) + 1e-15),
-            norm_ok=bool(norm_n.lower <= 1.25 * L * (1 + 1e-9)),
+            norm_ok=bool(norm_n.lower <= NORM_GROWTH * L * (1 + 1e-9)),
         )
         iterates.append(rec)
         current = improved

@@ -202,6 +202,11 @@ class CloneFamily:
         """f(n), 1-based."""
         return self.word[n - 1] if 1 <= n <= len(self.word) else 0
 
+    @property
+    def doubling_ok(self) -> bool:
+        """Whether the terms keep to the envelope m_{j+1} <= 2 m_j + 2."""
+        return all(b <= 2 * a + 2 for a, b in zip(self.terms, self.terms[1:]))
+
 
 def clone_family(word, n: int) -> CloneFamily:
     """First n terms of m_1 = 1, m_{j+1} = 2 m_j + f(j)."""
@@ -212,9 +217,8 @@ def clone_family(word, n: int) -> CloneFamily:
     for j in range(1, n):
         terms.append(2 * terms[-1] + fam.bit(j))
     fam.terms = terms
-    for j in range(n - 1):
-        if terms[j + 1] > 2 * terms[j] + 2:
-            raise FalsificationError("doubling recursion escaped its envelope")
+    if not fam.doubling_ok:
+        raise FalsificationError("doubling recursion escaped its envelope")
     return fam
 
 

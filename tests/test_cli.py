@@ -245,7 +245,9 @@ def test_config_out_must_be_a_string(tmp_path):
 
 # Config values that loading once coerced or ignored: a wrong JSON type, a
 # max_iter past the cap of 63, the undocumented "tol" alias, a misspelt key,
-# an L past the cap of 1e100 (whose theorem bound overflowed).
+# an L past the cap of 1e100 (whose theorem bound overflowed), a dotted key at
+# top level (once a second spelling of the nested key, which could collide
+# with it); then the range checks of RunConfig.
 BAD_CONFIG_VALUES = [
     {"check_claim_bounds": "false"},
     {"max_iter": 2.9},
@@ -260,6 +262,14 @@ BAD_CONFIG_VALUES = [
     {"L": 1e105, "check_claim_bounds": False},
     {"L": 5e102, "check_claim_bounds": False},
     {"L": 1e200},
+    {"dims.matrix": 3},
+    {"dims.matrix": 3, "dims": {"matrix": 2}},
+    {"dims": {"matrix": 0}},
+    {"dims": {"matrix": 5}},
+    {"gamma_norm": -0.1},
+    {"gamma_norm": 1.5},
+    {"instances": 0},
+    {"instances": 10001},
 ]
 
 
@@ -281,6 +291,15 @@ def test_overflowing_L_exits_two(tmp_path, command, overrides):
     code, err = run_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 2
     assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fields", [
+    {"command": "norm"}, {"norm_mode": "nuclear"}, {"matrix_dim": 0}, {"matrix_dim": 5},
+    {"gamma_norm": -0.1}, {"gamma_norm": 1.5}, {"instances": 0}, {"instances": 10001}, {"out": 5},
+])
+def test_run_config_checks_itself(fields):
+    with pytest.raises(ConfigError):
+        RunConfig(**{"command": "defect", "seed": 1, **fields})
 
 
 def test_config_echo_loads_back(tmp_path):
@@ -359,8 +378,9 @@ def test_fuzzed_config_validated_or_refused(doc, command):
             cfg = load_config(str(path), command, None, None)
         except ConfigError:
             return
-    cfg.validate()
     sconf = cfg.stabilize
+    assert cfg.norm_mode in ("spectral", "frobenius") and 1 <= cfg.matrix_dim <= 4
+    assert 0 <= cfg.gamma_norm <= 1 and 1 <= cfg.instances <= 10000
     assert isinstance(cfg.out, str) and type(cfg.seed) is int
     assert all(type(v) is int for v in (cfg.matrix_dim, cfg.instances, sconf.max_iter,
                                          sconf.restarts, sconf.sweeps))

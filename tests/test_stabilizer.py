@@ -22,7 +22,6 @@ from amnm.stabilizer import (
     StabilizeConfig,
     decompose_over_ideal,
     improve,
-    improve_report,
     improve_right,
     modular_residuals,
     stabilize,
@@ -30,7 +29,7 @@ from amnm.stabilizer import (
     unitize_map,
     unitized_embedding,
 )
-from amnm.suites import right_modular_perturbation, unit_killing_perturbation
+from amnm.suites import check_improving_bounds, right_modular_perturbation, unit_killing_perturbation
 
 
 def m2_diag():
@@ -48,6 +47,8 @@ def test_improve_fixes_homomorphisms():
     a, emb, cert = m2_diag()
     out = improve(identity_map(a), emb, cert)
     assert np.allclose(out.matrix, np.eye(4))
+    assert linear_map_norm(out - identity_map(a), 8, 40, seed=3).upper == 0.0
+    assert defect(out, left=emb, restarts=8, sweeps=40, seed=4).upper == 0.0
 
 
 def test_improve_scalar_subalgebra_is_identity_operation():
@@ -81,29 +82,24 @@ def test_improve_refuses_non_unit_preserving():
         improve(bad, emb, cert)
 
 
-def test_improve_report_trivial_on_homomorphism():
-    a, emb, cert = m2_diag()
-    improved, report = improve_report(identity_map(a), emb, cert, seed=3)
-    assert report.unit_preserved and report.step_bound_ok and report.defect_bound_ok
-    assert report.right_modularity_preserved
-    assert report.step_norm.lower == 0.0
-
-
-def test_improve_report_right_modularity_preserved_exactly():
+def test_improve_preserves_right_modularity_exactly():
     a, emb, cert = m2_diag()
     gamma = right_modular_perturbation(a, emb, stream(53, 0), 0.05)
     phi = LinearMap(a, a, np.eye(4) + gamma)
-    improved, report = improve_report(phi, emb, cert, seed=5)
-    assert report.right_modularity_input <= 1e-10
-    assert report.right_modularity_output <= 1e-10
-    assert report.right_modularity_preserved
+    improved = improve(phi, emb, cert)
+    for psi in (phi, improved):
+        _, right = modular_residuals(defect_cochain(psi).tensor, emb.matrix)
+        assert right <= 1e-10
 
 
-def test_improve_report_generic_bounds_hold():
-    a, emb, cert = m2_diag()
-    phi = perturbed_identity(a, 54, 1e-3)
-    improved, report = improve_report(phi, emb, cert, seed=7)
-    assert report.step_bound_ok and report.defect_bound_ok and report.unit_preserved
+@pytest.mark.parametrize("mode", ["spectral", "frobenius"])
+@pytest.mark.parametrize("seed", [7, 54, 611])
+def test_improving_bounds_hold(mode, seed):
+    rows = check_improving_bounds(mode, seed)
+    assert [r.check for r in rows] == [
+        "improvement-step-bound", "improvement-defect-bound", "improvement-preserves-unit",
+    ]
+    assert all(r.passed for r in rows)
 
 
 def test_stabilize_exact_homomorphism_zero_iterations():
