@@ -47,8 +47,19 @@ def test_improve_fixes_homomorphisms():
     a, emb, cert = m2_diag()
     out = improve(identity_map(a), emb, cert)
     assert np.allclose(out.matrix, np.eye(4))
-    assert linear_map_norm(out - identity_map(a), 8, 40, seed=3).upper == 0.0
+
+
+def test_improve_report_trivial_on_homomorphism():
+    # at a homomorphism the improving step is trivial: no step, no left
+    # defect, the unit kept and right modularity exact
+    a, emb, cert = m2_diag()
+    phi = identity_map(a)
+    out = improve(phi, emb, cert)
+    assert linear_map_norm(out - phi, 8, 40, seed=3).upper == 0.0
     assert defect(out, left=emb, restarts=8, sweeps=40, seed=4).upper == 0.0
+    assert np.allclose(out.apply(emb.unit_in_parent()), a.unit_coords)
+    _, right = modular_residuals(defect_cochain(out).tensor, emb.matrix)
+    assert right <= 1e-10
 
 
 def test_improve_scalar_subalgebra_is_identity_operation():
