@@ -13,10 +13,12 @@ refused precondition, 2 configuration error.  Reports are byte-identical
 for identical (config, seed) because every row derives its randomness from
 (seed, instance index) and rows are assembled in key order.
 
-``stabilize``, ``defect`` and ``suite`` run their independent estimates and
-suite blocks on every CPU of the process's affinity mask, in forked helper
-processes (``parallel.run_all``); the reports do not depend on how many
-there are, and ``taskset -c 0`` runs a command in one process.
+``defect`` and ``suite`` run their independent estimates and suite blocks
+on every CPU of the process's affinity mask, in forked helper processes
+(``parallel.run_all``); the reports do not depend on how many there are,
+and ``taskset -c 0`` runs a command in one process.  ``stabilize`` runs in
+one process: an estimate whose upper proves its claim searches only
+briefly, and a round of such estimates costs about as much as a fork.
 """
 
 from __future__ import annotations
@@ -262,7 +264,8 @@ def cmd_suite(cfg: RunConfig) -> int:
         for row in flat:
             handle.write(json.dumps(row, sort_keys=True, separators=(",", ":")))
             handle.write("\n")
-    print(f"suite: {len(flat) - doc['failures']}/{len(flat)} rows passed")
+    proved = sum(1 for r in flat if r["proved"])
+    print(f"suite: {len(flat) - doc['failures']}/{len(flat)} rows passed, {proved} proved")
     if not passed:
         for r in flat:
             if not r["passed"]:

@@ -19,7 +19,9 @@ The central objects:
 Norm estimation supports arities 1 and 2 and always returns an interval
 (`DefectEstimate`): a witness-certified lower bound plus an unfolding upper
 bound.  Inequalities downstream are therefore tested in
-no-falsification form, lower(LHS) <= upper(RHS).
+no-falsification form, lower(LHS) <= upper(RHS), and are proved when
+upper(LHS) <= upper(RHS); an estimate given that bound as its ``claim``
+searches for a witness only briefly once its upper proves it.
 """
 
 from __future__ import annotations
@@ -215,10 +217,13 @@ def multilinear_norm(
     restarts: int = DEFAULT_RESTARTS,
     sweeps: int = DEFAULT_SWEEPS,
     seed: int = 0,
+    claim: float | None = None,
 ) -> DefectEstimate:
     """Certified interval for the norm of an arity-1 or arity-2 cochain.
 
     Arity 1 with Euclidean source and target balls is solved exactly by SVD.
+    ``claim`` is the bound the caller compares the lower bound with (see
+    ``estimate_tensor_norm``).
     """
     if psi.arity > 2:
         raise DomainError("norm estimation supports arities 1 and 2 only")
@@ -232,7 +237,7 @@ def multilinear_norm(
         sigma = float(s[0])
         witness = [vh[0].conj()]
         return DefectEstimate(sigma, sigma, witness, 0, seed)
-    return estimate_tensor_norm(psi.tensor, balls, target, restarts, sweeps, seed)
+    return estimate_tensor_norm(psi.tensor, balls, target, restarts, sweeps, seed, claim)
 
 
 def linear_map_norm(
@@ -240,10 +245,11 @@ def linear_map_norm(
     restarts: int = DEFAULT_RESTARTS,
     sweeps: int = DEFAULT_SWEEPS,
     seed: int = 0,
+    claim: float | None = None,
 ) -> DefectEstimate:
     """Operator norm interval; exact (SVD) when both norms are Euclidean."""
     chain = Cochain((phi.source,), phi.target, phi.matrix)
-    return multilinear_norm(chain, restarts, sweeps, seed)
+    return multilinear_norm(chain, restarts, sweeps, seed, claim)
 
 
 def defect(
@@ -253,6 +259,7 @@ def defect(
     restarts: int = DEFAULT_RESTARTS,
     sweeps: int = DEFAULT_SWEEPS,
     seed: int = 0,
+    claim: float | None = None,
 ) -> DefectEstimate:
     """Multiplicative defect of phi, optionally restricted per slot.
 
@@ -264,4 +271,4 @@ def defect(
         chain = restrict_slot(chain, 0, left)
     if right is not None:
         chain = restrict_slot(chain, 1, right)
-    return multilinear_norm(chain, restarts, sweeps, seed)
+    return multilinear_norm(chain, restarts, sweeps, seed, claim)

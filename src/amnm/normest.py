@@ -20,13 +20,23 @@ slots and its target norm alike.  Norms are reported as intervals
 Restart 0 of an estimate starts from the leading singular vectors of the
 unfoldings and restart r > 0 draws its start point from the stream
 (seed, r, slot), so enlarging the restart budget never changes earlier
-restarts and never decreases the lower bound.  The restarts sweep together
-as one batch: every ball step acts row by row on stacked (restarts, dim)
-arrays, and each restart leaves the batch at its own stopping sweep, so the
-streams and the winner (the first restart to lead by more than ``TIE_TOL``)
-are those of restarts run one by one.  Each evaluation of the target gives
-the value's norm and its norming functional (the next sweep's dual) from one
-factorization, ``norm_and_dual``.
+restarts and never decreases the lower bound.
+
+The upper bound needs no search, so it is computed first.  A caller that
+will compare the lower bound with a bound of its own passes that bound as
+``claim``.  When the upper already meets the claim, the claim is proved and
+no budget could falsify it, so the witness search is one cheap stage:
+restart 0 for at most ``PROVED_SWEEPS`` sweeps.  That stage is a prefix of
+the full search (its first restart, its first sweeps), so a larger budget
+still never lowers the lower bound.  Otherwise, and whenever the witness
+lifts the reported upper above the claim, the full budget runs.
+
+The restarts sweep together as one batch: every ball step acts row by row
+on stacked (restarts, dim) arrays, and each restart leaves the batch at its
+own stopping sweep, so the streams and the winner (the first restart to
+lead by more than ``TIE_TOL``) are those of restarts run one by one.  Each
+evaluation of the target gives the value's norm and its norming functional
+(the next sweep's dual) from one factorization, ``norm_and_dual``.
 
 A spectral step on M_k with k >= 3 is one stacked SVD.  On 2x2 realizations
 the steps are closed forms, element-wise over the rows.  For M with
@@ -68,6 +78,9 @@ DEFAULT_RESTARTS = 32
 DEFAULT_SWEEPS = 200
 SWEEP_TOL = 1e-12
 TIE_TOL = 1e-12
+# the witness search of an estimate whose upper proves its claim
+PROVED_RESTARTS = 1
+PROVED_SWEEPS = 3
 
 
 @dataclass
@@ -576,6 +589,7 @@ def estimate_tensor_norm(
     restarts: int = DEFAULT_RESTARTS,
     sweeps: int = DEFAULT_SWEEPS,
     seed: int = 0,
+    claim: float | None = None,
 ) -> DefectEstimate:
     """Interval estimate of sup ||T(x_1..x_n)|| over the slot unit balls.
 
@@ -583,6 +597,8 @@ def estimate_tensor_norm(
     algebra's ``unit_ball``).  Restart 0 starts from the leading singular
     vectors of the unfoldings, restart r > 0 starts slot s from
     ``stream(seed, r, s)``; all restarts sweep together as one batch.
+    ``claim`` is the bound the caller compares the lower bound with: when
+    the reported upper meets it, only the cheap stage of the search runs.
     """
     arity = tensor.ndim - 1
     if arity < 1:
@@ -600,6 +616,19 @@ def estimate_tensor_norm(
         witness = [np.zeros(b.dim, dtype=complex) for b in slot_balls]
         return DefectEstimate(0.0, float(upper), witness, 0, seed)
 
+    upper = float(upper)
+    if claim is not None and upper <= claim:
+        cheap = _search(tensor, slot_balls, target, min(restarts, PROVED_RESTARTS), min(sweeps, PROVED_SWEEPS),
+                        seed, upper)
+        # the witness may lift the reported upper past the claim
+        if cheap.upper <= claim:
+            return cheap
+    return _search(tensor, slot_balls, target, restarts, sweeps, seed, upper)
+
+
+def _search(tensor, slot_balls, target, restarts, sweeps, seed, upper) -> DefectEstimate:
+    """The witness search: ``restarts`` restarts of at most ``sweeps``
+    sweeps, the winner's value as the lower bound."""
     starts = [x[None] for x in _svd_start(tensor, slot_balls)]
     if restarts > 1:
         starts = [
@@ -617,7 +646,7 @@ def estimate_tensor_norm(
     witness = [x[best] for x in iterates]
     # the witness certifies the lower bound; re-evaluate to be safe
     lower = target.norm(_apply_slots(lead, witness))
-    return DefectEstimate(float(lower), float(upper), witness, restarts, seed)
+    return DefectEstimate(float(lower), upper, witness, restarts, seed)
 
 
 def _sweep(tensor, lead, balls, target, xs, sweeps):

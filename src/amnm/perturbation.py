@@ -92,9 +92,17 @@ def norm_dichotomy_check(psi: LinearMap, p: Element, delta: float, seed: int = 0
 
 @dataclass
 class BoundCertificate:
+    """``ok``: the bound is not falsified; ``proved``: a certified upper of
+    the left side meets it (``ok`` itself when ``lhs`` is computed exactly)."""
+
     lhs: float
     rhs: float
     ok: bool
+    proved: bool | None = None
+
+    def __post_init__(self):
+        if self.proved is None:
+            self.proved = self.ok
 
 
 def absorption_check(
@@ -151,12 +159,13 @@ def small_on_identity(psi: LinearMap, eta: float, seed: int = 0) -> BoundCertifi
     if psi_one > 1.0 / 3.0 + 1e-12:
         raise PreconditionError(f"||psi(1)|| = {psi_one} exceeds 1/3")
     _certify_defect_at_most(psi, eta, seed=seed)
-    norm_est = linear_map_norm(psi, restarts=6, sweeps=40, seed=seed + 1)
     rhs = 1.5 * eta
-    ok = norm_est.lower <= rhs * (1 + 1e-9) + 1e-12
+    claim = rhs * (1 + 1e-9) + 1e-12
+    norm_est = linear_map_norm(psi, restarts=6, sweeps=40, seed=seed + 1, claim=claim)
+    ok = norm_est.lower <= claim
     if not ok:
         raise FalsificationError(f"small-norm bound falsified: {norm_est.lower} > {rhs}")
-    return BoundCertificate(norm_est.lower, rhs, ok)
+    return BoundCertificate(norm_est.lower, rhs, ok, norm_est.upper <= claim)
 
 
 @dataclass

@@ -5,25 +5,27 @@ cochain of phi); one application shrinks the left-restricted defect
 quadratically while preserving unit values and exact right-modularity.
 
 ``stabilize`` iterates ``improve`` until the left-restricted defect's
-certified lower bound passes the tolerance, applies the mirrored operator
-``improve_right`` once to kill the right-restricted defect, and records
-per-step certificate comparisons:
+certified upper bound passes the tolerance, so convergence is certified,
+applies the mirrored operator ``improve_right`` once to kill the
+right-restricted defect, and records per-step certificate comparisons:
 
-    step n:     ||F^n - F^{n-1}||_lower  vs  K L delta0 2^{-(n-1)}
-    defect n:   defDA(F^n)_lower        vs  3 delta0 2^{-2n-1}
-    norms:      ||F^n||_lower           vs  5L/4
-    total:      ||final - input||_lower vs  12 K^2 L^3 delta0
+    step n:     ||F^n - F^{n-1}||  vs  K L delta0 2^{-(n-1)}
+    defect n:   defDA(F^n)         vs  3 delta0 2^{-2n-1}
+    norms:      ||F^n||            vs  5L/4
+    total:      ||final - input||  vs  12 K^2 L^3 delta0
 
 with delta0 the max of the two one-sided defect upper estimates at the
-input.  All comparisons are no-falsification: certified lower of the left
-side against the stated bound built from certified uppers.
+input.  Each claim is *satisfied* when the certified lower bound of its left
+side does not exceed the bound (no falsification), and *proved* when the
+certified upper does not.  The bounds need only delta0, so each estimate
+learns its bound beforehand, and an estimate whose upper proves it runs only
+the cheap stage of the witness search (``normest.estimate_tensor_norm``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -32,7 +34,6 @@ from .diagonal import DiagonalCert, split
 from .errors import ConfigError, DomainError, FalsificationError, PreconditionError
 from .multilinear import DefectEstimate, LinearMap, defect, defect_cochain, linear_map_norm
 from .normest import DEFAULT_RESTARTS, DEFAULT_SWEEPS
-from .parallel import run_all
 
 UNIT_PRESERVE_TOL = 1e-9
 SELF_MODULAR_TOL = 1e-8
@@ -58,7 +59,7 @@ class StabilizeConfig:
     range checks.
 
     ``L`` is the declared norm bound of the input map, ``tol`` the target for
-    the left-restricted defect's lower estimate, ``check_claim_bounds``
+    the left-restricted defect's upper estimate, ``check_claim_bounds``
     switches the certificate comparisons (and their preconditions) on.
     """
 
@@ -93,6 +94,9 @@ class IterateRecord:
     step_ok: bool
     defect_ok: bool
     norm_ok: bool
+    step_proved: bool
+    defect_proved: bool
+    norm_proved: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -104,6 +108,7 @@ class IterateRecord:
             "claim_step_bound": self.claim_step_bound,
             "claim_defect_bound": self.claim_defect_bound,
             "satisfied": {"step": self.step_ok, "defect": self.defect_ok, "norm": self.norm_ok},
+            "proved": {"step": self.step_proved, "defect": self.defect_proved, "norm": self.norm_proved},
         }
 
 
@@ -118,6 +123,7 @@ class StabilizeReport:
     L: float
     converged: bool
     distance_ok: bool
+    distance_proved: bool
     self_modular_residual: float
     notes: list[str] = field(default_factory=list)
 
@@ -128,7 +134,11 @@ class StabilizeReport:
     def to_json_dict(self) -> dict:
         return {
             "iterates": [r.to_json_dict() for r in self.iterates],
-            "final_distance": {"lower": self.total_distance.lower, "upper": self.total_distance.upper},
+            "final_distance": {
+                "lower": self.total_distance.lower,
+                "upper": self.total_distance.upper,
+                "proved": self.distance_proved,
+            },
             "theorem_bound": self.theorem_bound,
             "delta0": self.delta0,
             "K": self.K,
@@ -191,12 +201,17 @@ def modular_residuals(chain: np.ndarray, q: np.ndarray) -> tuple[float, float]:
     return float(np.abs(left).max()), float(np.abs(right).max())
 
 
+def _limit(bound: float) -> float:
+    """The right side of a claim comparison: the bound with rounding slack."""
+    return bound * (1 + 1e-9) + 1e-15
+
+
 def stabilize(
     phi: LinearMap, emb: Embedding, cert: DiagonalCert, config: StabilizeConfig
 ) -> StabilizeReport:
     """Iterate the improving operator, then improve once from the right.
 
-    Stops when the left-restricted defect's lower estimate passes
+    Stops when the left-restricted defect's upper estimate passes
     ``config.tol`` (or at ``max_iter``, flagged non-converged).  With
     ``check_claim_bounds`` the combined-constant precondition
     K^2 L^2 delta0 <= 1/8 is enforced up front and every recorded
@@ -212,25 +227,19 @@ def stabilize(
         "amenability constant uses the representation bound; theorem_bound is an upper envelope",
     ]
 
-    # Each round of estimates runs in parallel (run_all).  A map's defect
-    # cochain is built before its round, so that helpers inherit it.  The
-    # norm of a near-identity map is the longest estimate (it runs to the
-    # sweep cap), so it goes first; the seeds keep the order of the report.
     budget = {"restarts": config.restarts, "sweeps": config.sweeps}
-    defect_cochain(phi)
     seeds = [counter.next() for _ in range(3)]
-    norm0, dda0, dad0 = run_all([
-        partial(linear_map_norm, phi, seed=seeds[2], **budget),
-        partial(defect, phi, left=emb, seed=seeds[0], **budget),
-        partial(defect, phi, right=emb, seed=seeds[1], **budget),
-    ])
-    delta0 = max(dda0.upper, dad0.upper)
+    # delta0 reads only the uppers of the input's one-sided defects
+    dda = defect(phi, left=emb, restarts=0, seed=seeds[0])
+    dad = defect(phi, right=emb, restarts=0, seed=seeds[1])
+    delta0 = max(dda.upper, dad.upper)
 
     frobenius_mode = phi.source.norm_mode == "frobenius" or phi.target.norm_mode == "frobenius"
     if frobenius_mode:
         notes.append("norm_ge_one_may_fail: frobenius-mode run; bounds relying on ||phi|| >= 1 are reported, not asserted")
 
     if config.check_claim_bounds:
+        norm0 = linear_map_norm(phi, seed=seeds[2], claim=L * (1 + 1e-9), **budget)
         if norm0.lower > L * (1 + 1e-9):
             raise PreconditionError(
                 f"precondition violated: certified ||phi|| lower {norm0.lower} exceeds declared L={L}"
@@ -240,24 +249,22 @@ def stabilize(
                 f"precondition violated: K^2 L^2 delta0 = {k_const**2 * L**2 * delta0} > 1/8"
             )
 
+    norm_limit = NORM_GROWTH * L * (1 + 1e-9)
     iterates: list[IterateRecord] = []
     current = phi
-    dda = dda0
-    converged = dda.lower <= config.tol
+    converged = dda.upper <= config.tol
     n = 0
     while not converged and n < config.max_iter:
         n += 1
-        improved = improve(current, emb, cert)
-        defect_cochain(improved)
-        seeds = [counter.next() for _ in range(4)]
-        norm_n, step, dda, ddd = run_all([
-            partial(linear_map_norm, improved, seed=seeds[3], **budget),
-            partial(linear_map_norm, improved - current, seed=seeds[0], **budget),
-            partial(defect, improved, left=emb, seed=seeds[1], **budget),
-            partial(defect, improved, left=emb, right=emb, seed=seeds[2], **budget),
-        ])
         claim_step = k_const * L * delta0 * 2.0 ** (-(n - 1))
         claim_defect = 3.0 * delta0 * 2.0 ** (-2 * n - 1)
+        step_limit, defect_limit = _limit(claim_step), _limit(claim_defect)
+        improved = improve(current, emb, cert)
+        seeds = [counter.next() for _ in range(4)]
+        step = linear_map_norm(improved - current, seed=seeds[0], claim=step_limit, **budget)
+        dda = defect(improved, left=emb, seed=seeds[1], claim=defect_limit, **budget)
+        ddd = defect(improved, left=emb, right=emb, seed=seeds[2], **budget)
+        norm_n = linear_map_norm(improved, seed=seeds[3], claim=norm_limit, **budget)
         rec = IterateRecord(
             n,
             step,
@@ -266,22 +273,26 @@ def stabilize(
             norm_n,
             claim_step,
             claim_defect,
-            step_ok=bool(step.lower <= claim_step * (1 + 1e-9) + 1e-15),
-            defect_ok=bool(dda.lower <= claim_defect * (1 + 1e-9) + 1e-15),
-            norm_ok=bool(norm_n.lower <= NORM_GROWTH * L * (1 + 1e-9)),
+            step_ok=bool(step.lower <= step_limit),
+            defect_ok=bool(dda.lower <= defect_limit),
+            norm_ok=bool(norm_n.lower <= norm_limit),
+            step_proved=bool(step.upper <= step_limit),
+            defect_proved=bool(dda.upper <= defect_limit),
+            norm_proved=bool(norm_n.upper <= norm_limit),
         )
         iterates.append(rec)
         current = improved
-        converged = dda.lower <= config.tol
+        converged = dda.upper <= config.tol
 
     # right-sided pass: one mirrored improvement kills the right-restricted
     # defect because the both-restricted defect is already below tolerance
     if converged:
         current = improve_right(current, emb, cert)
 
-    total = linear_map_norm(current - phi, config.restarts, config.sweeps, seed=counter.next())
     theorem_bound = 12.0 * k_const**2 * L**3 * delta0
-    distance_ok = bool(total.lower <= theorem_bound * (1 + 1e-9) + 1e-15)
+    distance_limit = _limit(theorem_bound)
+    total = linear_map_norm(current - phi, seed=counter.next(), claim=distance_limit, **budget)
+    distance_ok = bool(total.lower <= distance_limit)
     if config.check_claim_bounds and converged and not frobenius_mode:
         if not distance_ok:
             raise FalsificationError(
@@ -299,6 +310,7 @@ def stabilize(
         L,
         converged,
         distance_ok,
+        bool(total.upper <= distance_limit),
         self_mod,
         notes,
     )

@@ -5,8 +5,12 @@ Every check is a pure function of (norm mode, seed) returning a CheckResult;
 the suite command and the acceptance tests drive the same functions.  Exact
 identities compare coefficient tensors at 1e-10 of their natural scale;
 bound checks compare a certified lower estimate of the left side with the
-bound assembled from certified uppers.  ``check_improving_bounds`` is the
-one home of the improving operator's one-step contract.
+bound assembled from certified uppers (``passed``: not falsified), and the
+left side's certified upper with the same bound (``proved``).  Each bound
+is computed before its left side, whose estimate takes it as its claim, so
+a row its upper proves runs only the cheap stage of the witness search.
+``check_improving_bounds`` is the one home of the improving operator's
+one-step contract.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .multilinear import (
     restrict_first,
     unit_killing_perturbation,
 )
+from .normest import estimate_tensor_norm
 from .perturbation import (
     absorption_check,
     clone_constant,
@@ -79,12 +84,21 @@ SW = 60
 
 @dataclass
 class CheckResult:
+    """One row.  ``passed``: the check is not falsified; ``proved``: a
+    certified bound decides it, which by default means ``passed`` (exact
+    residuals, exactly computed values, checker verdicts)."""
+
     check: str
     passed: bool
     lhs_lo: float
     lhs_hi: float
     rhs_lo: float
     rhs_hi: float
+    proved: bool | None = None
+
+    def __post_init__(self):
+        if self.proved is None:
+            self.proved = self.passed
 
     def row(self, instance_id: str, seed: int) -> dict:
         return {
@@ -92,6 +106,7 @@ class CheckResult:
             "check": self.check,
             "instance_seed": seed,
             "passed": bool(self.passed),
+            "proved": bool(self.proved),
             "lhs": {"lo": self.lhs_lo, "hi": self.lhs_hi},
             "rhs": {"lo": self.rhs_lo, "hi": self.rhs_hi},
         }
@@ -106,9 +121,16 @@ def _exact(check: str, residual: float, scale: float) -> CheckResult:
     return CheckResult(check, residual <= bound, residual, residual, bound, bound)
 
 
+def _claim(rhs_hi: float) -> float:
+    """The bound a no-falsification row compares its left side with."""
+    return rhs_hi * (1 + NF_SLACK) + 1e-15
+
+
 def _nofalsify(check: str, lhs_lo: float, lhs_hi: float, rhs_hi: float) -> CheckResult:
-    ok = lhs_lo <= rhs_hi * (1 + NF_SLACK) + 1e-15
-    return CheckResult(check, ok, lhs_lo, lhs_hi, rhs_hi, rhs_hi)
+    """Passed when the left side's lower meets the bound, proved when its
+    upper does."""
+    claim = _claim(rhs_hi)
+    return CheckResult(check, lhs_lo <= claim, lhs_lo, lhs_hi, rhs_hi, rhs_hi, lhs_hi <= claim)
 
 
 # -- seeded building blocks -----------------------------------------------------
@@ -158,26 +180,39 @@ def random_tensor_rep(d: Algebra, rng, pairs: int = 2) -> TensorRep:
 
 def right_modular_perturbation(a: Algebra, emb: Embedding, rng, scale: float) -> np.ndarray:
     """gamma with gamma(y x) = gamma(y) x for x in the subalgebra and
-    gamma = 0 on the subalgebra, so id + gamma is exactly right-modular.
-
-    The constraint matrix acts on gamma's coefficients in row-major order:
-    gamma r - r gamma for each right multiplier r by a basis vector of the
-    subalgebra, then gamma Q for the embedding Q.  Its Kronecker blocks copy
-    the entries of r and Q exactly, as an assembly one elementary matrix at a
-    time would.  A seeded null-space combination is rescaled.
-    """
-    eye = np.eye(a.dim)
-    rights = [a.right_mult_matrix(emb.matrix[:, m]) for m in range(emb.sub.dim)]
-    full = np.concatenate([np.kron(eye, r.T) - np.kron(r, eye) for r in rights] + [np.kron(eye, emb.matrix.T)])
-    _, sv, vh = np.linalg.svd(full)
-    rank = int(np.sum(sv > 1e-9 * sv[0])) if sv.size else 0
-    null = vh[rank:].conj().T
+    gamma = 0 on the subalgebra, so id + gamma is exactly right-modular: a
+    seeded combination of the null-space basis ``_right_modular_null``,
+    rescaled."""
+    null = _right_modular_null(a, emb)
     if null.shape[1] == 0:
         raise PreconditionError("no nonzero right-modular perturbation exists here")
     coeff = complex_gaussian(rng, null.shape[1])
     gamma = (null @ coeff).reshape(a.dim, a.dim)
     top = np.linalg.svd(gamma, compute_uv=False)[0]
     return gamma / top * scale
+
+
+def _right_modular_null(a: Algebra, emb: Embedding) -> np.ndarray:
+    """Orthonormal basis (columns) of the right-modular perturbations of
+    ``a`` over ``emb``, kept in ``a``'s cache per embedding matrix.
+
+    The constraint matrix acts on gamma's coefficients in row-major order:
+    gamma r - r gamma for each right multiplier r by a basis vector of the
+    subalgebra, then gamma Q for the embedding Q.  Its Kronecker blocks copy
+    the entries of r and Q exactly, as an assembly one elementary matrix at a
+    time would.
+    """
+    key = ("right_modular_null", emb.matrix.dtype.str, emb.matrix.shape, emb.matrix.tobytes())
+    null = a._cache.get(key)
+    if null is None:
+        eye = np.eye(a.dim)
+        rights = [a.right_mult_matrix(emb.matrix[:, m]) for m in range(emb.sub.dim)]
+        full = np.concatenate([np.kron(eye, r.T) - np.kron(r, eye) for r in rights] + [np.kron(eye, emb.matrix.T)])
+        _, sv, vh = np.linalg.svd(full)
+        rank = int(np.sum(sv > 1e-9 * sv[0])) if sv.size else 0
+        null = a._cache[key] = vh[rank:].conj().T
+        null.flags.writeable = False
+    return null
 
 
 # -- exact-identity checks -------------------------------------------------------
@@ -356,10 +391,10 @@ def check_perturbed_defect(mode: str, seed: int) -> CheckResult:
         gamma = LinearMap(a, a, gamma.matrix * shrink)
         theta = LinearMap(a, a, psi.matrix + gamma.matrix)
         gap = linear_map_norm(theta - psi, 0, SW, seed=seed)
-    lhs = defect(theta, restarts=R, sweeps=SW, seed=seed + 1)
     d_psi = defect(psi, restarts=0, sweeps=SW, seed=seed + 2)
     n_psi = linear_map_norm(psi, 0, SW, seed=seed + 3)
     rhs = d_psi.upper + 2.0 * gap.upper * (1.0 + n_psi.upper)
+    lhs = defect(theta, restarts=R, sweeps=SW, seed=seed + 1, claim=_claim(rhs))
     return _nofalsify("perturbed-defect-bound", lhs.lower, lhs.upper, rhs)
 
 
@@ -373,12 +408,13 @@ def check_relative_perturbed(mode: str, seed: int) -> CheckResult:
     n_gamma = linear_map_norm(gamma, 0, SW, seed=seed + 1)
     sides = []
     for kw in ({"left": emb}, {"right": emb}):
-        lhs = defect(combined, restarts=R, sweeps=SW, seed=seed + 2, **kw)
         base = defect(phi, restarts=0, sweeps=SW, seed=seed + 3, **kw)
         rhs = base.upper + (2.0 * n_phi.upper + 1.0) * n_gamma.upper + n_gamma.upper**2
+        lhs = defect(combined, restarts=R, sweeps=SW, seed=seed + 2, claim=_claim(rhs), **kw)
         sides.append(_nofalsify("relative-perturbed-defect-bound", lhs.lower, lhs.upper, rhs))
     left, right = sides
-    return replace(left, passed=left.passed and right.passed)  # the row reports the left side
+    # the row reports the left side
+    return replace(left, passed=left.passed and right.passed, proved=left.proved and right.proved)
 
 
 def _sampled_lower_arity3(chain: Cochain, seed: int, samples: int = 40) -> float:
@@ -393,17 +429,19 @@ def _sampled_lower_arity3(chain: Cochain, seed: int, samples: int = 40) -> float
 
 
 def check_coboundary_composition(mode: str, seed: int) -> CheckResult:
-    """The square of the coboundary is controlled by four defects."""
+    """The square of the coboundary is controlled by four defects.  The
+    arity-3 left side has a sampled lower bound and an unfolding upper."""
     rng = stream(seed, 10)
     a = build_full_matrix_algebra(2, norm_mode=mode)
     phi = random_map(a, a, rng)
     gamma = random_map(a, a, rng)
     composed = coboundary(phi, coboundary(phi, Cochain((a,), a, gamma.matrix)))
     lhs = _sampled_lower_arity3(composed, seed)
+    upper = estimate_tensor_norm(composed.tensor, [s.unit_ball for s in composed.slots], a.unit_ball, 0).upper
     d_phi = defect(phi, restarts=0, sweeps=SW, seed=seed + 1)
     n_gamma = linear_map_norm(gamma, 0, SW, seed=seed + 2)
     rhs = 4.0 * d_phi.upper * n_gamma.upper
-    return _nofalsify("coboundary-composition-bound", lhs, lhs, rhs)
+    return _nofalsify("coboundary-composition-bound", lhs, max(lhs, upper), rhs)
 
 
 def check_averaging_bound(mode: str, seed: int) -> CheckResult:
@@ -413,10 +451,10 @@ def check_averaging_bound(mode: str, seed: int) -> CheckResult:
     psi = Cochain((a, a), a, complex_gaussian(rng, (a.dim, a.dim, a.dim)))
     rep = random_tensor_rep(emb.sub, rng)
     avg = average(phi, emb, rep, psi)
-    lhs = multilinear_norm(avg, R, SW, seed=seed)
     n_phi = linear_map_norm(phi, 0, SW, seed=seed + 1)
     res = multilinear_norm(restrict_first(emb, psi), 0, SW, seed=seed + 2)
     rhs = rep.proj_bound * n_phi.upper * res.upper
+    lhs = multilinear_norm(avg, R, SW, seed=seed, claim=_claim(rhs))
     return _nofalsify("averaging-operator-bound", lhs.lower, lhs.upper, rhs)
 
 
@@ -436,10 +474,10 @@ def check_left_modular(mode: str, seed: int) -> CheckResult:
         moved = TensorRep(d, [(d.multiply_coords(x, c), dd) for c, dd in rep.pairs])
         term2[:, m, :] = average(phi, emb, moved, psi).tensor
     gap = Cochain((d, a), b, term1 - term2)
-    lhs = multilinear_norm(gap, R, SW, seed=seed)
     ddd = defect(phi, left=emb, right=emb, restarts=0, sweeps=SW, seed=seed + 1)
     res = multilinear_norm(restrict_first(emb, psi), 0, SW, seed=seed + 2)
     rhs = ddd.upper * rep.proj_bound * res.upper
+    lhs = multilinear_norm(gap, R, SW, seed=seed, claim=_claim(rhs))
     return _nofalsify("left-modular-bound", lhs.lower, lhs.upper, rhs)
 
 
@@ -453,10 +491,10 @@ def check_splitting_v2(mode: str, seed: int) -> CheckResult:
     s1 = split(phi, emb, cert, psi)
     inner = coboundary(phi, s1).tensor + split(phi, emb, cert, coboundary(phi, psi)).tensor - psi.tensor
     gap = restrict_first(emb, Cochain((a, a), a, inner))
-    lhs = multilinear_norm(gap, R, SW, seed=seed)
     ddd = defect(phi, left=emb, right=emb, restarts=0, sweeps=SW, seed=seed + 1)
     res = multilinear_norm(restrict_first(emb, psi), 0, SW, seed=seed + 2)
     rhs = 2.0 * cert.K * ddd.upper * res.upper
+    lhs = multilinear_norm(gap, R, SW, seed=seed, claim=_claim(rhs))
     return _nofalsify("splitting-homotopy-bound", lhs.lower, lhs.upper, rhs)
 
 
@@ -468,19 +506,19 @@ def check_improving_bounds(mode: str, seed: int) -> list[CheckResult]:
     gamma = unit_killing_perturbation(a, rng, 1e-3)
     phi = LinearMap(a, a, np.eye(a.dim) + gamma)
     improved = improve(phi, emb, cert)
-    step = linear_map_norm(improved - phi, R, SW, seed=seed)
-    norm_phi = linear_map_norm(phi, R, SW, seed=seed + 1)
-    dda_in = defect(phi, left=emb, restarts=R, sweeps=SW, seed=seed + 2)
-    ddd_in = defect(phi, left=emb, right=emb, restarts=R, sweeps=SW, seed=seed + 3)
-    dda_out = defect(improved, left=emb, restarts=R, sweeps=SW, seed=seed + 4)
+    # the bounds read only the uppers of the input's estimates
+    norm_phi = linear_map_norm(phi, 0, SW, seed=seed + 1)
+    dda_in = defect(phi, left=emb, restarts=0, sweeps=SW, seed=seed + 2)
+    ddd_in = defect(phi, left=emb, right=emb, restarts=0, sweeps=SW, seed=seed + 3)
     step_bound = cert.K * norm_phi.upper * dda_in.upper
     defect_bound = 3.0 * cert.K**2 * norm_phi.upper**2 * ddd_in.upper * dda_in.upper
+    step = linear_map_norm(improved - phi, R, SW, seed=seed, claim=_claim(step_bound))
+    dda_out = defect(improved, left=emb, restarts=R, sweeps=SW, seed=seed + 4, claim=_claim(defect_bound))
     unit_resid = _maxabs(improved.apply(emb.unit_in_parent()) - a.unit_coords)
-    unit_ok = unit_resid <= EXACT_TOL * max(1.0, _maxabs(phi.matrix) ** 2)
     return [
         _nofalsify("improvement-step-bound", step.lower, step.upper, step_bound),
         _nofalsify("improvement-defect-bound", dda_out.lower, dda_out.upper, defect_bound),
-        CheckResult("improvement-preserves-unit", unit_ok, 0.0, 0.0, 0.0, 0.0),
+        _exact("improvement-preserves-unit", unit_resid, max(1.0, _maxabs(phi.matrix) ** 2)),
     ]
 
 
@@ -500,20 +538,20 @@ def run_stabilize_checks(mode: str, seed: int, gamma_norm: float = 1e-3,
                     float(config.max_iter), float(config.max_iter)),
         CheckResult("stabilize-distance-bound", report.distance_ok,
                     report.total_distance.lower, report.total_distance.upper,
-                    report.theorem_bound, report.theorem_bound),
+                    report.theorem_bound, report.theorem_bound, report.distance_proved),
         CheckResult("stabilize-self-modular", report.self_modular_residual <= SELF_MODULAR_TOL,
                     report.self_modular_residual, report.self_modular_residual, SELF_MODULAR_TOL, SELF_MODULAR_TOL),
     ]
     for rec in report.iterates:
         results.append(CheckResult(f"stabilize-claim-step-{rec.step}", rec.step_ok,
                                    rec.step_norm.lower, rec.step_norm.upper,
-                                   rec.claim_step_bound, rec.claim_step_bound))
+                                   rec.claim_step_bound, rec.claim_step_bound, rec.step_proved))
         results.append(CheckResult(f"stabilize-claim-defect-{rec.step}", rec.defect_ok,
                                    rec.def_da.lower, rec.def_da.upper,
-                                   rec.claim_defect_bound, rec.claim_defect_bound))
+                                   rec.claim_defect_bound, rec.claim_defect_bound, rec.defect_proved))
         results.append(CheckResult(f"stabilize-norm-growth-{rec.step}", rec.norm_ok,
                                    rec.norm_phi.lower, rec.norm_phi.upper,
-                                   NORM_GROWTH * config.L, NORM_GROWTH * config.L))
+                                   NORM_GROWTH * config.L, NORM_GROWTH * config.L, rec.norm_proved))
     return results
 
 
@@ -521,17 +559,17 @@ def run_stabilize_checks(mode: str, seed: int, gamma_norm: float = 1e-3,
 
 
 def _guarded(check: str, thunk) -> CheckResult:
-    """The row of ``thunk()``'s (passed, lhs, rhs), or a failed row when the
-    checker raises: a valid instance must not be refused."""
+    """The row of ``thunk()``'s (passed, lhs, rhs[, proved]), or a failed row
+    when the checker raises: a valid instance must not be refused."""
     try:
-        passed, lhs, rhs = thunk()
+        passed, lhs, rhs, *proved = thunk()
     except Exception:
         return CheckResult(check, False, 0, 0, 0, 0)
-    return CheckResult(check, passed, lhs, lhs, rhs, rhs)
+    return CheckResult(check, passed, lhs, lhs, rhs, rhs, *proved)
 
 
 def _bound(cert) -> tuple:
-    return cert.ok, cert.lhs, cert.rhs
+    return cert.ok, cert.lhs, cert.rhs, cert.proved
 
 
 def checker_valid_battery(seed: int) -> list[CheckResult]:

@@ -95,14 +95,16 @@ def test_exit_code_config_error():
     assert main(["suite"]) == 2
 
 
-def test_suite_exit_zero_and_report(tmp_path):
+def test_suite_exit_zero_and_report(tmp_path, capsys):
     cfg = write_config(tmp_path, instances=1)
     out = tmp_path / "r"
     assert main(["suite", "--config", str(cfg), "--out", str(out)]) == 0
     doc = json.loads((out / "suite_report.json").read_text())
     assert doc["schema"] == 1
     assert doc["passed"] is True
-    assert all(set(r) >= {"id", "check", "passed", "lhs", "rhs", "instance_seed"} for r in doc["rows"])
+    assert all(set(r) >= {"id", "check", "passed", "proved", "lhs", "rhs", "instance_seed"} for r in doc["rows"])
+    proved = sum(r["proved"] for r in doc["rows"])
+    assert capsys.readouterr().out.startswith(f"suite: {len(doc['rows'])}/{len(doc['rows'])} rows passed, {proved} proved")
     lines = (out / "suite_rows.jsonl").read_text().strip().splitlines()
     assert len(lines) == len(doc["rows"])
     assert all(json.loads(line)["passed"] for line in lines)
@@ -124,6 +126,24 @@ def test_stabilize_precondition_exit_one(tmp_path):
     proc = run_cli(["stabilize", "--config", str(cfg), "--out", str(tmp_path / "px")])
     assert proc.returncode == 1
     assert "precondition" in proc.stderr
+
+
+# The refusals of the default scenario at seed 3: the combined constant
+# K^2 L^2 delta0 is past 1/8 at k = 3 and 4.  delta0 reads only uppers, so
+# these messages do not depend on the witness search.
+DEFAULT_REFUSALS = {
+    3: "precondition: precondition violated: K^2 L^2 delta0 = 0.13571793266359147 > 1/8\n",
+    4: "precondition: precondition violated: K^2 L^2 delta0 = 0.30195599923487626 > 1/8\n",
+}
+
+
+@pytest.mark.parametrize("k", sorted(DEFAULT_REFUSALS))
+def test_default_spectral_refusals_keep_their_message(tmp_path, k):
+    cfg = write_config(tmp_path, seed=3, dims={"matrix": k})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["stabilize", "--config", str(cfg), "--out", str(tmp_path / "r")])
+    assert (code, err.getvalue()) == (1, DEFAULT_REFUSALS[k])
 
 
 def test_defect_command(tmp_path):

@@ -10,7 +10,9 @@ from amnm.algebra import (
 )
 from amnm.errors import DomainError, FalsificationError
 from amnm.multilinear import Cochain, DefectEstimate, LinearMap, defect, linear_map_norm, multilinear_norm
+from amnm import normest
 from amnm.normest import (
+    PROVED_SWEEPS,
     SWEEP_TOL,
     TIE_TOL,
     BoxBall,
@@ -19,6 +21,7 @@ from amnm.normest import (
     FalsificationGuard,
     SpectralBall,
     _svd_start,
+    _unfolding_upper,
     estimate_tensor_norm,
 )
 from amnm.rng import complex_gaussian, stream
@@ -381,6 +384,60 @@ def test_batched_estimate_degenerate_inputs():
     assert upper_only.lower == 0.0 and upper_only.restarts_used == 0
     assert upper_only.upper == estimate_tensor_norm(tensor, [ball, ball], ball, restarts=2).upper
     assert all(not w.any() for w in upper_only.witness)
+
+
+# -- claims: a proved claim gets only the cheap stage ---------------------------------
+
+
+def _same_estimate(x, y) -> bool:
+    return (x.lower, x.upper, x.restarts_used, x.seed) == (y.lower, y.upper, y.restarts_used, y.seed) and all(
+        u.tobytes() == v.tobytes() for u, v in zip(x.witness, y.witness))
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("name", list(_ball_cases()))
+def test_a_met_claim_runs_restart_zero_for_a_few_sweeps(name, arity):
+    algebra = _ball_cases()[name]
+    target = algebra.unit_ball
+    balls = [target] * arity
+    tensor = complex_gaussian(stream(43, arity), (algebra.dim,) * (arity + 1))
+    full = estimate_tensor_norm(tensor, balls, target, restarts=8, sweeps=60, seed=5)
+    proved = estimate_tensor_norm(tensor, balls, target, restarts=8, sweeps=60, seed=5, claim=2.0 * full.upper)
+    assert proved.upper == full.upper
+    assert proved.restarts_used == 1
+    assert proved.lower <= full.lower
+    # the cheap stage is restart 0 of the full search, cut at PROVED_SWEEPS sweeps
+    prefix = estimate_tensor_norm(tensor, balls, target, restarts=1, sweeps=PROVED_SWEEPS, seed=5)
+    assert _same_estimate(proved, prefix)
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("name", list(_ball_cases()))
+def test_an_unmet_or_absent_claim_keeps_the_full_search(name, arity):
+    algebra = _ball_cases()[name]
+    target = algebra.unit_ball
+    balls = [target] * arity
+    tensor = complex_gaussian(stream(44, arity), (algebra.dim,) * (arity + 1))
+    full = estimate_tensor_norm(tensor, balls, target, restarts=8, sweeps=60, seed=6)
+    assert full.restarts_used == 8
+    for claim in (None, np.nextafter(full.upper, 0.0), 0.5 * full.upper, 0.0):
+        est = estimate_tensor_norm(tensor, balls, target, restarts=8, sweeps=60, seed=6, claim=claim)
+        assert _same_estimate(est, full)
+
+
+def test_a_witness_that_lifts_the_upper_past_the_claim_gets_the_full_search(monkeypatch):
+    # a rank-one tensor on Euclidean balls: the search attains the unfolding
+    # bound, so an upper shaded below it is lifted by the witness
+    a, b = frob_pair(3, 4)
+    rng = stream(45, 0)
+    tensor = np.einsum("t,i,j->tij", complex_gaussian(rng, 4), complex_gaussian(rng, 3), complex_gaussian(rng, 3))
+    balls, target = [a.unit_ball, a.unit_ball], b.unit_ball
+    monkeypatch.setattr(normest, "_unfolding_upper", lambda t: _unfolding_upper(t) * (1 - 1e-10))
+    raw = normest._unfolding_upper(tensor)
+    full = estimate_tensor_norm(tensor, balls, target, restarts=4, sweeps=60, seed=7)
+    assert full.lower > raw and full.upper == full.lower
+    est = estimate_tensor_norm(tensor, balls, target, restarts=4, sweeps=60, seed=7, claim=raw)
+    assert _same_estimate(est, full)
 
 
 @pytest.mark.parametrize("name", list(_ball_cases()))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from amnm import stabilizer
+from amnm import multilinear, normest, stabilizer, suites
 from amnm.algebra import (
     Algebra,
     Embedding,
@@ -437,3 +437,151 @@ def test_stabilize_frobenius_mode_reports_not_asserts():
     assert report.converged
     assert any("norm_ge_one_may_fail" in note for note in report.notes)
     assert any("upper envelope" in note for note in report.notes)
+
+
+@pytest.mark.parametrize("mode", ["spectral", "frobenius"])
+def test_right_modular_null_space_is_cached_bit_for_bit(mode):
+    a, emb, _ = _scenario(2, mode)
+    key = ("right_modular_null", emb.matrix.dtype.str, emb.matrix.shape, emb.matrix.tobytes())
+    for seed in (0, 5, 3611, 20_017):
+        a._cache.pop(key, None)
+        fresh = right_modular_perturbation(a, emb, stream(seed, 5), 0.05)
+        basis = a._cache[key]
+        cached = right_modular_perturbation(a, emb, stream(seed, 5), 0.05)
+        assert a._cache[key] is basis  # the second call did not rebuild it
+        assert cached.tobytes() == fresh.tobytes()
+        assert cached.tobytes() == _right_modular_by_columns(a, emb, stream(seed, 5), 0.05).tobytes()
+    with pytest.raises(ValueError):
+        basis[0, 0] = 0.0  # shared, so read-only
+
+
+# -- proved claims ---------------------------------------------------------------------
+
+
+def _spy_estimates(monkeypatch) -> list:
+    """Record every estimate made through ``multilinear``: its claim, budget,
+    result and the witness-search budgets it ran."""
+    records, searches = [], []
+    search, estimate = normest._search, normest.estimate_tensor_norm
+
+    def spy_search(tensor, balls, target, restarts, sweeps, seed, upper):
+        searches.append((restarts, sweeps))
+        return search(tensor, balls, target, restarts, sweeps, seed, upper)
+
+    def spy_estimate(tensor, balls, target, restarts=32, sweeps=200, seed=0, claim=None):
+        start = len(searches)
+        est = estimate(tensor, balls, target, restarts, sweeps, seed, claim)
+        records.append((claim, restarts, sweeps, est, searches[start:]))
+        return est
+
+    monkeypatch.setattr(normest, "_search", spy_search)
+    monkeypatch.setattr(multilinear, "estimate_tensor_norm", spy_estimate)
+    return records
+
+
+def _assert_budgets(records) -> None:
+    """A claimed estimate that its upper proves ran the cheap stage first;
+    every other searched estimate ended with the full budget."""
+    for claim, restarts, sweeps, est, searches in records:
+        if restarts == 0 or not searches:
+            continue
+        if claim is not None and est.upper <= claim:
+            assert searches[0] == (1, min(sweeps, 3))
+        else:
+            assert searches[-1] == (restarts, sweeps)
+            assert est.restarts_used == restarts
+
+
+@pytest.mark.parametrize("mode", ["spectral", "frobenius"])
+@pytest.mark.parametrize("seed", [3005, 3611])
+def test_suite_rows_are_proved_exactly_when_their_uppers_decide_them(monkeypatch, mode, seed):
+    records = _spy_estimates(monkeypatch)
+    checks = [suites.check_perturbed_defect, suites.check_relative_perturbed, suites.check_coboundary_composition,
+              suites.check_averaging_bound, suites.check_left_modular, suites.check_splitting_v2]
+    proved = 0
+    for fn in checks + [suites.check_improving_bounds]:
+        del records[:]
+        rows = fn(mode, seed)
+        rows = rows if isinstance(rows, list) else [rows]
+        _assert_budgets(records)
+        claimed = [(claim, est) for claim, _, _, est, _ in records if claim is not None]
+        if fn is suites.check_relative_perturbed:
+            # the row reports the left side, and is proved when both sides are
+            assert rows[0].proved == all(est.upper <= claim for claim, est in claimed)
+            assert len(claimed) == 2
+        for row in rows:
+            if row.check == "improvement-preserves-unit":
+                assert row.proved == row.passed
+            elif fn is not suites.check_relative_perturbed:
+                assert row.proved == (row.lhs_hi <= suites._claim(row.rhs_hi))
+            assert row.passed
+            proved += row.proved
+    # the searched rows are decided by the estimates whose claims they read
+    for row in suites.run_stabilize_checks(mode, seed + 3000):
+        assert row.passed
+        if row.check.startswith(("stabilize-claim", "stabilize-distance")):
+            assert row.proved == (row.lhs_hi <= row.rhs_hi * (1 + 1e-9) + 1e-15)
+        elif row.check.startswith("stabilize-norm-growth"):
+            assert row.proved == (row.lhs_hi <= row.rhs_hi * (1 + 1e-9))
+        else:
+            assert row.proved == row.passed
+    _assert_budgets(records)
+    for row in suites.checker_valid_battery(seed + 6000):
+        assert row.passed and row.proved
+    assert proved == 9  # at these seeds every searched row is proved
+
+
+def test_unit_row_carries_the_residual_it_checked(monkeypatch):
+    a, emb, cert = _scenario(2, "spectral")
+    phi = LinearMap(a, a, np.eye(4) + unit_killing_perturbation(a, stream(7, 14), 1e-3))
+    bound = suites.EXACT_TOL * max(1.0, np.abs(phi.matrix).max() ** 2)
+    unit = check_improving_bounds("spectral", 7)[2]
+    assert unit.check == "improvement-preserves-unit" and unit.passed
+    assert unit.rhs_lo == unit.rhs_hi == bound
+    assert unit.lhs_lo == unit.lhs_hi == np.abs(improve(phi, emb, cert).apply(emb.unit_in_parent()) - a.unit_coords).max()
+    # a step that moves the unit value reports the moved residual, and fails
+    shift = np.zeros((4, 4), dtype=complex)
+    shift[0, 0] = 1e-6
+    moved = LinearMap(a, a, improve(phi, emb, cert).matrix + shift)
+    monkeypatch.setattr(suites, "improve", lambda *args: moved)
+    row = check_improving_bounds("spectral", 7)[2]
+    assert row.lhs_lo == row.lhs_hi == np.abs(moved.apply(emb.unit_in_parent()) - a.unit_coords).max() > bound
+    assert not row.passed and not row.proved
+
+
+@pytest.mark.parametrize("mode,k,seed", [("spectral", 2, 3), ("spectral", 2, 8), ("frobenius", 3, 4), ("frobenius", 4, 6)])
+def test_stabilize_stops_on_the_defect_upper(mode, k, seed):
+    a, emb, cert = _scenario(k, mode)
+    phi = LinearMap(a, a, np.eye(a.dim) + unit_killing_perturbation(a, stream(seed, 15), 1e-3))
+    report = stabilize(phi, emb, cert, StabilizeConfig(seed=seed, restarts=8, sweeps=60))
+    assert report.converged and report.iterates
+    last = report.iterates[-1].def_da
+    assert last.upper <= 1e-8
+    assert all(rec.def_da.upper > 1e-8 for rec in report.iterates[:-1])
+    # a tolerance between an iterate's lower and upper does not stop there
+    first = report.iterates[0].def_da
+    assert first.lower < first.upper
+    tol = 0.5 * (first.lower + first.upper)
+    again = stabilize(phi, emb, cert, StabilizeConfig(tol=tol, seed=seed, restarts=8, sweeps=60))
+    assert again.converged and len(again.iterates) >= 2
+    assert all(all(rec.to_json_dict()["proved"].values()) for rec in report.iterates)
+    assert report.to_json_dict()["final_distance"]["proved"]
+
+
+def test_a_row_passed_by_its_lower_alone_is_not_proved(monkeypatch):
+    row = suites._nofalsify("bound", 1.0, 3.0, 2.0)
+    assert row.passed and not row.proved
+    # the relative row is proved only when both of its sides are: widen
+    # the right side's upper far past its bound
+    defect_ = suites.defect
+
+    def widened(phi, left=None, right=None, restarts=0, sweeps=60, seed=0, claim=None):
+        est = defect_(phi, left=left, right=right, restarts=restarts, sweeps=sweeps, seed=seed, claim=claim)
+        if right is not None and restarts:
+            return normest.DefectEstimate(est.lower, 1e6 * est.upper, est.witness, est.restarts_used, est.seed)
+        return est
+
+    assert suites.check_relative_perturbed("spectral", 3005).proved
+    monkeypatch.setattr(suites, "defect", widened)
+    row = suites.check_relative_perturbed("spectral", 3005)
+    assert row.passed and not row.proved
