@@ -14,7 +14,14 @@ The central objects:
                               + sum_j (-1)^j psi(.., a_j a_{j+1}, ..)
                               + (-1)^{n+1} psi(a_1..a_n) phi(a_{n+1})
 
-  which is exact on coefficients for every arity.
+  which is exact on coefficients for every arity.  Its two target products
+  (phi(a_1) psi(..) and psi(..) phi(a_{n+1})) are each two BLAS matrix
+  products against the structure tensor, not a three-operand ``einsum``,
+  and each inner fold psi(.., a_j a_{j+1}, ..) is one matmul.
+
+``LinearMap``'s defect cochain and ``restrict_slot`` keep their ``einsum``
+and ``tensordot`` forms: they set every reported upper and delta0, and a
+stacked form would move those bits.
 
 Norm estimation supports arities 1 and 2 and always returns an interval
 (`DefectEstimate`): a witness-certified lower bound plus an unfolding upper
@@ -26,6 +33,7 @@ searches for a witness only briefly once its upper proves it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -153,15 +161,30 @@ class Cochain:
 
 def _target_multiply_left(target: Algebra, coeffs: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """Pointwise product in the target algebra, coeffs-element on the left;
-    the columns of ``coeffs`` are indexed by a new leading slot."""
-    return np.einsum("pi,pqt,q...->ti...", coeffs, target.structure, tensor)
+    the columns of ``coeffs`` are indexed by a new leading slot.
+
+    Two BLAS products: X[t, i, q] = sum_p coeffs[p, i] structure[p, q, t],
+    then X against the tensor's target axis.
+    """
+    d = target.dim
+    lead = (coeffs.T @ target.structure.reshape(d, d * d)).reshape(-1, d, d)  # (i, q, t)
+    lead = lead.transpose(2, 0, 1).reshape(-1, d)  # (t i, q)
+    out = lead @ tensor.reshape(d, -1)
+    return out.reshape((d, coeffs.shape[1]) + tensor.shape[1:])
 
 
 def _target_multiply_right(target: Algebra, tensor: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Pointwise product, coeffs-element on the right, as a new last slot."""
-    flat = tensor.reshape(tensor.shape[0], -1)
-    out = np.einsum("pqt,pR,qj->tRj", target.structure, flat, coeffs)
-    return out.reshape((target.dim,) + tensor.shape[1:] + (coeffs.shape[1],))
+    """Pointwise product, coeffs-element on the right, as a new last slot.
+
+    Two BLAS products: Y[p, t, j] = sum_q structure[p, q, t] coeffs[q, j],
+    then the tensor's target axis against Y.
+    """
+    d = target.dim
+    flat = tensor.reshape(d, -1)
+    right = np.swapaxes(target.structure, 1, 2).reshape(d * d, d) @ coeffs  # (p t, j)
+    out = flat.T @ right.reshape(d, -1)  # (R, t j)
+    out = out.reshape(flat.shape[1], d, -1).transpose(1, 0, 2)
+    return out.reshape((d,) + tensor.shape[1:] + (coeffs.shape[1],))
 
 
 def defect_cochain(phi: LinearMap) -> Cochain:
@@ -183,15 +206,15 @@ def coboundary(phi: LinearMap, psi: Cochain) -> Cochain:
             raise DomainError("coboundary requires all slots equal to the map's source")
     a, b = phi.source, phi.target
     d = a.dim
+    shape = psi.tensor.shape
+    products = a.structure.reshape(d * d, d)  # row (i, i'): the coordinates of e_i e_i'
     total = _target_multiply_left(b, phi.matrix, psi.tensor)
     for j in range(1, n + 1):
-        # fold slots j, j+1 (1-based) of the (n+1)-slot output through the product
-        contracted = np.tensordot(psi.tensor, a.structure, axes=(j, 2))
-        # axes now: (target, slots without j, i, i'); move (i, i') into place j
-        contracted = np.moveaxis(contracted, (n - 1 + 1, n - 1 + 2), (j, j + 1))
-        total = total + ((-1) ** j) * contracted
-    last = _target_multiply_right(b, psi.tensor, phi.matrix)
-    total = total + ((-1) ** (n + 1)) * last
+        # slots j, j+1 (1-based) of the (n+1)-slot output fold through the
+        # product into slot j of psi: one matmul, already in place
+        folded = products @ psi.tensor.reshape(math.prod(shape[:j]), d, -1)
+        total += ((-1) ** j) * folded.reshape(shape[:j] + (d, d) + shape[j + 1 :])
+    total += ((-1) ** (n + 1)) * _target_multiply_right(b, psi.tensor, phi.matrix)
     return Cochain((a,) * (n + 1), b, total)
 
 

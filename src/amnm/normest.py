@@ -173,16 +173,19 @@ def _conj_phase(v: np.ndarray, size: np.ndarray) -> np.ndarray:
 
 
 def _l2_norm(c: np.ndarray, axis):
-    """``np.linalg.norm(c, axis=axis)``, safe from underflow.
+    """``np.linalg.norm(c, axis=axis)``, safe from under- and overflow.
 
     The norm squares the entries, so rows whose norm falls below
-    ``_SMALL_NORM`` are normed again after scaling by 2**600, which is exact;
-    every other row keeps its bits.
+    ``_SMALL_NORM`` are normed again after scaling by 2**600, and rows whose
+    squares overflow (an infinite norm) after scaling by 2**-600; both
+    scalings are exact, and every other row keeps its bits.
     """
-    value = np.linalg.norm(c, axis=axis)
+    with np.errstate(over="ignore"):
+        value = np.linalg.norm(c, axis=axis)
     small = value < _SMALL_NORM
-    if np.any(small):
-        scale = np.where(small, _TINY_SCALE, 1.0)
+    large = np.isinf(value)
+    if np.any(small) or np.any(large):
+        scale = np.where(small, _TINY_SCALE, np.where(large, 1.0 / _TINY_SCALE, 1.0))
         value = np.linalg.norm(c * (scale if axis is None else scale[..., None]), axis=axis) / scale
     return value
 

@@ -93,16 +93,20 @@ def norm_dichotomy_check(psi: LinearMap, p: Element, delta: float, seed: int = 0
 @dataclass
 class BoundCertificate:
     """``ok``: the bound is not falsified; ``proved``: a certified upper of
-    the left side meets it (``ok`` itself when ``lhs`` is computed exactly)."""
+    the left side, ``lhs_hi``, meets it.  When ``lhs`` is computed exactly,
+    ``lhs_hi`` is ``lhs`` and ``proved`` is ``ok``."""
 
     lhs: float
     rhs: float
     ok: bool
     proved: bool | None = None
+    lhs_hi: float | None = None
 
     def __post_init__(self):
         if self.proved is None:
             self.proved = self.ok
+        if self.lhs_hi is None:
+            self.lhs_hi = self.lhs
 
 
 def absorption_check(
@@ -165,7 +169,7 @@ def small_on_identity(psi: LinearMap, eta: float, seed: int = 0) -> BoundCertifi
     ok = norm_est.lower <= claim
     if not ok:
         raise FalsificationError(f"small-norm bound falsified: {norm_est.lower} > {rhs}")
-    return BoundCertificate(norm_est.lower, rhs, ok, norm_est.upper <= claim)
+    return BoundCertificate(norm_est.lower, rhs, ok, norm_est.upper <= claim, norm_est.upper)
 
 
 @dataclass

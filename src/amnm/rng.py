@@ -8,8 +8,9 @@ The stream index is folded from a tuple of small nonnegative integers:
 
     fold(i0, i1, i2, ...) = i0 + i1 * 2**20 + i2 * 2**40 + ...
 
-giving a 64-bit word as long as each component stays below 2**20 (asserted).
-The Philox key is the pair (seed mod 2**64, fold(indices)).
+Each component must stay below 2**20 and the folded word below 2**64, so
+distinct tuples without trailing zeros get distinct words; both are checked
+(``ValueError``).  The Philox key is the pair (seed mod 2**64, fold(indices)).
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ def fold_indices(indices: tuple[int, ...]) -> int:
         if idx < 0 or idx >= 1 << _COMPONENT_BITS:
             raise ValueError(f"stream index component out of range: {idx}")
         word |= idx << (pos * _COMPONENT_BITS)
-    return word & _MASK64
+    if word > _MASK64:
+        raise ValueError(f"stream indices {tuple(indices)} fold to more than 64 bits")
+    return word
 
 
 def stream(seed: int, *indices: int) -> np.random.Generator:

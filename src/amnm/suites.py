@@ -11,6 +11,16 @@ is computed before its left side, whose estimate takes it as its claim, so
 a row its upper proves runs only the cheap stage of the witness search.
 ``check_improving_bounds`` is the one home of the improving operator's
 one-step contract.
+
+The checks contract stacked arrays instead of looping over basis vectors,
+tensor legs or samples: the splitting identity stacks the diagonal's legs,
+the right-module identity the subalgebra's basis, and the sampled arity-3
+lower takes all its points from one draw.  Two checks keep short loops,
+whose bits a stacked form would move: the M_2 twist of
+``check_decompose_equality`` builds its seeded map, and the per-vector
+moves of ``check_left_modular`` its estimated left side.
+``diagonal.average`` keeps its loop over the legs, which the
+opposite-algebra tests compare bit for bit.
 """
 
 from __future__ import annotations
@@ -30,10 +40,11 @@ from .algebra import (
     summand_quotient,
 )
 from .diagonal import TensorRep, _scenario, average, library_diagonal, split
-from .errors import PreconditionError
+from .errors import DomainError, PreconditionError
 from .multilinear import (
     Cochain,
     LinearMap,
+    _target_multiply_left,
     coboundary,
     defect,
     defect_cochain,
@@ -42,11 +53,11 @@ from .multilinear import (
     restrict_first,
     unit_killing_perturbation,
 )
-from .normest import estimate_tensor_norm
+from .normest import EuclideanBall, SpectralBall, estimate_tensor_norm
 from .perturbation import (
+    BoundCertificate,
     absorption_check,
     clone_constant,
-    corner_restriction,
     dichotomy_roots,
     equivalent_projection_check,
     norm_dichotomy_check,
@@ -160,6 +171,15 @@ def _m4_plus_m2() -> Algebra:
     return direct_sum(build_full_matrix_algebra(4), build_full_matrix_algebra(2))
 
 
+@cache
+def _m4_corner() -> Embedding:
+    """The upper-left 2x2 corner of M_4, the quotient of ``_m4_plus_m2``,
+    as the subalgebra its four matrix units span (``corner_restriction``)."""
+    q_alg, _ = summand_quotient(_m4_plus_m2(), keep=0)
+    corner_basis = [q_alg.basis_element(4 * i + j) for i in range(2) for j in range(2)]
+    return generated_subalgebra(q_alg, corner_basis, unital=False)[1]
+
+
 def _algebra_cycle(mode: str, which: int) -> Algebra:
     """Small library algebras, dims <= 6."""
     which = which % 3
@@ -236,7 +256,7 @@ def check_linearization(mode: str, seed: int) -> CheckResult:
     combined = defect_cochain(LinearMap(a, a, phi.matrix + gamma.matrix))
     gamma_chain = Cochain((a,), a, gamma.matrix)
     cross = coboundary(phi, gamma_chain)
-    gg = np.einsum("pqt,pi,qj->tij", a.structure, gamma.matrix, gamma.matrix)
+    gg = _target_multiply_left(a, gamma.matrix, gamma.matrix)  # gamma(a) gamma(b)
     recomposed = defect_cochain(phi).tensor - cross.tensor - gg
     resid = _maxabs(combined.tensor - recomposed)
     scale = (1.0 + _maxabs(phi.matrix) + _maxabs(gamma.matrix)) ** 2
@@ -274,22 +294,19 @@ def check_splitting_v1(mode: str, seed: int) -> CheckResult:
         phi, emb, rep, coboundary(phi, psi)
     ).tensor
 
-    u = np.zeros(b.dim, dtype=complex)
-    for c, dd in rep.pairs:
-        u += b.multiply_coords(phi.apply(emb.embed_coords(c)), phi.apply(emb.embed_coords(dd)))
-    term1 = np.einsum("p,pqt,qij->tij", u, b.structure, psi.tensor)
+    # the embedded legs c_k, d_k as columns, one per pair
+    cs, ds = (emb.matrix @ np.array(legs).T for legs in zip(*rep.pairs))
+    phi_c = phi.matrix @ cs
+    # u = sum_k phi(c_k) phi(d_k)
+    u = (phi_c @ (phi.matrix @ ds).T).reshape(-1) @ b.structure.reshape(-1, b.dim)
+    term1 = _target_multiply_left(b, u[:, None], psi.tensor)[:, 0]
 
     avg1 = average(phi, emb, rep, psi).tensor  # arity 1: (b.dim, a.dim)
-    term2 = np.einsum("pqt,pi,qj->tij", b.structure, phi.matrix, avg1)
+    term2 = _target_multiply_left(b, phi.matrix, avg1)
 
-    term3 = np.zeros_like(term1)
-    basis = np.eye(a.dim)
-    for i in range(a.dim):
-        for c, dd in rep.pairs:
-            da = a.multiply_coords(emb.embed_coords(dd), basis[i])
-            psi_da = np.tensordot(psi.tensor, da, axes=(1, 0))
-            phi_c = phi.apply(emb.embed_coords(c))
-            term3[:, i, :] += np.einsum("p,pqt,qj->tj", phi_c, b.structure, psi_da)
+    # term3(e_i, .) = sum_k phi(c_k) psi(d_k e_i, .), every k and i at once
+    d_e = (ds.T @ a.structure.reshape(a.dim, -1)).reshape(len(rep.pairs), a.dim, a.dim)  # (k, i, m)
+    term3 = np.einsum("tkmj,kim->tij", _target_multiply_left(b, phi_c, psi.tensor), d_e)
 
     resid = _maxabs(lhs - (term1 + term2 - term3))
     scale = (1.0 + _maxabs(phi.matrix)) ** 2 * (1.0 + _maxabs(psi.tensor)) * (1.0 + rep.proj_bound)
@@ -320,14 +337,11 @@ def check_preserved_by_improvement(mode: str, seed: int) -> CheckResult:
     rep = random_tensor_rep(emb.sub, rng)
     avg = average(phi, emb, rep, defect_cochain(psi)).tensor  # (b.dim, a.dim)
     resid_on_d = _maxabs(avg @ emb.matrix)
-    resid_module = 0.0
-    b = a
-    for m in range(emb.sub.dim):
-        x = emb.matrix[:, m]
-        lhs = avg @ a.right_mult_matrix(x)
-        psi_x = psi.apply(x)
-        rhs = np.einsum("pi,pqt,q->ti", avg, b.structure, psi_x)
-        resid_module = max(resid_module, _maxabs(lhs - rhs))
+    # avg(y x) against avg(y) psi(x), for every basis vector x of the subalgebra
+    x = emb.matrix
+    moved = avg @ np.einsum("kji,jm->ikm", a.structure, x).reshape(a.dim, -1)  # (t, k m)
+    products = _target_multiply_left(a, avg, psi.matrix @ x)
+    resid_module = _maxabs(moved.reshape(products.shape) - products)
     scale = (1.0 + _maxabs(phi.matrix)) * (1.0 + _maxabs(psi.matrix)) ** 2 * (1.0 + rep.proj_bound)
     return _exact("improvement-preserves-right-modularity", max(resid_on_d, resid_module), scale)
 
@@ -417,15 +431,35 @@ def check_relative_perturbed(mode: str, seed: int) -> CheckResult:
     return replace(left, passed=left.passed and right.passed, proved=left.proved and right.proved)
 
 
+def _sample_points(slots, seed: int, samples: int) -> list[np.ndarray]:
+    """``samples`` random points of each slot's unit ball, (samples, dim)
+    per slot, from one draw of the stream (seed, 9).
+
+    Row s of the standard-normal draw holds sample s's
+    [re_0, im_0, re_1, im_1, ...], the order in which one ``random_points``
+    call per sample and slot would draw them.  So the balls must be
+    Euclidean or spectral, whose random point is a normed complex Gaussian;
+    each slot's points are normed in one stacked call.
+    """
+    if not all(isinstance(s.unit_ball, (EuclideanBall, SpectralBall)) for s in slots):
+        raise DomainError("sampled points need Euclidean or spectral slot balls")
+    draw = stream(seed, 9).standard_normal((samples, 2 * sum(s.dim for s in slots)))
+    points, start = [], 0
+    for s in slots:
+        v = draw[:, start : start + s.dim] + 1j * draw[:, start + s.dim : start + 2 * s.dim]
+        points.append(v / s.unit_ball.norm(v)[:, None])
+        start += 2 * s.dim
+    return points
+
+
 def _sampled_lower_arity3(chain: Cochain, seed: int, samples: int = 40) -> float:
-    balls = [s.unit_ball for s in chain.slots]
-    target = chain.target.unit_ball
-    best = 0.0
-    rng = stream(seed, 9)
-    for _ in range(samples):
-        args = [b.random_points([rng])[0] for b in balls]
-        best = max(best, target.norm(chain.evaluate(*args)))
-    return best
+    """The largest target norm of the chain over its sampled points, all
+    evaluated in one contraction per slot."""
+    points = _sample_points(chain.slots, seed, samples)
+    values = np.tensordot(chain.tensor, points[-1], axes=(-1, 1))  # (target, slots.., sample)
+    for x in reversed(points[:-1]):
+        values = np.einsum("...js,sj->...s", values, x)
+    return float(chain.target.unit_ball.norm(values.T).max())
 
 
 def check_coboundary_composition(mode: str, seed: int) -> CheckResult:
@@ -559,17 +593,17 @@ def run_stabilize_checks(mode: str, seed: int, gamma_norm: float = 1e-3,
 
 
 def _guarded(check: str, thunk) -> CheckResult:
-    """The row of ``thunk()``'s (passed, lhs, rhs[, proved]), or a failed row
-    when the checker raises: a valid instance must not be refused."""
+    """The row of ``thunk()``, a ``BoundCertificate`` or the (passed, lhs,
+    rhs) of an exactly computed left side, or a failed row when the checker
+    raises: a valid instance must not be refused."""
     try:
-        passed, lhs, rhs, *proved = thunk()
+        out = thunk()
     except Exception:
         return CheckResult(check, False, 0, 0, 0, 0)
-    return CheckResult(check, passed, lhs, lhs, rhs, rhs, *proved)
-
-
-def _bound(cert) -> tuple:
-    return cert.ok, cert.lhs, cert.rhs, cert.proved
+    if isinstance(out, BoundCertificate):
+        return CheckResult(check, out.ok, out.lhs, out.lhs_hi, out.rhs, out.rhs, out.proved)
+    passed, lhs, rhs = out
+    return CheckResult(check, passed, lhs, lhs, rhs, rhs)
 
 
 def checker_valid_battery(seed: int) -> list[CheckResult]:
@@ -607,19 +641,19 @@ def checker_valid_battery(seed: int) -> list[CheckResult]:
     # absorption: a = e11, b = e12, small psi
     tiny = LinearMap(a, a, 0.01 * complex_gaussian(rng, (a.dim, a.dim)))
     eta = defect(tiny, restarts=0, sweeps=SW, seed=seed + 2).upper * 1.2 + 1e-12
-    results.append(_guarded("absorption-valid", lambda: _bound(absorption_check(
-        tiny, a.basis_element(0), a.basis_element(1), "left", eta, seed=seed + 2))))
+    results.append(_guarded("absorption-valid", lambda: absorption_check(
+        tiny, a.basis_element(0), a.basis_element(1), "left", eta, seed=seed + 2)))
 
     # equivalent projections: u = e12, v = e21
-    results.append(_guarded("projection-transfer-valid", lambda: _bound(equivalent_projection_check(
-        tiny, a.basis_element(1), a.basis_element(2), eta, seed=seed + 3))))
+    results.append(_guarded("projection-transfer-valid", lambda: equivalent_projection_check(
+        tiny, a.basis_element(1), a.basis_element(2), eta, seed=seed + 3)))
 
     # small on identity: scalar algebra, psi(a) = eps a
     c1 = build_commutative_algebra(1, norm_mode="frobenius")
     eps = 0.1 + 0.2 * float(rng.uniform())
     scal = LinearMap(c1, c1, np.array([[eps]], dtype=complex))
     eta_s = abs(eps - eps * eps) * (1 + 1e-12) + 1e-15
-    results.append(_guarded("small-on-identity-valid", lambda: _bound(small_on_identity(scal, eta_s, seed=seed + 4))))
+    results.append(_guarded("small-on-identity-valid", lambda: small_on_identity(scal, eta_s, seed=seed + 4)))
 
     # orthogonal family scan on a quotient model
     results.append(scan_pipeline_check(seed))
@@ -688,9 +722,9 @@ def scan_pipeline_check(seed: int) -> CheckResult:
         if 1 not in scan.survivors:  # index of the u v block
             return False, 0, 0
         equivalent_projection_check(psi, u, v, eta, seed=seed + 2)
-        corner_basis = [q_alg.basis_element(idx(i, j)) for i in range(2) for j in range(2)]
-        restricted, _ = corner_restriction(psi, corner_basis)
-        return _bound(small_on_identity(restricted, eta, seed=seed + 3))
+        corner = _m4_corner()
+        restricted = LinearMap(corner.sub, q_alg, psi.matrix @ corner.matrix)
+        return small_on_identity(restricted, eta, seed=seed + 3)
 
     return _guarded("equivalence-pipeline", pipeline)
 

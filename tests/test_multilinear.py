@@ -4,7 +4,9 @@ import pytest
 from amnm.algebra import (
     build_commutative_algebra,
     build_full_matrix_algebra,
+    direct_sum,
     generated_subalgebra,
+    unitize,
 )
 from amnm.errors import DomainError
 from amnm.multilinear import (
@@ -102,6 +104,41 @@ def test_multiplicative_map_gives_complex():
     psi = Cochain((m2,), m2, complex_gaussian(stream(24, 0), (4, 4)))
     dd = coboundary(phi, coboundary(phi, psi))
     assert np.abs(dd.tensor).max() < 1e-12
+
+
+def _einsum_coboundary(phi, psi):
+    """d^n as a three-operand ``einsum`` per target product and a
+    ``tensordot`` per inner fold (the formula the BLAS form replaced)."""
+    n, a, b = psi.arity, phi.source, phi.target
+    total = np.einsum("pi,pqt,q...->ti...", phi.matrix, b.structure, psi.tensor, optimize=True)
+    for j in range(1, n + 1):
+        contracted = np.moveaxis(np.tensordot(psi.tensor, a.structure, axes=(j, 2)), (n, n + 1), (j, j + 1))
+        total = total + ((-1) ** j) * contracted
+    flat = psi.tensor.reshape(b.dim, -1)
+    last = np.einsum("pqt,pR,qj->tRj", b.structure, flat, phi.matrix, optimize=True)
+    return total + ((-1) ** (n + 1)) * last.reshape(total.shape)
+
+
+_COBOUNDARY_ALGEBRAS = {
+    "M_2": lambda: build_full_matrix_algebra(2),
+    "C^5": lambda: build_commutative_algebra(5),
+    "M_2 + C^2": lambda: direct_sum(build_full_matrix_algebra(2), build_commutative_algebra(2)),
+    "M_4": lambda: build_full_matrix_algebra(4),
+    "unitized M_2": lambda: unitize(build_full_matrix_algebra(2)),
+}
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(_COBOUNDARY_ALGEBRAS))
+def test_coboundary_matches_the_einsum_formula(name, arity):
+    a = _COBOUNDARY_ALGEBRAS[name]()
+    rng = stream(29, arity)
+    phi = LinearMap(a, a, complex_gaussian(rng, (a.dim, a.dim)))
+    psi = Cochain((a,) * arity, a, complex_gaussian(rng, (a.dim,) * (arity + 1)))
+    got = coboundary(phi, psi).tensor
+    want = _einsum_coboundary(phi, psi)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_coboundary_arity_zero_refused():

@@ -553,6 +553,34 @@ def test_euclidean_norms_survive_underflow():
     assert ball.norm(points) == pytest.approx([1.0, 1.0, 1.0], rel=1e-15)
 
 
+@pytest.mark.parametrize("scale", [1e154, 1e200, 1e250, 1e300])
+def test_estimates_survive_overflow(scale):
+    # entries from about 1e154 on square to inf; such rows are normed after
+    # an exact scaling, and rows in range keep their bits
+    ball = EuclideanBall(4)
+    v = complex_gaussian(stream(49, 0), (2, 4))
+    rows = v * np.array([1.0, scale])[:, None]
+    norms = ball.norm(rows)
+    assert norms[0] == np.linalg.norm(v[0], axis=-1)
+    assert norms[1] == pytest.approx(scale * np.linalg.norm(v[1]), rel=1e-15)
+    assert ball.norm(rows[1]) == pytest.approx(norms[1], rel=1e-15)
+
+    # Euclidean arity 1 is the top singular value
+    mat = complex_gaussian(stream(49, 1), (3, 4))
+    est = estimate_tensor_norm(mat * scale, [EuclideanBall(4)], EuclideanBall(3), 4, 60, 0)
+    top = np.linalg.svd(mat, compute_uv=False)[0] * scale
+    assert est.lower == pytest.approx(top, rel=1e-14) and est.upper == pytest.approx(top, rel=1e-14)
+
+    # Frobenius M_2, arity 2: the interval scales with the tensor
+    m2 = build_full_matrix_algebra(2, norm_mode="frobenius")
+    tensor = complex_gaussian(stream(49, 2), (4, 4, 4))
+    unit = estimate_tensor_norm(tensor, [m2.unit_ball] * 2, m2.unit_ball, 4, 60, 0)
+    big = estimate_tensor_norm(tensor * scale, [m2.unit_ball] * 2, m2.unit_ball, 4, 60, 0)
+    assert np.isfinite(big.upper) and big.lower <= big.upper
+    assert big.lower == pytest.approx(unit.lower * scale, rel=1e-9)
+    assert big.upper == pytest.approx(unit.upper * scale, rel=1e-12)
+
+
 def _ball_arrays(ball):
     for value in vars(ball).values():
         if isinstance(value, np.ndarray):

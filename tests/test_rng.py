@@ -1,0 +1,26 @@
+import pytest
+
+from amnm.rng import fold_indices, stream
+
+
+def test_fold_indices_packs_twenty_bits_per_component():
+    assert fold_indices(()) == 0
+    assert fold_indices((7,)) == 7
+    assert fold_indices((1, 2, 3)) == 1 + (2 << 20) + (3 << 40)
+    assert fold_indices((0, 0, 0, 15)) == 15 << 60  # the largest fourth component
+    assert fold_indices((2**20 - 1,) * 3) == 2**60 - 1
+
+
+@pytest.mark.parametrize("indices", [(0, 0, 0, 16), (1, 0, 0, 0, 5), (0, 0, 0, 0, 1)])
+def test_fold_indices_refuses_words_past_64_bits(indices):
+    # they used to lose their high bits: (0, 0, 0, 16) folded to 0 like (0,)
+    with pytest.raises(ValueError, match="64 bits"):
+        fold_indices(indices)
+    with pytest.raises(ValueError):
+        stream(3, *indices)
+
+
+@pytest.mark.parametrize("indices", [(-1,), (2**20,), (0, 2**20)])
+def test_fold_indices_refuses_components_out_of_range(indices):
+    with pytest.raises(ValueError, match="out of range"):
+        fold_indices(indices)
