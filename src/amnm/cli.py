@@ -332,7 +332,6 @@ def cmd_clones(args: argparse.Namespace) -> int:
         fam_docs.append({
             "word": w,
             "terms": fam.terms,
-            "doubling_ok": fam.doubling_ok,
             "gaps_in_horizon": [[lo, hi] for lo, hi in gaps],
         })
     pair_docs = []

@@ -7,7 +7,8 @@ The central objects:
 * ``Cochain``: an n-multilinear map into a target algebra as a dense
   coefficient tensor, one slot algebra per argument.
 * ``defect_cochain(phi)``: the bilinear map (a, b) -> phi(ab) - phi(a)phi(b)
-  whose norm is the multiplicative defect of phi, built once per map.
+  whose norm is the multiplicative defect of phi, built once per map, as
+  is its upper-only estimate (``defect(phi, restarts=0)``).
 * ``coboundary(phi, psi)``: the degree-raising operator
 
       (d psi)(a_1..a_{n+1}) = phi(a_1) psi(a_2..a_{n+1})
@@ -76,6 +77,11 @@ class LinearMap:
         tensor = lin - quad
         tensor.flags.writeable = False
         return Cochain((a, a), b, tensor)
+
+    @cached_property
+    def _defect_upper(self) -> float:
+        # the upper-only estimate reads the defect tensor alone, not the seed
+        return multilinear_norm(self._defect, restarts=0).upper
 
     def apply(self, coords: np.ndarray) -> np.ndarray:
         return self.matrix @ coords
@@ -287,8 +293,12 @@ def defect(
     """Multiplicative defect of phi, optionally restricted per slot.
 
     ``left``/``right`` restrict the first/second argument to a subalgebra,
-    giving the D x A, A x D and D x D defect functionals.
+    giving the D x A, A x D and D x D defect functionals.  The unrestricted
+    upper-only estimate (``restarts=0``) is computed once per map.
     """
+    if restarts == 0 and left is None and right is None:
+        witness = [np.zeros(phi.source.dim, dtype=complex) for _ in range(2)]
+        return DefectEstimate(0.0, phi._defect_upper, witness, 0, seed)
     chain = defect_cochain(phi)
     if left is not None:
         chain = restrict_slot(chain, 0, left)

@@ -809,7 +809,7 @@ def tsirelson_battery(seed: int) -> list[CheckResult]:
         gaps_ok = True
     except Exception:
         gaps_ok = False
-    results.append(CheckResult("clone-family-recursion", fam.doubling_ok and closed and gaps_ok, 0, 0, 0, 0))
+    results.append(CheckResult("clone-family-recursion", closed and gaps_ok, 0, 0, 0, 0))
 
     w1 = [int(b) for b in rng.integers(0, 2, size=8)]
     w2 = list(w1)

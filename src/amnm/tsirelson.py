@@ -96,6 +96,16 @@ def tsirelson_norm_levels(x: TsirelsonVector, support_cap: int = SUPPORT_CAP) ->
     max(table, best / 2).  Every sum adds the same two operands as a loop
     over the chunks would, and max is exact, so the levels do not depend on
     the evaluation order.
+
+    Each product runs only on the cells that can be finite.  With start_p
+    the index of the first support point of position >= p, a p-tiling of
+    [i1, t] needs start_p <= i1 <= q - p and t >= i1 + p - 1; its first
+    p - 1 parts end at u >= u0 = start_p + p - 2, and table[u+1, t] is
+    finite only for t > u.  So F_p keeps rows start_p..q-p, u runs over
+    u0..q-2, and the right operand is table[u0+1:, u0+1:]: r x r blocks
+    with r = q - p + 1 - start_p.  Every term left out holds -inf and
+    cannot win a max, so the levels equal those of the full q x q
+    products bit for bit.
     """
     support = x.support
     if len(support) > support_cap:
@@ -108,17 +118,25 @@ def tsirelson_norm_levels(x: TsirelsonVector, support_cap: int = SUPPORT_CAP) ->
     table = np.maximum.accumulate(np.where(upper, moduli, -np.inf), axis=1)
     # p parts fit in the chunk [i1, q-1] only when p <= q - i1
     max_parts = max(min(pos, q - i1) for i1, pos in enumerate(support))
+    starts = np.searchsorted(support, np.arange(max_parts + 1)).tolist()  # start_p
+    # one buffer holds every product's sums[u, i1, t] (the blocks shrink as p
+    # grows); the max over u is then elementwise maxima of contiguous slabs
+    cube = np.empty((q - 1 - starts[2]) ** 3 if max_parts > 1 else 0)
     levels = [float(table[0, -1])]
     for _ in range(_LEVEL_CAP):
-        after = np.full((q, q), -np.inf)  # after[u, t] = table[u+1, t]
-        after[:-1] = table[1:]
         tiled, best, lo = table, table.copy(), 0
         for parts in range(2, max_parts + 1):
-            # rows of ``tiled`` are the first points i1 >= lo, those with positions[i1] >= parts
-            start = int(np.searchsorted(support, parts))
-            tiled = np.max(tiled[start - lo :, :, None] + after, axis=1)
+            # ``tiled`` holds F_{p-1} on rows lo.. and columns lo+p-2.., so rows
+            # start_p..q-p and u = start_p+p-2..q-2 are one square slice of it
+            start = starts[parts]
+            u0, r = start + parts - 2, q - parts + 1 - start
+            live = slice(start - lo, start - lo + r)
+            sums = cube[: r**3].reshape(r, r, r)
+            np.add(tiled[live, live].T[:, :, None], table[u0 + 1 :, None, u0 + 1 :], out=sums)
+            tiled = np.maximum.reduce(sums, axis=0)
             lo = start
-            np.maximum(best[lo:], tiled, out=best[lo:])
+            block = best[lo : q - parts + 1, u0 + 1 :]
+            np.maximum(block, tiled, out=block)
         best = np.maximum.accumulate(best[::-1], axis=0)[::-1]
         new = np.maximum(table, 0.5 * best)
         changed = not np.array_equal(new, table)
@@ -202,11 +220,6 @@ class CloneFamily:
         """f(n), 1-based."""
         return self.word[n - 1] if 1 <= n <= len(self.word) else 0
 
-    @property
-    def doubling_ok(self) -> bool:
-        """Whether the terms keep to the envelope m_{j+1} <= 2 m_j + 2."""
-        return all(b <= 2 * a + 2 for a, b in zip(self.terms, self.terms[1:]))
-
 
 def clone_family(word, n: int) -> CloneFamily:
     """First n terms of m_1 = 1, m_{j+1} = 2 m_j + f(j)."""
@@ -217,7 +230,7 @@ def clone_family(word, n: int) -> CloneFamily:
     for j in range(1, n):
         terms.append(2 * terms[-1] + fam.bit(j))
     fam.terms = terms
-    if not fam.doubling_ok:
+    if any(b > 2 * a + 2 for a, b in zip(terms, terms[1:])):
         raise FalsificationError("doubling recursion escaped its envelope")
     return fam
 

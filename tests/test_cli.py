@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from amnm.cli import RunConfig, generate_instance, load_config, main
 from amnm.errors import ConfigError
 from amnm.stabilizer import L_CAP, StabilizeConfig
+from amnm.tsirelson import clone_family_closed_form
 
 
 def run_cli(args):
@@ -179,7 +180,8 @@ def test_tsirelson_command(capsys):
 def test_clones_command(capsys):
     assert main(["clones", "--word", "0110", "--word", "1010", "--n", "10", "--horizon", "20"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["families"][0]["doubling_ok"]
+    fam = doc["families"][0]
+    assert fam["terms"] == [clone_family_closed_form("0110", n) for n in range(1, 11)]
     assert doc["pairs"][0]["intersection"] == doc["pairs"][0]["first_disagreement"]
     assert doc["projections"]["rank_ok"]
 

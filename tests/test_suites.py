@@ -4,12 +4,12 @@ sampled arity-3 lower, its checker rows and a seeded run of every block."""
 import numpy as np
 import pytest
 
-from amnm import perturbation, suites
+from amnm import multilinear, perturbation, suites
 from amnm.algebra import build_commutative_algebra, build_full_matrix_algebra, summand_quotient
 from amnm.cli import RunConfig
 from amnm.diagonal import _scenario, average
 from amnm.errors import DomainError
-from amnm.multilinear import Cochain, LinearMap, coboundary, defect_cochain
+from amnm.multilinear import Cochain, LinearMap, coboundary, defect_cochain, multilinear_norm, restrict_slot
 from amnm.normest import DefectEstimate
 from amnm.rng import complex_gaussian, stream
 
@@ -185,6 +185,41 @@ def test_checker_rows_carry_the_upper_that_proves_them(monkeypatch):
     for row in rows:
         assert row.passed and not row.proved
         _assert_recomputable(row)
+
+
+def _defect_estimated_each_call(phi, left=None, right=None, restarts=multilinear.DEFAULT_RESTARTS,
+                                sweeps=multilinear.DEFAULT_SWEEPS, seed=0, claim=None):
+    """``defect`` without the per-map cache of its upper-only estimate."""
+    chain = defect_cochain(phi)
+    if left is not None:
+        chain = restrict_slot(chain, 0, left)
+    if right is not None:
+        chain = restrict_slot(chain, 1, right)
+    return multilinear_norm(chain, restarts, sweeps, seed, claim)
+
+
+def test_upper_only_defect_is_estimated_once_per_map(monkeypatch):
+    m4_estimates = []
+
+    def spy(psi, *args, **kwargs):
+        restarts = kwargs.get("restarts", args[0] if args else None)
+        if restarts == 0 and psi.arity == 2 and psi.slots[0].dim == 16:
+            m4_estimates.append(psi)
+        return multilinear_norm(psi, *args, **kwargs)
+
+    monkeypatch.setattr(multilinear, "multilinear_norm", spy)
+    for seed in (5, 9, 611):
+        m4_estimates.clear()
+        suites.scan_pipeline_check(seed)
+        assert len(m4_estimates) == 1
+    monkeypatch.undo()
+
+    for seed in (5, 9, 611):
+        with monkeypatch.context() as m:
+            m.setattr(suites, "defect", _defect_estimated_each_call)
+            m.setattr(perturbation, "defect", _defect_estimated_each_call)
+            expected = suites.checker_valid_battery(seed)
+        assert suites.checker_valid_battery(seed) == expected
 
 
 # -- the seeded suite ---------------------------------------------------------------

@@ -137,6 +137,57 @@ def test_levels_bit_identical_to_loop_reference():
     assert count >= 200
 
 
+def full_cube_levels(positions: list[int], moduli: list[float]) -> list[float]:
+    """The array DP with every (max,+) product over the full q x q tables:
+    the rows of every support point whose position admits the part count,
+    every u and every t, the cells that can only hold -inf included."""
+    q = len(positions)
+    if not q:
+        return [0.0]
+    upper = np.triu(np.ones((q, q), dtype=bool))
+    table = np.maximum.accumulate(np.where(upper, np.array(moduli), -np.inf), axis=1)
+    max_parts = max(min(pos, q - i1) for i1, pos in enumerate(positions))
+    levels = [float(table[0, -1])]
+    for _ in range(64):
+        after = np.full((q, q), -np.inf)  # after[u, t] = table[u+1, t]
+        after[:-1] = table[1:]
+        tiled, best, lo = table, table.copy(), 0
+        for parts in range(2, max_parts + 1):
+            start = int(np.searchsorted(positions, parts))
+            tiled = np.max(tiled[start - lo :, :, None] + after, axis=1)
+            lo = start
+            np.maximum(best[lo:], tiled, out=best[lo:])
+        best = np.maximum.accumulate(best[::-1], axis=0)[::-1]
+        new = np.maximum(table, 0.5 * best)
+        changed = not np.array_equal(new, table)
+        table = new
+        levels.append(float(table[0, -1]))
+        if not changed:
+            return levels
+    raise FalsificationError("norm iteration failed to stabilize within the level cap")
+
+
+def test_live_block_levels_equal_full_cube_up_to_the_cap():
+    rng = stream(90, 0)
+    count = 0
+    for q in range(1, 65):
+        supports = [list(range(1, q + 1)), list(range(64, 64 + q))]  # few parts, many parts
+        # random positions, fewer at the largest supports, where the full cube is slowest
+        supports += [sorted(rng.choice(np.arange(1, 3 * q + 5), size=q, replace=False).tolist())
+                     for _ in range(8 if q <= 44 else 2)]
+        for n, pos in enumerate(supports):
+            if n % 3 == 0:  # ties
+                moduli = rng.choice([0.5, 1.0, 2.0], size=q)
+            elif n % 3 == 1:
+                moduli = 10.0 ** rng.uniform(-13, 13, size=q)
+            else:
+                moduli = np.abs(rng.standard_normal(q) + 1j * rng.standard_normal(q))
+            vec = TsirelsonVector({p: m for p, m in zip(pos, moduli)})
+            assert tsirelson_norm_levels(vec) == full_cube_levels(pos, [abs(vec.entries[p]) for p in pos])
+            count += 1
+    assert count >= 500
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.dictionaries(st.integers(min_value=1, max_value=30),
                        st.floats(min_value=-1e6, max_value=1e6), max_size=10))
