@@ -16,8 +16,9 @@ Associativity, the identity law, the realization and submultiplicativity
 everything downstream assumes them.  Algebras are immutable (their arrays
 are read-only), so one object may be shared: the library constructors
 ``build_full_matrix_algebra`` and ``build_commutative_algebra`` build each
-(k, norm mode) once per process, and ``unitize`` builds one unitization per
-base algebra.
+(k, norm mode) once per process, ``unitize`` builds one unitization per
+base algebra, and ``opposite`` builds an opposite once per algebra, with
+``opposite(opposite(a)) is a``.
 """
 
 from __future__ import annotations
@@ -508,7 +509,22 @@ def _unitization(algebra: Algebra) -> Algebra:
 
 def opposite(algebra: Algebra) -> Algebra:
     """Same space and norm, product reversed (structure transposed in the
-    first two indices; realizing matrices transposed)."""
+    first two indices; realizing matrices transposed).
+
+    Built once per algebra, with every construction check, and involutive:
+    the source keeps its opposite in its cache and the opposite keeps the
+    source in its own, so ``opposite(opposite(a)) is a``.  The involution is
+    exact, not approximate: both transposes only permute entries, so doing
+    them twice gives back ``a``'s arrays bit for bit.  A base and direct
+    summands reverse through this call, so they are shared too."""
+    cached = algebra._cache.get("opposite")
+    if cached is None:
+        cached = algebra._cache["opposite"] = _opposite(algebra)
+        cached._cache["opposite"] = algebra
+    return cached
+
+
+def _opposite(algebra: Algebra) -> Algebra:
     structure = np.swapaxes(algebra.structure, 0, 1)
     realization = None
     if algebra.realization is not None:

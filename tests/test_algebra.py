@@ -159,6 +159,81 @@ def test_opposite_involution_and_commutative_fixed():
     assert np.abs(opposite(c3).structure - c3.structure).max() < 1e-15
 
 
+def _opposite_rebuilt(a):
+    """The reversal built afresh on every call, without the cache."""
+    realization = None if a.realization is None else np.swapaxes(a.realization, 1, 2)
+    base = None if a.base is None else _opposite_rebuilt(a.base)
+    kind = {"name": a.kind.get("name", "")}
+    if "summands" in a.kind:
+        kind["summands"] = tuple(_opposite_rebuilt(s) for s in a.kind["summands"])
+    return Algebra(np.swapaxes(a.structure, 0, 1), a.unit_coords, a.norm_mode, realization, kind=kind, base=base)
+
+
+def _arrays_equal(x, y):
+    return (x is None and y is None) or (x is not None and y is not None and np.array_equal(x, y))
+
+
+def _assert_same_algebra(got, want):
+    assert np.array_equal(got.structure, want.structure)
+    assert _arrays_equal(got.realization, want.realization)
+    assert _arrays_equal(got.unit_coords, want.unit_coords)
+    assert _arrays_equal(got.idempotent_frame, want.idempotent_frame)
+    assert got.norm_mode == want.norm_mode
+    assert type(got.unit_ball) is type(want.unit_ball)
+    assert got.kind.get("name") == want.kind.get("name")
+    for s, t in zip(got.kind.get("summands", ()), want.kind.get("summands", ()), strict=True):
+        _assert_same_algebra(s, t)
+    assert (got.base is None) == (want.base is None)
+    if got.base is not None:
+        _assert_same_algebra(got.base, want.base)
+
+
+def _reversal_cases():
+    from amnm.cli import RunConfig, generate_instance
+
+    m2 = build_full_matrix_algebra(2)
+    scenario_d = [generate_instance(RunConfig(command="stabilize", seed=3, matrix_dim=k)).embedding.sub
+                  for k in (2, 3, 4)]
+    return [m2, build_commutative_algebra(3), direct_sum(m2, build_commutative_algebra(2)), unitize(m2)] + scenario_d
+
+
+def test_opposite_once_per_algebra_and_involutive():
+    for a in _reversal_cases():
+        op = opposite(a)
+        assert opposite(a) is op
+        assert opposite(op) is a
+        assert opposite(opposite(op)) is op
+        _assert_same_algebra(op, _opposite_rebuilt(a))
+        # swapping twice only permutes entries back: the source's arrays bit for bit
+        _assert_same_algebra(a, _opposite_rebuilt(op))
+        for s, s_op in zip(a.kind.get("summands", ()), op.kind.get("summands", ()), strict=True):
+            assert s_op is opposite(s) and opposite(s_op) is s
+        if a.base is not None:
+            assert op.base is opposite(a.base) and opposite(op.base) is a.base
+
+
+def test_opposite_checks_each_reversal_once(monkeypatch):
+    m2, c3 = build_full_matrix_algebra(2), build_commutative_algebra(3)
+    fresh_m2 = Algebra(m2.structure, m2.unit_coords, "spectral", m2.realization, kind={"name": "matrix"})
+    fresh_c3 = Algebra(c3.structure, c3.unit_coords, "spectral", c3.realization, kind={"name": "commutative"})
+    total = direct_sum(fresh_m2, fresh_c3)
+    unital = unitize(Algebra(m2.structure, m2.unit_coords, "spectral", m2.realization))
+    invariants, submult = [], []
+    check_invariants, check_submultiplicative = Algebra._check_invariants, Algebra._check_submultiplicative
+    monkeypatch.setattr(Algebra, "_check_invariants", lambda self: (invariants.append(self), check_invariants(self)))
+    monkeypatch.setattr(Algebra, "_check_submultiplicative",
+                        lambda self: (submult.append(self), check_submultiplicative(self)))
+    for _ in range(3):
+        for a in (fresh_m2, total, unital):
+            opposite(opposite(a))
+    # the sum's summands and the unitization's base reverse once, through the same call
+    reversed_ = [opposite(a) for a in (fresh_m2, fresh_c3, total, unital, unital.base)]
+    assert len({id(x) for x in reversed_}) == 5
+    # each reversal ran every construction check exactly once, at its first call
+    for checked in (invariants, submult):
+        assert sorted(map(id, checked)) == sorted(map(id, reversed_))
+
+
 def test_summand_quotient():
     s = direct_sum(build_full_matrix_algebra(2), build_commutative_algebra(2))
     q, qmat = summand_quotient(s, keep=0)

@@ -188,13 +188,14 @@ def test_clones_command(capsys):
 
 def test_suite_and_tsirelson_load_only_in_their_commands(tmp_path):
     # stabilize and defect processes never import the suite or Tsirelson
-    # modules; the commands that need them import them and keep their exit codes
+    # modules, nor numpy.random before their first stream; the commands that
+    # need them import them and keep their exit codes
     cfg = write_config(tmp_path, instances=1)
     script = f"""
 import sys
 import amnm.cli
 from amnm.cli import main
-assert not {{"amnm.suites", "amnm.tsirelson", "amnm.perturbation"}} & set(sys.modules), sorted(sys.modules)
+assert not {{"amnm.suites", "amnm.tsirelson", "amnm.perturbation", "numpy.random"}} & set(sys.modules), sorted(sys.modules)
 codes = [
     main(["tsirelson", "--vector", "[0,1,1,1]"]),
     main(["tsirelson", "--vector", "[1,2"]),

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from amnm.rng import fold_indices, stream
+from amnm.rng import _MASK64, fold_indices, stream
 
 
 def test_fold_indices_packs_twenty_bits_per_component():
@@ -24,3 +25,16 @@ def test_fold_indices_refuses_words_past_64_bits(indices):
 def test_fold_indices_refuses_components_out_of_range(indices):
     with pytest.raises(ValueError, match="out of range"):
         fold_indices(indices)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, -7])
+@pytest.mark.parametrize("indices", [(5,), (3, 1), (2**20 - 1, 0, 9)])
+def test_stream_draws_as_philox_keyed_directly(seed, indices):
+    # the key handed over as a seed sequence gives Philox(key=...)'s draws
+    key = np.array([seed & _MASK64, fold_indices(indices)], dtype=np.uint64)
+    direct = np.random.Generator(np.random.Philox(key=key))
+    ours = stream(seed, *indices)
+    assert np.array_equal(ours.standard_normal(64), direct.standard_normal(64))
+    assert np.array_equal(ours.integers(0, 2**62, 16), direct.integers(0, 2**62, 16))
+    jumped, direct_jumped = ours.bit_generator.jumped(), direct.bit_generator.jumped()
+    assert np.array_equal(np.random.Generator(jumped).random(8), np.random.Generator(direct_jumped).random(8))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from amnm import multilinear, perturbation, suites
-from amnm.algebra import build_commutative_algebra, build_full_matrix_algebra, summand_quotient
+from amnm.algebra import build_commutative_algebra, build_full_matrix_algebra, direct_sum, summand_quotient
 from amnm.cli import RunConfig
 from amnm.diagonal import _scenario, average
 from amnm.errors import DomainError
@@ -144,7 +144,8 @@ def test_sampled_points_refuse_balls_drawn_otherwise():
 def test_corner_fixture_restricts_as_corner_restriction_does():
     corner = suites._m4_corner()
     assert suites._m4_corner() is corner
-    q_alg, _ = summand_quotient(suites._m4_plus_m2(), keep=0)
+    q_alg, _ = summand_quotient(direct_sum(build_full_matrix_algebra(4), build_full_matrix_algebra(2)), keep=0)
+    assert q_alg is build_full_matrix_algebra(4)
     assert corner.parent is q_alg
     psi = LinearMap(q_alg, q_alg, 0.0015 * complex_gaussian(stream(9017, 17), (16, 16)))
     basis = [q_alg.basis_element(4 * i + j) for i in range(2) for j in range(2)]
