@@ -21,8 +21,13 @@ The central objects:
   and each inner fold psi(.., a_j a_{j+1}, ..) is one matmul.
 
 ``LinearMap``'s defect cochain and ``restrict_slot`` keep their ``einsum``
-and ``tensordot`` forms: they set every reported upper and delta0, and a
-stacked form would move those bits.
+and ``tensordot`` forms, although a matmul form of the defect is many times
+faster from M_4 up.  They set every reported upper and delta0, and a
+stacked form would move those bits: delta0 = max of two uppers of
+lin - quad, which cancel, so the refusal digits pinned by the CLI tests
+would move; and the defect on the opposite algebras would no longer be the
+slot-swapped defect bit for bit, which the round trip of
+``stabilizer.improve_right`` against ``improve`` on the opposites relies on.
 
 Norm estimation supports arities 1 and 2 and always returns an interval
 (`DefectEstimate`): a witness-certified lower bound plus an unfolding upper

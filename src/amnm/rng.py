@@ -71,4 +71,8 @@ def _register_philox_key() -> None:
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    """Real part, then imaginary part, from one draw: the same stream as two
+    ``standard_normal(shape)`` calls."""
+    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+    x = rng.standard_normal((2,) + shape)
+    return x[0] + 1j * x[1]

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Algebra, Embedding, unitize
-from .diagonal import DiagonalCert, split
+from .diagonal import DiagonalCert, _average_tensor, split
 from .errors import ConfigError, DomainError, FalsificationError, PreconditionError
 from .multilinear import DefectEstimate, LinearMap, defect, defect_cochain, linear_map_norm
 from .normest import DEFAULT_RESTARTS, DEFAULT_SWEEPS
@@ -174,18 +174,21 @@ def improve(phi: LinearMap, emb: Embedding, cert: DiagonalCert) -> LinearMap:
 
 
 def improve_right(phi: LinearMap, emb: Embedding, cert: DiagonalCert) -> LinearMap:
-    """The mirrored improving operator: phi + sum_k D_phi(., c_k) phi(d_k),
-    which is ``improve`` on the opposite algebras with the flipped diagonal.
+    """The mirrored improving operator: phi + sum_k D_phi(., c_k) phi(d_k).
+
+    It is ``improve`` on the opposite algebras with the flipped diagonal by
+    construction: the averaging kernel gets exactly the operands that run
+    would hand it (the reversed structure, made contiguous as ``opposite``
+    makes it, the legs flipped to (d_k, c_k) and the defect tensor with its
+    two slots swapped), so the two agree bit for bit.
     """
     _require_unit_preserving(phi, emb)
     if not cert.valid:
         raise PreconditionError("refusing to split against an unverified diagonal")
-    chain = defect_cochain(phi).tensor
-    correction = np.zeros_like(phi.matrix)
-    for c, d in cert.rep.pairs:
-        phi_d = phi.apply(emb.embed_coords(d))
-        chain_c = np.tensordot(chain, emb.embed_coords(c), axes=(2, 0))
-        correction += np.einsum("pqt,pR,q->tR", phi.target.structure, chain_c, phi_d)
+    structure = np.ascontiguousarray(np.swapaxes(phi.target.structure, 0, 1))
+    chain = np.ascontiguousarray(np.swapaxes(defect_cochain(phi).tensor, 1, 2))
+    cs, ds = cert.rep.legs()
+    correction = _average_tensor(structure, phi.matrix, emb.matrix, ds, cs, chain)
     return LinearMap(phi.source, phi.target, phi.matrix + correction)
 
 

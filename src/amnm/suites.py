@@ -14,13 +14,11 @@ one-step contract.
 
 The checks contract stacked arrays instead of looping over basis vectors,
 tensor legs or samples: the splitting identity stacks the diagonal's legs,
-the right-module identity the subalgebra's basis, and the sampled arity-3
-lower takes all its points from one draw.  Two checks keep short loops,
-whose bits a stacked form would move: the M_2 twist of
-``check_decompose_equality`` builds its seeded map, and the per-vector
-moves of ``check_left_modular`` its estimated left side.
-``diagonal.average`` keeps its loop over the legs, which the
-opposite-algebra tests compare bit for bit.
+the right-module identity the subalgebra's basis, the left-modular bound
+its legs moved by every basis vector of the subalgebra (one averaging
+kernel call), and the sampled arity-3 lower takes all its points from one
+draw.  One check keeps a short loop, whose bits a stacked form would move:
+the M_2 twist of ``check_decompose_equality`` builds its seeded map.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from .algebra import (
     direct_sum,
     generated_subalgebra,
 )
-from .diagonal import TensorRep, _scenario, average, library_diagonal, split
+from .diagonal import TensorRep, _average_tensor, _scenario, average, library_diagonal, split
 from .errors import DomainError, PreconditionError
 from .multilinear import (
     Cochain,
@@ -190,7 +188,12 @@ def random_map(a: Algebra, b: Algebra, rng, scale: float = 1.0) -> LinearMap:
 
 
 def random_tensor_rep(d: Algebra, rng, pairs: int = 2) -> TensorRep:
-    return TensorRep(d, [(complex_gaussian(rng, d.dim), complex_gaussian(rng, d.dim)) for _ in range(pairs)])
+    """``pairs`` random elementary tensors, every leg from one draw taken in
+    leg order (real then imaginary part of c_k, then of d_k), as one
+    ``complex_gaussian`` call per leg would take it."""
+    x = rng.standard_normal((pairs, 2, 2, d.dim))
+    legs = x[:, :, 0] + 1j * x[:, :, 1]  # (k, leg, i)
+    return TensorRep(d, [(c, dd) for c, dd in legs])
 
 
 def right_modular_perturbation(a: Algebra, emb: Embedding, rng, scale: float) -> np.ndarray:
@@ -285,19 +288,17 @@ def check_splitting_v1(mode: str, seed: int) -> CheckResult:
     psi = Cochain((a, a), b, complex_gaussian(rng, (b.dim, a.dim, a.dim)))
     rep = random_tensor_rep(d, rng)
 
-    lhs = coboundary(phi, average(phi, emb, rep, psi)).tensor + average(
-        phi, emb, rep, coboundary(phi, psi)
-    ).tensor
+    avg1 = average(phi, emb, rep, psi)  # arity 1: (b.dim, a.dim)
+    lhs = coboundary(phi, avg1).tensor + average(phi, emb, rep, coboundary(phi, psi)).tensor
 
     # the embedded legs c_k, d_k as columns, one per pair
-    cs, ds = (emb.matrix @ np.array(legs).T for legs in zip(*rep.pairs))
+    cs, ds = (emb.matrix @ legs for legs in rep.legs())
     phi_c = phi.matrix @ cs
     # u = sum_k phi(c_k) phi(d_k)
     u = (phi_c @ (phi.matrix @ ds).T).reshape(-1) @ b.structure.reshape(-1, b.dim)
     term1 = _target_multiply_left(b, u[:, None], psi.tensor)[:, 0]
 
-    avg1 = average(phi, emb, rep, psi).tensor  # arity 1: (b.dim, a.dim)
-    term2 = _target_multiply_left(b, phi.matrix, avg1)
+    term2 = _target_multiply_left(b, phi.matrix, avg1.tensor)
 
     # term3(e_i, .) = sum_k phi(c_k) psi(d_k e_i, .), every k and i at once
     d_e = (ds.T @ a.structure.reshape(a.dim, -1)).reshape(len(rep.pairs), a.dim, a.dim)  # (k, i, m)
@@ -487,6 +488,20 @@ def check_averaging_bound(mode: str, seed: int) -> CheckResult:
     return _nofalsify("averaging-operator-bound", lhs.lower, lhs.upper, rhs)
 
 
+def _left_modular_gap(phi: LinearMap, emb: Embedding, rep: TensorRep, psi: Cochain) -> Cochain:
+    """(x, a) -> phi(x) avg(a) - sum_k phi(x c_k) psi(d_k, a) for x in the
+    subalgebra, avg the average of ``psi`` against ``rep``."""
+    d, b = emb.sub, phi.target
+    avg1 = average(phi, emb, rep, psi).tensor
+    term1 = _target_multiply_left(b, phi.matrix @ emb.matrix, avg1)  # phi(x_m) avg1(.) over D's basis
+    # term2[:, m] averages against the legs moved to (x_m c_k, d_k): every m
+    # in one kernel call, the moved legs stacked along a leading axis
+    cs, ds = rep.legs()
+    moved = np.swapaxes(d.structure, 1, 2) @ cs  # (m, i, k): x_m c_k
+    term2 = _average_tensor(b.structure, phi.matrix, emb.matrix, moved, ds, psi.tensor).swapaxes(0, 1)
+    return Cochain((d,) + psi.slots[1:], b, term1 - term2)
+
+
 def check_left_modular(mode: str, seed: int) -> CheckResult:
     rng = stream(seed, 12)
     a, emb, _ = _scenario(2, mode)
@@ -494,15 +509,7 @@ def check_left_modular(mode: str, seed: int) -> CheckResult:
     phi = random_map(a, b, rng)
     psi = Cochain((a, a), b, complex_gaussian(rng, (b.dim, a.dim, a.dim)))
     rep = random_tensor_rep(d, rng)
-    avg1 = average(phi, emb, rep, psi).tensor
-    term1 = np.einsum("pm,pqt,qj->tmj", phi.matrix @ emb.matrix, b.structure, avg1)
-    term2 = np.zeros_like(term1)
-    for m in range(d.dim):
-        x = np.zeros(d.dim)
-        x[m] = 1.0
-        moved = TensorRep(d, [(d.multiply_coords(x, c), dd) for c, dd in rep.pairs])
-        term2[:, m, :] = average(phi, emb, moved, psi).tensor
-    gap = Cochain((d, a), b, term1 - term2)
+    gap = _left_modular_gap(phi, emb, rep, psi)
     ddd = defect(phi, left=emb, right=emb, restarts=0, sweeps=SW, seed=seed + 1)
     res = multilinear_norm(restrict_first(emb, psi), 0, SW, seed=seed + 2)
     rhs = ddd.upper * rep.proj_bound * res.upper

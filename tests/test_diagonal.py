@@ -14,6 +14,7 @@ from amnm.algebra import (
 from amnm.diagonal import (
     NoLibraryDiagonal,
     TensorRep,
+    _average_tensor,
     _scenario,
     average,
     library_diagonal,
@@ -24,6 +25,7 @@ from amnm.errors import PreconditionError
 from amnm.multilinear import Cochain, LinearMap, defect_cochain, identity_map
 from amnm.normest import BoxBall, SpectralBall
 from amnm.rng import complex_gaussian, stream
+from amnm.stabilizer import unitized_embedding
 
 
 def test_m2_diagonal_by_direct_computation():
@@ -353,3 +355,91 @@ def test_split_multiplicative_map_is_fixed():
     cert = library_diagonal(m2)
     out = split(identity_map(m2), emb, cert, defect_cochain(identity_map(m2)))
     assert np.abs(out.tensor).max() == 0.0
+
+
+def _average_per_leg(phi, embedding, rep, psi):
+    """The averaging operator one leg pair at a time, the reference for the
+    stacked kernel."""
+    b = phi.target
+    out = np.zeros((b.dim,) + psi.tensor.shape[2:], dtype=complex)
+    for c, d in rep.pairs:
+        phi_c = phi.apply(embedding.embed_coords(c))
+        psi_d = np.tensordot(psi.tensor, embedding.embed_coords(d), axes=(1, 0))
+        prod = np.einsum("pqt,p,qR->tR", b.structure, phi_c, psi_d.reshape(b.dim, -1))
+        out += prod.reshape(out.shape)
+    return out
+
+
+def _averaging_cases():
+    """(embedding, representation) pairs: random representations with 0, 1
+    and 2 pairs and one with repeated legs on the identity embedding of each
+    algebra, each algebra's own library diagonal, the scenario diagonals of
+    M_2..M_4 (K = 2..4) and the unitized M_2 with its unitized diagonal."""
+    algebras = [
+        build_full_matrix_algebra(2),
+        build_commutative_algebra(5),
+        direct_sum(build_full_matrix_algebra(2), build_commutative_algebra(2)),
+        build_full_matrix_algebra(3),
+        build_full_matrix_algebra(4),
+    ]
+    cases = []
+    for j, alg in enumerate(algebras):
+        emb = identity_embedding(alg)
+        rng = stream(80 + j, 0)
+        legs = [(complex_gaussian(rng, alg.dim), complex_gaussian(rng, alg.dim)) for _ in range(3)]
+        for k in range(3):
+            cases.append((emb, TensorRep(alg, legs[:k])))
+        cases.append((emb, TensorRep(alg, [legs[0], legs[1], legs[0], legs[0]])))
+        cases.append((emb, library_diagonal(alg).rep))
+    for k in (2, 3, 4):
+        _, emb, cert = _scenario(k, "spectral")
+        cases.append((emb, cert.rep))
+    _, emb, _ = _scenario(2, "spectral")
+    a_u = unitize(emb.parent)
+    emb_u = unitized_embedding(emb, a_u, unitize(emb.sub))
+    cases.append((emb_u, library_diagonal(emb_u.sub).rep))
+    return cases
+
+
+def _maxabs(x):
+    return float(np.abs(x).max()) if np.size(x) else 0.0
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_average_kernel_matches_per_leg_sum(arity):
+    for n, (emb, rep) in enumerate(_averaging_cases()):
+        a = emb.parent
+        rng = stream(90 + n, arity)
+        phi = LinearMap(a, a, complex_gaussian(rng, (a.dim, a.dim)))
+        psi = Cochain((a,) * arity, a, complex_gaussian(rng, (a.dim,) + (a.dim,) * arity))
+        cs, ds = rep.legs()
+        got = _average_tensor(a.structure, phi.matrix, emb.matrix, cs, ds, psi.tensor)
+        if arity > 1:  # an arity-1 average has no slots left, so only the kernel takes it
+            assert np.array_equal(average(phi, emb, rep, psi).tensor, got)
+        scale = (_maxabs(a.structure) * _maxabs(phi.matrix) * _maxabs(emb.matrix) ** 2
+                 * _maxabs(cs) * _maxabs(ds) * _maxabs(psi.tensor))
+        assert np.abs(got - _average_per_leg(phi, emb, rep, psi)).max() <= 1e-13 * scale
+
+
+def test_average_kernel_between_different_algebras():
+    # a map M_2 -> M_3 averaged against M_2's diagonal subalgebra
+    _, emb, cert = _scenario(2, "spectral")
+    a, b = emb.parent, build_full_matrix_algebra(3)
+    rng = stream(95, 0)
+    phi = LinearMap(a, b, complex_gaussian(rng, (b.dim, a.dim)))
+    psi = Cochain((a, a), b, complex_gaussian(rng, (b.dim, a.dim, a.dim)))
+    got = average(phi, emb, cert.rep, psi).tensor
+    assert got.shape == (b.dim, a.dim)
+    scale = _maxabs(b.structure) * _maxabs(phi.matrix) * _maxabs(psi.tensor)
+    assert np.abs(got - _average_per_leg(phi, emb, cert.rep, psi)).max() <= 1e-13 * scale
+
+
+def test_legs_stack_the_pairs_as_columns():
+    m2 = build_full_matrix_algebra(2)
+    rep = library_diagonal(m2).rep
+    cs, ds = rep.legs()
+    assert cs.shape == ds.shape == (4, len(rep.pairs))
+    for k, (c, d) in enumerate(rep.pairs):
+        assert np.array_equal(cs[:, k], c) and np.array_equal(ds[:, k], d)
+    empty_c, empty_d = TensorRep(m2, []).legs()
+    assert empty_c.shape == empty_d.shape == (4, 0)

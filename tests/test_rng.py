@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from amnm.rng import _MASK64, fold_indices, stream
+from amnm.rng import _MASK64, complex_gaussian, fold_indices, stream
 
 
 def test_fold_indices_packs_twenty_bits_per_component():
@@ -38,3 +38,18 @@ def test_stream_draws_as_philox_keyed_directly(seed, indices):
     assert np.array_equal(ours.integers(0, 2**62, 16), direct.integers(0, 2**62, 16))
     jumped, direct_jumped = ours.bit_generator.jumped(), direct.bit_generator.jumped()
     assert np.array_equal(np.random.Generator(jumped).random(8), np.random.Generator(direct_jumped).random(8))
+
+
+def _complex_gaussian_two_draws(rng, shape):
+    """Real and imaginary parts in two draws, the reference for the one-draw form."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("shape", [(), 1, 4, (3,), (2, 3), (4, 4, 4)])
+def test_complex_gaussian_draws_as_two_standard_normals(shape):
+    for seed in range(50):
+        ours, ref = stream(seed, 2), stream(seed, 2)
+        for _ in range(3):  # consecutive draws stay in step
+            got, want = complex_gaussian(ours, shape), _complex_gaussian_two_draws(ref, shape)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)

@@ -206,6 +206,36 @@ def test_improve_right_matches_opposite_round_trip():
             assert np.array_equal(improve_right(phi, e, c).matrix, _improve_on_opposites(phi, e, c))
 
 
+def _improve_right_per_leg(phi, emb, cert):
+    """improve_right one leg pair at a time, the reference for the kernel."""
+    chain = defect_cochain(phi).tensor
+    correction = np.zeros_like(phi.matrix)
+    for c, d in cert.rep.pairs:
+        phi_d = phi.apply(emb.embed_coords(d))
+        chain_c = np.tensordot(chain, emb.embed_coords(c), axes=(2, 0))
+        correction += np.einsum("pqt,pR,q->tR", phi.target.structure, chain_c, phi_d)
+    return phi.matrix + correction
+
+
+def test_improve_right_matches_per_leg_sum():
+    a, emb, cert = m2_diag()
+    a_u = unitize(a)
+    emb_u = unitized_embedding(emb, a_u, unitize(emb.sub))
+    for seed in range(3):
+        cases = [(perturbed_identity(a, 70 + seed, 0.05), emb, cert)]
+        for k in (3, 4):
+            m, m_emb, m_cert = _scenario(k, "spectral")
+            cases.append((perturbed_identity(m, 70 + seed, 0.05), m_emb, m_cert))
+        cases.append((unitize_map(LinearMap(a, a, np.eye(4) + 0.05 * complex_gaussian(stream(70 + seed, 1), (4, 4)))),
+                      emb_u, library_diagonal(emb_u.sub)))
+        for phi, e, c in cases:
+            cs, ds = c.rep.legs()
+            scale = (np.abs(phi.target.structure).max() * np.abs(phi.matrix).max() * np.abs(e.matrix).max() ** 2
+                     * np.abs(cs).max() * np.abs(ds).max() * np.abs(defect_cochain(phi).tensor).max())
+            got = improve_right(phi, e, c).matrix
+            assert np.abs(got - _improve_right_per_leg(phi, e, c)).max() <= 1e-13 * scale
+
+
 def test_improve_right_fixes_homomorphisms_and_kills_right_defect():
     a, emb, cert = m2_diag()
     assert np.array_equal(improve_right(identity_map(a), emb, cert).matrix, np.eye(4))

@@ -7,7 +7,7 @@ import pytest
 from amnm import multilinear, perturbation, suites
 from amnm.algebra import build_commutative_algebra, build_full_matrix_algebra, direct_sum, summand_quotient
 from amnm.cli import RunConfig
-from amnm.diagonal import _scenario, average
+from amnm.diagonal import TensorRep, _scenario, average
 from amnm.errors import DomainError
 from amnm.multilinear import Cochain, LinearMap, coboundary, defect_cochain, multilinear_norm, restrict_slot
 from amnm.normest import DefectEstimate
@@ -232,3 +232,55 @@ def test_seeded_suite_rows_are_all_passed_and_proved(mode, seed):
     rows = suites.suite_rows(RunConfig(command="suite", seed=seed, norm_mode=mode, instances=10))
     assert len(rows) == 268
     assert [r["id"] for r in rows if not (r["passed"] and r["proved"])] == []
+
+
+def _random_tensor_rep_per_leg(d, rng, pairs=2):
+    """Two draws per leg, the reference for ``random_tensor_rep``'s one draw."""
+    return [(complex_gaussian(rng, d.dim), complex_gaussian(rng, d.dim)) for _ in range(pairs)]
+
+
+@pytest.mark.parametrize("mode", ["spectral", "frobenius"])
+def test_random_tensor_rep_draws_as_one_gaussian_per_leg(mode):
+    d = _scenario(2, mode)[1].sub
+    for seed in range(50):
+        for pairs in (0, 1, 2, 3):
+            ours, ref = stream(seed, 3), stream(seed, 3)
+            for _ in range(3):
+                rep = suites.random_tensor_rep(d, ours, pairs)
+                legs = _random_tensor_rep_per_leg(d, ref, pairs)
+                assert len(rep.pairs) == len(legs)
+                for (c, dd), (c_ref, d_ref) in zip(rep.pairs, legs):
+                    assert np.array_equal(c, c_ref) and np.array_equal(dd, d_ref)
+                assert rep.proj_bound == TensorRep(d, legs).proj_bound
+
+
+def _left_modular_gap_per_vector(phi, emb, rep, psi):
+    """phi(x) avg(a) - sum_k phi(x c_k) psi(d_k, a), one basis vector x of
+    the subalgebra and one average at a time."""
+    d, b = emb.sub, phi.target
+    avg1 = average(phi, emb, rep, psi).tensor
+    term1 = np.einsum("pm,pqt,qj->tmj", phi.matrix @ emb.matrix, b.structure, avg1)
+    term2 = np.zeros_like(term1)
+    for m in range(d.dim):
+        x = np.zeros(d.dim)
+        x[m] = 1.0
+        moved = TensorRep(d, [(d.multiply_coords(x, c), dd) for c, dd in rep.pairs])
+        term2[:, m, :] = average(phi, emb, moved, psi).tensor
+    return term1 - term2
+
+
+@pytest.mark.parametrize("mode", ["spectral", "frobenius"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_left_modular_gap_matches_per_vector_moves(mode, seed):
+    # the instance check_left_modular draws
+    rng = stream(seed, 12)
+    a, emb, _ = _scenario(2, mode)
+    phi = suites.random_map(a, a, rng)
+    psi = Cochain((a, a), a, complex_gaussian(rng, (a.dim, a.dim, a.dim)))
+    rep = suites.random_tensor_rep(emb.sub, rng)
+    gap = suites._left_modular_gap(phi, emb, rep, psi)
+    assert gap.slots == (emb.sub, a)
+    cs, ds = rep.legs()
+    scale = (np.abs(a.structure).max() ** 2 * np.abs(phi.matrix).max() * np.abs(emb.matrix).max() ** 2
+             * np.abs(cs).max() * np.abs(ds).max() * np.abs(psi.tensor).max())
+    assert np.abs(gap.tensor - _left_modular_gap_per_vector(phi, emb, rep, psi)).max() <= 1e-13 * scale
