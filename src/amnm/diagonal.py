@@ -257,13 +257,10 @@ def _average_tensor(structure: np.ndarray, phi: np.ndarray, emb: np.ndarray,
 
     the last with the structure as a (B^2, B) matrix and Phi Psi^T as
     (B^2, R).  ``cs`` may carry leading batch axes, which the output keeps
-    in front.  Psi is made contiguous before its product, so equal operands
-    give equal bits whatever their layout: ``stabilizer.improve_right``
-    relies on that to mirror ``improve`` on the opposite algebras exactly.
-    No legs (K = 0) give zeros.
+    in front.  No legs (K = 0) give zeros.
     """
     b, a = tensor.shape[:2]
-    moved = np.ascontiguousarray(tensor.transpose(0, *range(2, tensor.ndim), 1)).reshape(-1, a)
+    moved = tensor.transpose(0, *range(2, tensor.ndim), 1).reshape(-1, a)
     z = (phi @ (emb @ cs)) @ (moved @ (emb @ ds)).T  # (.., B, B R): sum_k phi(c_k)_p psi(d_k)_{q R}
     out = structure.reshape(b * b, b).T @ z.reshape(z.shape[:-2] + (b * b, -1))
     return out.reshape(out.shape[:-1] + tensor.shape[2:])

@@ -20,14 +20,10 @@ The central objects:
   products against the structure tensor, not a three-operand ``einsum``,
   and each inner fold psi(.., a_j a_{j+1}, ..) is one matmul.
 
-``LinearMap``'s defect cochain and ``restrict_slot`` keep their ``einsum``
-and ``tensordot`` forms, although a matmul form of the defect is many times
-faster from M_4 up.  They set every reported upper and delta0, and a
-stacked form would move those bits: delta0 = max of two uppers of
-lin - quad, which cancel, so the refusal digits pinned by the CLI tests
-would move; and the defect on the opposite algebras would no longer be the
-slot-swapped defect bit for bit, which the round trip of
-``stabilizer.improve_right`` against ``improve`` on the opposites relies on.
+The defect cochain is BLAS products too: phi(ab) is the map against the
+structure as a (d^2, d) matrix and phi(a)phi(b) is ``_target_multiply_left``
+of the map with itself.  ``restrict_slot`` keeps its ``tensordot``, since a
+stacked form measured no gain.
 
 Norm estimation supports arities 1 and 2 and always returns an interval
 (`DefectEstimate`): a witness-certified lower bound plus an unfolding upper
@@ -77,9 +73,10 @@ class LinearMap:
     @cached_property
     def _defect(self) -> "Cochain":
         a, b = self.source, self.target
-        lin = np.einsum("ijm,tm->tij", a.structure, self.matrix)
-        quad = np.einsum("pqt,pi,qj->tij", b.structure, self.matrix, self.matrix)
-        tensor = lin - quad
+        d = a.dim
+        # phi(e_i e_j): the structure as a (d^2, d) matrix against the map
+        lin = (self.matrix @ a.structure.reshape(d * d, d).T).reshape(b.dim, d, d)
+        tensor = lin - _target_multiply_left(b, self.matrix, self.matrix)
         tensor.flags.writeable = False
         return Cochain((a, a), b, tensor)
 

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Algebra, Embedding, unitize
-from .diagonal import DiagonalCert, _average_tensor, split
+from .algebra import Algebra, Embedding, opposite, unitize
+from .diagonal import DiagonalCert, split, verify_diagonal
 from .errors import ConfigError, DomainError, FalsificationError, PreconditionError
 from .multilinear import DefectEstimate, LinearMap, defect, defect_cochain, linear_map_norm
 from .normest import DEFAULT_RESTARTS, DEFAULT_SWEEPS
@@ -176,20 +176,19 @@ def improve(phi: LinearMap, emb: Embedding, cert: DiagonalCert) -> LinearMap:
 def improve_right(phi: LinearMap, emb: Embedding, cert: DiagonalCert) -> LinearMap:
     """The mirrored improving operator: phi + sum_k D_phi(., c_k) phi(d_k).
 
-    It is ``improve`` on the opposite algebras with the flipped diagonal by
-    construction: the averaging kernel gets exactly the operands that run
-    would hand it (the reversed structure, made contiguous as ``opposite``
-    makes it, the legs flipped to (d_k, c_k) and the defect tensor with its
-    two slots swapped), so the two agree bit for bit.
+    It is ``improve`` on the opposite algebras, with the same matrix, the
+    embedding re-parented and the flipped diagonal re-verified there; the
+    improved matrix is copied back.  It refuses what ``improve`` refuses: a
+    map that does not preserve the unit and an unverified diagonal, on
+    either side.
     """
-    _require_unit_preserving(phi, emb)
     if not cert.valid:
         raise PreconditionError("refusing to split against an unverified diagonal")
-    structure = np.ascontiguousarray(np.swapaxes(phi.target.structure, 0, 1))
-    chain = np.ascontiguousarray(np.swapaxes(defect_cochain(phi).tensor, 1, 2))
-    cs, ds = cert.rep.legs()
-    correction = _average_tensor(structure, phi.matrix, emb.matrix, ds, cs, chain)
-    return LinearMap(phi.source, phi.target, phi.matrix + correction)
+    d_op = opposite(emb.sub)
+    emb_op = Embedding(d_op, opposite(emb.parent), emb.matrix)
+    cert_op = verify_diagonal(d_op, cert.rep.flip(d_op))
+    mirrored = LinearMap(opposite(phi.source), opposite(phi.target), phi.matrix)
+    return LinearMap(phi.source, phi.target, improve(mirrored, emb_op, cert_op).matrix)
 
 
 def modular_residuals(chain: np.ndarray, q: np.ndarray) -> tuple[float, float]:

@@ -627,10 +627,13 @@ def checker_valid_battery(seed: int) -> list[CheckResult]:
 
     results.append(_guarded("dichotomy-valid", dichotomy_large))
 
-    # dichotomy, small branch: a uniformly small map
+    # dichotomy, small branch: a uniformly small map, halved until its
+    # certified defect meets the checker's precondition delta ||p||^2 <= 2/9
     small = LinearMap(a, a, 0.01 * complex_gaussian(rng, (a.dim, a.dim)))
-    dsmall = defect(small, restarts=0, sweeps=SW, seed=seed + 1)
-    delta_small = dsmall.upper * 1.5 + 1e-12
+    delta_small = defect(small, restarts=0, sweeps=SW, seed=seed + 1).upper * 1.5 + 1e-12
+    while delta_small * p.norm() ** 2 > 2.0 / 9.0:
+        small = LinearMap(a, a, small.matrix / 2)
+        delta_small = defect(small, restarts=0, sweeps=SW, seed=seed + 1).upper * 1.5 + 1e-12
 
     def dichotomy_small():
         if delta_small * p.norm() ** 2 <= 2.0 / 9.0:

@@ -8,6 +8,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -133,8 +134,8 @@ def test_stabilize_precondition_exit_one(tmp_path):
 # K^2 L^2 delta0 is past 1/8 at k = 3 and 4.  delta0 reads only uppers, so
 # these messages do not depend on the witness search.
 DEFAULT_REFUSALS = {
-    3: "precondition: precondition violated: K^2 L^2 delta0 = 0.13571793266359147 > 1/8\n",
-    4: "precondition: precondition violated: K^2 L^2 delta0 = 0.30195599923487626 > 1/8\n",
+    3: "precondition: precondition violated: K^2 L^2 delta0 = 0.13571793266359247 > 1/8\n",
+    4: "precondition: precondition violated: K^2 L^2 delta0 = 0.30195599923487565 > 1/8\n",
 }
 
 
@@ -145,6 +146,56 @@ def test_default_spectral_refusals_keep_their_message(tmp_path, k):
     with contextlib.redirect_stderr(err):
         code = main(["stabilize", "--config", str(cfg), "--out", str(tmp_path / "r")])
     assert (code, err.getvalue()) == (1, DEFAULT_REFUSALS[k])
+
+
+def _delta0_50_digits(inst):
+    """delta0 of the instance at 50 digits from its float map and embedding:
+    the max over the two one-sided defects of the smallest top singular value
+    over the unfoldings, times the balls' norm-conversion factors."""
+    k = math.isqrt(inst.algebra.dim)
+    d = k * k
+    phi = [[mpmath.mpc(complex(z)) for z in row] for row in inst.phi.matrix]
+    emb = [[mpmath.mpc(complex(z)) for z in row] for row in inst.embedding.matrix]
+    # matrix units e_(a,b) e_(c,e) = [b == c] e_(a,e); phi(e_i) as a k x k matrix
+    images = [[[phi[r * k + s][i] for s in range(k)] for r in range(k)] for i in range(d)]
+    chain = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        a, b = divmod(i, k)
+        for j in range(d):
+            c, e = divmod(j, k)
+            for t in range(d):
+                r, s = divmod(t, k)
+                lin = phi[t][a * k + e] if b == c else 0
+                chain[t][i][j] = lin - mpmath.fsum(images[i][r][m] * images[j][m][s] for m in range(k))
+    sub = range(len(emb[0]))
+    left = [[[mpmath.fsum(chain[t][i][j] * emb[i][x] for i in range(d)) for j in range(d)] for x in sub]
+            for t in range(d)]
+    right = [[[mpmath.fsum(chain[t][i][j] * emb[j][y] for j in range(d)) for y in sub] for i in range(d)]
+             for t in range(d)]
+
+    def top(rows):
+        gram = mpmath.matrix([[mpmath.fsum(x * mpmath.conj(y) for x, y in zip(p, q)) for q in rows] for p in rows])
+        return mpmath.sqrt(max(mpmath.re(v) for v in mpmath.eighe(gram, eigvals_only=True)))
+
+    def upper(t):
+        n0, n1, n2 = len(t), len(t[0]), len(t[0][0])
+        return min(top([[t[a][b][c] for b in range(n1) for c in range(n2)] for a in range(n0)]),
+                   top([[t[a][b][c] for a in range(n0) for c in range(n2)] for b in range(n1)]),
+                   top([[t[a][b][c] for a in range(n0) for b in range(n1)] for c in range(n2)]))
+
+    a_ball, d_ball = inst.algebra.unit_ball, inst.embedding.sub.unit_ball
+    factor = mpmath.mpf(a_ball.target_factor()) * a_ball.coords_factor() * d_ball.coords_factor()
+    return max(upper(left), upper(right)) * factor
+
+
+@pytest.mark.parametrize("k", sorted(DEFAULT_REFUSALS))
+def test_default_refusal_digits_match_a_50_digit_delta0(k):
+    # the instance of write_config(seed=3): gamma_norm 1e-3, L = 2
+    inst = generate_instance(RunConfig("stabilize", seed=3, matrix_dim=k, gamma_norm=1e-3))
+    pinned = float(DEFAULT_REFUSALS[k].split(" = ")[1].split()[0])
+    with mpmath.workdps(50):
+        exact = mpmath.mpf(inst.cert.K) ** 2 * 4 * _delta0_50_digits(inst)
+        assert abs(pinned - exact) <= 1e-14 * exact
 
 
 def test_defect_command(tmp_path):

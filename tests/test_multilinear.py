@@ -141,6 +141,38 @@ def test_coboundary_matches_the_einsum_formula(name, arity):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def _einsum_defect(phi):
+    """phi(ab) - phi(a)phi(b) as the ``einsum`` pair the BLAS form replaced,
+    with the larger of its two terms' entries as the scale of a comparison."""
+    lin = np.einsum("ijm,tm->tij", phi.source.structure, phi.matrix)
+    quad = np.einsum("pqt,pi,qj->tij", phi.target.structure, phi.matrix, phi.matrix)
+    return lin - quad, max(np.abs(lin).max(), np.abs(quad).max())
+
+
+def _m2_into_m3():
+    return build_full_matrix_algebra(2), build_full_matrix_algebra(3)
+
+
+# source and target; an endomorphism's algebra is built once
+_DEFECT_PAIRS = {name: (lambda build=build: (build(),) * 2) for name, build in _COBOUNDARY_ALGEBRAS.items()}
+_DEFECT_PAIRS.update({"M_3": lambda: (build_full_matrix_algebra(3),) * 2, "M_2 -> M_3": _m2_into_m3})
+
+
+@pytest.mark.parametrize("near_identity", [False, True])
+@pytest.mark.parametrize("name", sorted(_DEFECT_PAIRS))
+def test_defect_cochain_matches_the_einsum_formula(name, near_identity):
+    a, b = _DEFECT_PAIRS[name]()
+    gamma = complex_gaussian(stream(31, int(near_identity)), (b.dim, a.dim))
+    # near a homomorphism (the identity, or the corner inclusion of M_2 in M_3)
+    # the two terms cancel, so the defect is far below its scale
+    start = np.eye(b.dim, a.dim) if a is b else np.kron(np.eye(3, 2), np.eye(3, 2))
+    phi = LinearMap(a, b, start + 1e-3 * gamma if near_identity else gamma)
+    got = defect_cochain(phi).tensor
+    want, scale = _einsum_defect(phi)
+    assert got.shape == want.shape == (b.dim, a.dim, a.dim)
+    assert np.abs(got - want).max() <= 1e-13 * scale
+
+
 def test_coboundary_arity_zero_refused():
     m2 = build_full_matrix_algebra(2)
     with pytest.raises(DomainError):

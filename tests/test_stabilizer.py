@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,14 @@ def test_improve_right_fixes_homomorphisms_and_kills_right_defect():
     _, right_in = modular_residuals(defect_cochain(phi).tensor, emb.matrix)
     _, right_out = modular_residuals(defect_cochain(out).tensor, emb.matrix)
     assert right_out <= 1e-12 < right_in
+
+
+def test_improve_right_refuses_an_opposite_certificate_that_fails(monkeypatch):
+    a, emb, cert = m2_diag()
+    monkeypatch.setattr(stabilizer, "verify_diagonal",
+                        lambda algebra, rep: dataclasses.replace(verify_diagonal(algebra, rep), valid=False))
+    with pytest.raises(PreconditionError):
+        improve_right(identity_map(a), emb, cert)
 
 
 def test_improve_right_refusals():

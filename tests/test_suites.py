@@ -188,6 +188,23 @@ def test_checker_rows_carry_the_upper_that_proves_them(monkeypatch):
         _assert_recomputable(row)
 
 
+def test_small_branch_draw_is_shrunk_into_the_checker_precondition(monkeypatch):
+    # at seed 16511 the drawn small map's certified defect puts delta past
+    # 2/9, so the battery halves it once; every row must pass
+    deltas = []
+    check = suites.norm_dichotomy_check
+
+    def spy(psi, p, delta, seed=0):
+        deltas.append(delta)
+        return check(psi, p, delta, seed=seed)
+
+    monkeypatch.setattr(suites, "norm_dichotomy_check", spy)
+    rows = suites.checker_valid_battery(16511)
+    assert all(row.passed for row in rows)
+    assert [row.check for row in rows][1] == "dichotomy-small-branch"
+    assert deltas[1] <= 2.0 / 9.0
+
+
 def _defect_estimated_each_call(phi, left=None, right=None, restarts=multilinear.DEFAULT_RESTARTS,
                                 sweeps=multilinear.DEFAULT_SWEEPS, seed=0, claim=None):
     """``defect`` without the per-map cache of its upper-only estimate."""
