@@ -33,7 +33,6 @@ from .multilinear import (
     identity_map,
     linear_map_norm,
     multilinear_norm,
-    restrict_first,
 )
 from .stabilizer import (
     IdealData,

@@ -43,6 +43,10 @@ from .rng import stream
 from .stabilizer import CSV_COLUMNS, StabilizeConfig, stabilize
 
 SCHEMA_VERSION = 1
+# Random streams key on the seed mod 2**64.  ``stabilize`` seeds estimate n
+# with (seed << 8) + n and the suite adds offsets below 20000 to the seed, so
+# below 2**48 no two seeds share a stream key by wrapping.
+SEED_LIMIT = 2**48
 CLONES_MAX_N = 64
 CLONES_MAX_HORIZON = 1024
 
@@ -64,6 +68,8 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in ("stabilize", "defect", "suite", "tsirelson", "clones"):
             raise ConfigError(f"unknown command {self.command!r}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ConfigError("seed must lie in [0, 2**48)")
         if self.norm_mode not in ("spectral", "frobenius"):
             raise ConfigError("norm_mode must be 'spectral' or 'frobenius'")
         if not (1 <= self.matrix_dim <= 4):

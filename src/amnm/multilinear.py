@@ -28,9 +28,10 @@ stacked form measured no gain.
 Norm estimation supports arities 1 and 2 and always returns an interval
 (`DefectEstimate`): a witness-certified lower bound plus an unfolding upper
 bound.  Inequalities downstream are therefore tested in
-no-falsification form, lower(LHS) <= upper(RHS), and are proved when
-upper(LHS) <= upper(RHS); an estimate given that bound as its ``claim``
-searches for a witness only briefly once its upper proves it.
+no-falsification form: an estimate given the limit of its comparison as its
+``claim`` is ``passed`` when its lower meets it and ``proved`` when its
+upper does, and searches for a witness only briefly once its upper proves
+it.
 """
 
 from __future__ import annotations
@@ -237,12 +238,6 @@ def restrict_slot(psi: Cochain, slot: int, embedding: Embedding) -> Cochain:
     return Cochain(tuple(slots), psi.target, tensor)
 
 
-def restrict_first(embedding: Embedding, psi: Cochain) -> Cochain:
-    """Restriction in the first variable; its norm is the D x A x ... defect
-    functional when applied to a defect cochain."""
-    return restrict_slot(psi, 0, embedding)
-
-
 def multilinear_norm(
     psi: Cochain,
     restarts: int = DEFAULT_RESTARTS,
@@ -263,11 +258,11 @@ def multilinear_norm(
     if psi.arity == 1 and all(isinstance(b, EuclideanBall) for b in balls + [target]):
         mat = psi.tensor
         if not mat.any():
-            return DefectEstimate(0.0, 0.0, [np.zeros(psi.slots[0].dim, dtype=complex)], 0, seed)
+            return DefectEstimate(0.0, 0.0, [np.zeros(psi.slots[0].dim, dtype=complex)], 0, seed, claim)
         _, s, vh = np.linalg.svd(mat)
         sigma = float(s[0])
         witness = [vh[0].conj()]
-        return DefectEstimate(sigma, sigma, witness, 0, seed)
+        return DefectEstimate(sigma, sigma, witness, 0, seed, claim)
     return estimate_tensor_norm(psi.tensor, balls, target, restarts, sweeps, seed, claim)
 
 
@@ -300,7 +295,7 @@ def defect(
     """
     if restarts == 0 and left is None and right is None:
         witness = [np.zeros(phi.source.dim, dtype=complex) for _ in range(2)]
-        return DefectEstimate(0.0, phi._defect_upper, witness, 0, seed)
+        return DefectEstimate(0.0, phi._defect_upper, witness, 0, seed, claim)
     chain = defect_cochain(phi)
     if left is not None:
         chain = restrict_slot(chain, 0, left)

@@ -23,9 +23,11 @@ unfoldings and restart r > 0 draws its start point from the stream
 restarts and never decreases the lower bound.
 
 The upper bound needs no search, so it is computed first.  A caller that
-will compare the lower bound with a bound of its own passes that bound as
-``claim``.  When the upper already meets the claim, the claim is proved and
-no budget could falsify it, so the witness search is one cheap stage:
+will compare the estimate with a bound of its own passes that bound, with
+its rounding slack (``claim_limit``), as ``claim``; the estimate carries it
+and reads the verdict from it: ``passed`` (not falsified) when the lower
+meets it, ``proved`` when the upper does.  When the upper already meets the
+claim, no budget could falsify it, so the witness search is one cheap stage:
 restart 0 for at most ``PROVED_SWEEPS`` sweeps.  That stage is a prefix of
 the full search (its first restart, its first sweeps), so a larger budget
 still never lowers the lower bound.  Otherwise, and whenever the witness
@@ -83,12 +85,19 @@ PROVED_RESTARTS = 1
 PROVED_SWEEPS = 3
 
 
+def claim_limit(bound: float) -> float:
+    """The claim of a comparison with ``bound``: the bound with rounding
+    slack."""
+    return bound * (1 + 1e-9) + 1e-15
+
+
 @dataclass
 class DefectEstimate:
     """Certified interval for a multilinear norm.
 
     ``lower`` is achieved by ``witness`` (one coordinate vector per slot);
-    ``upper`` dominates the true supremum.
+    ``upper`` dominates the true supremum.  ``claim`` is the limit the
+    caller compares the estimate with, if any.
     """
 
     lower: float
@@ -96,6 +105,7 @@ class DefectEstimate:
     witness: list[np.ndarray] | None = None
     restarts_used: int = 0
     seed: int = 0
+    claim: float | None = None
 
     def __post_init__(self):
         # relative slack for rounding; the absolute slack covers only
@@ -103,6 +113,16 @@ class DefectEstimate:
         if self.lower > self.upper * (1.0 + 1e-9) + _TINY:
             raise FalsificationGuard(self.lower, self.upper)
         self.upper = max(self.upper, self.lower)
+
+    @property
+    def passed(self) -> bool:
+        """The claim is not falsified: the certified lower meets it."""
+        return bool(self.lower <= self.claim)
+
+    @property
+    def proved(self) -> bool:
+        """No budget could falsify the claim: the certified upper meets it."""
+        return bool(self.upper <= self.claim)
 
     def to_json_dict(self) -> dict:
         return {
@@ -600,15 +620,16 @@ def estimate_tensor_norm(
     algebra's ``unit_ball``).  Restart 0 starts from the leading singular
     vectors of the unfoldings, restart r > 0 starts slot s from
     ``stream(seed, r, s)``; all restarts sweep together as one batch.
-    ``claim`` is the bound the caller compares the lower bound with: when
-    the reported upper meets it, only the cheap stage of the search runs.
+    ``claim`` is the limit the caller compares the estimate with, carried
+    by the estimate: when the reported upper meets it, only the cheap stage
+    of the search runs.
     """
     arity = tensor.ndim - 1
     if arity < 1:
         raise DomainError("tensor must have at least one input slot")
     if not tensor.any():
         witness = [np.zeros(b.dim, dtype=complex) for b in slot_balls]
-        return DefectEstimate(0.0, 0.0, witness, 0, seed)
+        return DefectEstimate(0.0, 0.0, witness, 0, seed, claim)
 
     upper = _unfolding_upper(tensor) * target.target_factor()
     for ball in slot_balls:
@@ -617,16 +638,19 @@ def estimate_tensor_norm(
     if restarts == 0:
         # upper-only mode: the unfolding bound needs no witness search
         witness = [np.zeros(b.dim, dtype=complex) for b in slot_balls]
-        return DefectEstimate(0.0, float(upper), witness, 0, seed)
+        return DefectEstimate(0.0, float(upper), witness, 0, seed, claim)
 
     upper = float(upper)
     if claim is not None and upper <= claim:
         cheap = _search(tensor, slot_balls, target, min(restarts, PROVED_RESTARTS), min(sweeps, PROVED_SWEEPS),
                         seed, upper)
+        cheap.claim = claim
         # the witness may lift the reported upper past the claim
-        if cheap.upper <= claim:
+        if cheap.proved:
             return cheap
-    return _search(tensor, slot_balls, target, restarts, sweeps, seed, upper)
+    full = _search(tensor, slot_balls, target, restarts, sweeps, seed, upper)
+    full.claim = claim
+    return full
 
 
 def _search(tensor, slot_balls, target, restarts, sweeps, seed, upper) -> DefectEstimate:

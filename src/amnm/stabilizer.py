@@ -15,11 +15,12 @@ right-restricted defect, and records per-step certificate comparisons:
     total:      ||final - input||  vs  12 K^2 L^3 delta0
 
 with delta0 the max of the two one-sided defect upper estimates at the
-input.  Each claim is *satisfied* when the certified lower bound of its left
-side does not exceed the bound (no falsification), and *proved* when the
-certified upper does not.  The bounds need only delta0, so each estimate
-learns its bound beforehand, and an estimate whose upper proves it runs only
-the cheap stage of the witness search (``normest.estimate_tensor_norm``).
+input.  The bounds need only delta0, so each left side is estimated with
+its bound's limit as the estimate's claim, and the verdicts are read from
+the estimate: a claim is *satisfied* when the certified lower meets the
+limit (no falsification), and *proved* when the certified upper does.  An
+estimate whose upper proves its claim runs only the cheap stage of the
+witness search (``normest.estimate_tensor_norm``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .algebra import Algebra, Embedding, opposite, unitize
 from .diagonal import DiagonalCert, split, verify_diagonal
 from .errors import ConfigError, DomainError, FalsificationError, PreconditionError
 from .multilinear import DefectEstimate, LinearMap, defect, defect_cochain, linear_map_norm
-from .normest import DEFAULT_RESTARTS, DEFAULT_SWEEPS
+from .normest import DEFAULT_RESTARTS, DEFAULT_SWEEPS, claim_limit
 
 UNIT_PRESERVE_TOL = 1e-9
 SELF_MODULAR_TOL = 1e-8
@@ -91,12 +92,11 @@ class IterateRecord:
     norm_phi: DefectEstimate
     claim_step_bound: float
     claim_defect_bound: float
-    step_ok: bool
-    defect_ok: bool
-    norm_ok: bool
-    step_proved: bool
-    defect_proved: bool
-    norm_proved: bool
+
+    @property
+    def claimed(self) -> dict[str, DefectEstimate]:
+        """The estimates that carry the iterate's claims, by claim name."""
+        return {"step": self.step_norm, "defect": self.def_da, "norm": self.norm_phi}
 
     def to_json_dict(self) -> dict:
         return {
@@ -107,8 +107,8 @@ class IterateRecord:
             "norm_phi": {"lower": self.norm_phi.lower, "upper": self.norm_phi.upper},
             "claim_step_bound": self.claim_step_bound,
             "claim_defect_bound": self.claim_defect_bound,
-            "satisfied": {"step": self.step_ok, "defect": self.defect_ok, "norm": self.norm_ok},
-            "proved": {"step": self.step_proved, "defect": self.defect_proved, "norm": self.norm_proved},
+            "satisfied": {name: est.passed for name, est in self.claimed.items()},
+            "proved": {name: est.proved for name, est in self.claimed.items()},
         }
 
 
@@ -122,14 +122,13 @@ class StabilizeReport:
     K: float
     L: float
     converged: bool
-    distance_ok: bool
-    distance_proved: bool
     self_modular_residual: float
     notes: list[str] = field(default_factory=list)
 
     @property
     def all_claims_ok(self) -> bool:
-        return all(r.step_ok and r.defect_ok and r.norm_ok for r in self.iterates) and self.distance_ok
+        claims = [est for r in self.iterates for est in r.claimed.values()] + [self.total_distance]
+        return all(est.passed for est in claims)
 
     def to_json_dict(self) -> dict:
         return {
@@ -137,7 +136,7 @@ class StabilizeReport:
             "final_distance": {
                 "lower": self.total_distance.lower,
                 "upper": self.total_distance.upper,
-                "proved": self.distance_proved,
+                "proved": self.total_distance.proved,
             },
             "theorem_bound": self.theorem_bound,
             "delta0": self.delta0,
@@ -203,11 +202,6 @@ def modular_residuals(chain: np.ndarray, q: np.ndarray) -> tuple[float, float]:
     return float(np.abs(left).max()), float(np.abs(right).max())
 
 
-def _limit(bound: float) -> float:
-    """The right side of a claim comparison: the bound with rounding slack."""
-    return bound * (1 + 1e-9) + 1e-15
-
-
 def stabilize(
     phi: LinearMap, emb: Embedding, cert: DiagonalCert, config: StabilizeConfig
 ) -> StabilizeReport:
@@ -230,10 +224,11 @@ def stabilize(
     ]
 
     budget = {"restarts": config.restarts, "sweeps": config.sweeps}
+    # delta0 reads only the uppers of the input's one-sided defects, which
+    # take no seed; their two seed slots stay reserved, so later ones keep theirs
     seeds = [counter.next() for _ in range(3)]
-    # delta0 reads only the uppers of the input's one-sided defects
-    dda = defect(phi, left=emb, restarts=0, seed=seeds[0])
-    dad = defect(phi, right=emb, restarts=0, seed=seeds[1])
+    dda = defect(phi, left=emb, restarts=0)
+    dad = defect(phi, right=emb, restarts=0)
     delta0 = max(dda.upper, dad.upper)
 
     frobenius_mode = phi.source.norm_mode == "frobenius" or phi.target.norm_mode == "frobenius"
@@ -242,7 +237,7 @@ def stabilize(
 
     if config.check_claim_bounds:
         norm0 = linear_map_norm(phi, seed=seeds[2], claim=L * (1 + 1e-9), **budget)
-        if norm0.lower > L * (1 + 1e-9):
+        if not norm0.passed:
             raise PreconditionError(
                 f"precondition violated: certified ||phi|| lower {norm0.lower} exceeds declared L={L}"
             )
@@ -260,29 +255,13 @@ def stabilize(
         n += 1
         claim_step = k_const * L * delta0 * 2.0 ** (-(n - 1))
         claim_defect = 3.0 * delta0 * 2.0 ** (-2 * n - 1)
-        step_limit, defect_limit = _limit(claim_step), _limit(claim_defect)
         improved = improve(current, emb, cert)
         seeds = [counter.next() for _ in range(4)]
-        step = linear_map_norm(improved - current, seed=seeds[0], claim=step_limit, **budget)
-        dda = defect(improved, left=emb, seed=seeds[1], claim=defect_limit, **budget)
+        step = linear_map_norm(improved - current, seed=seeds[0], claim=claim_limit(claim_step), **budget)
+        dda = defect(improved, left=emb, seed=seeds[1], claim=claim_limit(claim_defect), **budget)
         ddd = defect(improved, left=emb, right=emb, seed=seeds[2], **budget)
         norm_n = linear_map_norm(improved, seed=seeds[3], claim=norm_limit, **budget)
-        rec = IterateRecord(
-            n,
-            step,
-            dda,
-            ddd,
-            norm_n,
-            claim_step,
-            claim_defect,
-            step_ok=bool(step.lower <= step_limit),
-            defect_ok=bool(dda.lower <= defect_limit),
-            norm_ok=bool(norm_n.lower <= norm_limit),
-            step_proved=bool(step.upper <= step_limit),
-            defect_proved=bool(dda.upper <= defect_limit),
-            norm_proved=bool(norm_n.upper <= norm_limit),
-        )
-        iterates.append(rec)
+        iterates.append(IterateRecord(n, step, dda, ddd, norm_n, claim_step, claim_defect))
         current = improved
         converged = dda.upper <= config.tol
 
@@ -292,14 +271,9 @@ def stabilize(
         current = improve_right(current, emb, cert)
 
     theorem_bound = 12.0 * k_const**2 * L**3 * delta0
-    distance_limit = _limit(theorem_bound)
-    total = linear_map_norm(current - phi, seed=counter.next(), claim=distance_limit, **budget)
-    distance_ok = bool(total.lower <= distance_limit)
-    if config.check_claim_bounds and converged and not frobenius_mode:
-        if not distance_ok:
-            raise FalsificationError(
-                f"total distance lower {total.lower} exceeds 12 K^2 L^3 delta0 = {theorem_bound}"
-            )
+    total = linear_map_norm(current - phi, seed=counter.next(), claim=claim_limit(theorem_bound), **budget)
+    if config.check_claim_bounds and converged and not frobenius_mode and not total.passed:
+        raise FalsificationError(f"total distance lower {total.lower} exceeds 12 K^2 L^3 delta0 = {theorem_bound}")
 
     self_mod = max(modular_residuals(defect_cochain(current).tensor, emb.matrix))
     return StabilizeReport(
@@ -311,8 +285,6 @@ def stabilize(
         k_const,
         L,
         converged,
-        distance_ok,
-        bool(total.upper <= distance_limit),
         self_mod,
         notes,
     )

@@ -3,12 +3,13 @@ checker batteries, and the Tsirelson block.
 
 Every check is a pure function of (norm mode, seed) returning a CheckResult;
 the suite command and the acceptance tests drive the same functions.  Exact
-identities compare coefficient tensors at 1e-10 of their natural scale;
-bound checks compare a certified lower estimate of the left side with the
-bound assembled from certified uppers (``passed``: not falsified), and the
-left side's certified upper with the same bound (``proved``).  Each bound
-is computed before its left side, whose estimate takes it as its claim, so
-a row its upper proves runs only the cheap stage of the witness search.
+identities compare coefficient tensors at 1e-10 of their natural scale.
+A bound check assembles its bound from certified uppers before it
+estimates the left side, whose estimate takes the bound's limit
+(``normest.claim_limit``) as its claim; the row's verdicts are the
+estimate's: ``passed`` (not falsified) when its certified lower meets the
+claim, ``proved`` when its certified upper does.  So a row its upper
+proves runs only the cheap stage of the witness search.
 ``check_improving_bounds`` is the one home of the improving operator's
 one-step contract.
 
@@ -47,10 +48,10 @@ from .multilinear import (
     defect_cochain,
     linear_map_norm,
     multilinear_norm,
-    restrict_first,
+    restrict_slot,
     unit_killing_perturbation,
 )
-from .normest import EuclideanBall, SpectralBall, estimate_tensor_norm
+from .normest import DefectEstimate, EuclideanBall, SpectralBall, claim_limit, estimate_tensor_norm
 from .perturbation import (
     BoundCertificate,
     absorption_check,
@@ -85,7 +86,6 @@ from .tsirelson import (
 )
 
 EXACT_TOL = 1e-10
-NF_SLACK = 1e-9  # multiplicative slack for no-falsification comparisons
 R = 8  # restart budget inside suite checks; uppers are restart-independent
 SW = 60
 
@@ -129,16 +129,10 @@ def _exact(check: str, residual: float, scale: float) -> CheckResult:
     return CheckResult(check, residual <= bound, residual, residual, bound, bound)
 
 
-def _claim(rhs_hi: float) -> float:
-    """The bound a no-falsification row compares its left side with."""
-    return rhs_hi * (1 + NF_SLACK) + 1e-15
-
-
-def _nofalsify(check: str, lhs_lo: float, lhs_hi: float, rhs_hi: float) -> CheckResult:
-    """Passed when the left side's lower meets the bound, proved when its
-    upper does."""
-    claim = _claim(rhs_hi)
-    return CheckResult(check, lhs_lo <= claim, lhs_lo, lhs_hi, rhs_hi, rhs_hi, lhs_hi <= claim)
+def _nofalsify(check: str, lhs: DefectEstimate, rhs: float) -> CheckResult:
+    """The row of the bound ``rhs`` on the left side ``lhs``, an estimate
+    that carries the bound's claim and its verdicts."""
+    return CheckResult(check, lhs.passed, lhs.lower, lhs.upper, rhs, rhs, lhs.proved)
 
 
 # -- seeded building blocks -----------------------------------------------------
@@ -395,17 +389,17 @@ def check_perturbed_defect(mode: str, seed: int) -> CheckResult:
     psi = random_map(a, a, rng)
     gamma = random_map(a, a, rng, scale=0.1)
     theta = LinearMap(a, a, psi.matrix + gamma.matrix)
-    gap = linear_map_norm(theta - psi, 0, SW, seed=seed)
+    gap = linear_map_norm(theta - psi, restarts=0)
     if gap.upper > 1.0:
         shrink = 0.9 / gap.upper
         gamma = LinearMap(a, a, gamma.matrix * shrink)
         theta = LinearMap(a, a, psi.matrix + gamma.matrix)
-        gap = linear_map_norm(theta - psi, 0, SW, seed=seed)
-    d_psi = defect(psi, restarts=0, sweeps=SW, seed=seed + 2)
-    n_psi = linear_map_norm(psi, 0, SW, seed=seed + 3)
+        gap = linear_map_norm(theta - psi, restarts=0)
+    d_psi = defect(psi, restarts=0)
+    n_psi = linear_map_norm(psi, restarts=0)
     rhs = d_psi.upper + 2.0 * gap.upper * (1.0 + n_psi.upper)
-    lhs = defect(theta, restarts=R, sweeps=SW, seed=seed + 1, claim=_claim(rhs))
-    return _nofalsify("perturbed-defect-bound", lhs.lower, lhs.upper, rhs)
+    lhs = defect(theta, restarts=R, sweeps=SW, seed=seed + 1, claim=claim_limit(rhs))
+    return _nofalsify("perturbed-defect-bound", lhs, rhs)
 
 
 def check_relative_perturbed(mode: str, seed: int) -> CheckResult:
@@ -414,14 +408,14 @@ def check_relative_perturbed(mode: str, seed: int) -> CheckResult:
     phi = random_map(a, a, rng)
     gamma = random_map(a, a, rng, scale=0.2)
     combined = LinearMap(a, a, phi.matrix + gamma.matrix)
-    n_phi = linear_map_norm(phi, 0, SW, seed=seed)
-    n_gamma = linear_map_norm(gamma, 0, SW, seed=seed + 1)
+    n_phi = linear_map_norm(phi, restarts=0)
+    n_gamma = linear_map_norm(gamma, restarts=0)
     sides = []
     for kw in ({"left": emb}, {"right": emb}):
-        base = defect(phi, restarts=0, sweeps=SW, seed=seed + 3, **kw)
+        base = defect(phi, restarts=0, **kw)
         rhs = base.upper + (2.0 * n_phi.upper + 1.0) * n_gamma.upper + n_gamma.upper**2
-        lhs = defect(combined, restarts=R, sweeps=SW, seed=seed + 2, claim=_claim(rhs), **kw)
-        sides.append(_nofalsify("relative-perturbed-defect-bound", lhs.lower, lhs.upper, rhs))
+        lhs = defect(combined, restarts=R, sweeps=SW, seed=seed + 2, claim=claim_limit(rhs), **kw)
+        sides.append(_nofalsify("relative-perturbed-defect-bound", lhs, rhs))
     left, right = sides
     # the row reports the left side
     return replace(left, passed=left.passed and right.passed, proved=left.proved and right.proved)
@@ -466,12 +460,16 @@ def check_coboundary_composition(mode: str, seed: int) -> CheckResult:
     phi = random_map(a, a, rng)
     gamma = random_map(a, a, rng)
     composed = coboundary(phi, coboundary(phi, Cochain((a,), a, gamma.matrix)))
-    lhs = _sampled_lower_arity3(composed, seed)
+    lower = _sampled_lower_arity3(composed, seed)
     upper = estimate_tensor_norm(composed.tensor, [s.unit_ball for s in composed.slots], a.unit_ball, 0).upper
-    d_phi = defect(phi, restarts=0, sweeps=SW, seed=seed + 1)
-    n_gamma = linear_map_norm(gamma, 0, SW, seed=seed + 2)
+    d_phi = defect(phi, restarts=0)
+    n_gamma = linear_map_norm(gamma, restarts=0)
     rhs = 4.0 * d_phi.upper * n_gamma.upper
-    return _nofalsify("coboundary-composition-bound", lhs, max(lhs, upper), rhs)
+    # the sampled points lie in the unit balls, so the sampled lower never
+    # exceeds the unfolding upper beyond rounding, far inside the slack of
+    # the estimate's lower-versus-upper guard
+    lhs = DefectEstimate(lower, upper, claim=claim_limit(rhs))
+    return _nofalsify("coboundary-composition-bound", lhs, rhs)
 
 
 def check_averaging_bound(mode: str, seed: int) -> CheckResult:
@@ -481,11 +479,11 @@ def check_averaging_bound(mode: str, seed: int) -> CheckResult:
     psi = Cochain((a, a), a, complex_gaussian(rng, (a.dim, a.dim, a.dim)))
     rep = random_tensor_rep(emb.sub, rng)
     avg = average(phi, emb, rep, psi)
-    n_phi = linear_map_norm(phi, 0, SW, seed=seed + 1)
-    res = multilinear_norm(restrict_first(emb, psi), 0, SW, seed=seed + 2)
+    n_phi = linear_map_norm(phi, restarts=0)
+    res = multilinear_norm(restrict_slot(psi, 0, emb), restarts=0)
     rhs = rep.proj_bound * n_phi.upper * res.upper
-    lhs = multilinear_norm(avg, R, SW, seed=seed, claim=_claim(rhs))
-    return _nofalsify("averaging-operator-bound", lhs.lower, lhs.upper, rhs)
+    lhs = multilinear_norm(avg, R, SW, seed=seed, claim=claim_limit(rhs))
+    return _nofalsify("averaging-operator-bound", lhs, rhs)
 
 
 def _left_modular_gap(phi: LinearMap, emb: Embedding, rep: TensorRep, psi: Cochain) -> Cochain:
@@ -510,11 +508,11 @@ def check_left_modular(mode: str, seed: int) -> CheckResult:
     psi = Cochain((a, a), b, complex_gaussian(rng, (b.dim, a.dim, a.dim)))
     rep = random_tensor_rep(d, rng)
     gap = _left_modular_gap(phi, emb, rep, psi)
-    ddd = defect(phi, left=emb, right=emb, restarts=0, sweeps=SW, seed=seed + 1)
-    res = multilinear_norm(restrict_first(emb, psi), 0, SW, seed=seed + 2)
+    ddd = defect(phi, left=emb, right=emb, restarts=0)
+    res = multilinear_norm(restrict_slot(psi, 0, emb), restarts=0)
     rhs = ddd.upper * rep.proj_bound * res.upper
-    lhs = multilinear_norm(gap, R, SW, seed=seed, claim=_claim(rhs))
-    return _nofalsify("left-modular-bound", lhs.lower, lhs.upper, rhs)
+    lhs = multilinear_norm(gap, R, SW, seed=seed, claim=claim_limit(rhs))
+    return _nofalsify("left-modular-bound", lhs, rhs)
 
 
 def check_splitting_v2(mode: str, seed: int) -> CheckResult:
@@ -526,12 +524,12 @@ def check_splitting_v2(mode: str, seed: int) -> CheckResult:
     psi = Cochain((a, a), a, complex_gaussian(rng, (a.dim, a.dim, a.dim)))
     s1 = split(phi, emb, cert, psi)
     inner = coboundary(phi, s1).tensor + split(phi, emb, cert, coboundary(phi, psi)).tensor - psi.tensor
-    gap = restrict_first(emb, Cochain((a, a), a, inner))
-    ddd = defect(phi, left=emb, right=emb, restarts=0, sweeps=SW, seed=seed + 1)
-    res = multilinear_norm(restrict_first(emb, psi), 0, SW, seed=seed + 2)
+    gap = restrict_slot(Cochain((a, a), a, inner), 0, emb)
+    ddd = defect(phi, left=emb, right=emb, restarts=0)
+    res = multilinear_norm(restrict_slot(psi, 0, emb), restarts=0)
     rhs = 2.0 * cert.K * ddd.upper * res.upper
-    lhs = multilinear_norm(gap, R, SW, seed=seed, claim=_claim(rhs))
-    return _nofalsify("splitting-homotopy-bound", lhs.lower, lhs.upper, rhs)
+    lhs = multilinear_norm(gap, R, SW, seed=seed, claim=claim_limit(rhs))
+    return _nofalsify("splitting-homotopy-bound", lhs, rhs)
 
 
 def check_improving_bounds(mode: str, seed: int) -> list[CheckResult]:
@@ -543,17 +541,17 @@ def check_improving_bounds(mode: str, seed: int) -> list[CheckResult]:
     phi = LinearMap(a, a, np.eye(a.dim) + gamma)
     improved = improve(phi, emb, cert)
     # the bounds read only the uppers of the input's estimates
-    norm_phi = linear_map_norm(phi, 0, SW, seed=seed + 1)
-    dda_in = defect(phi, left=emb, restarts=0, sweeps=SW, seed=seed + 2)
-    ddd_in = defect(phi, left=emb, right=emb, restarts=0, sweeps=SW, seed=seed + 3)
+    norm_phi = linear_map_norm(phi, restarts=0)
+    dda_in = defect(phi, left=emb, restarts=0)
+    ddd_in = defect(phi, left=emb, right=emb, restarts=0)
     step_bound = cert.K * norm_phi.upper * dda_in.upper
     defect_bound = 3.0 * cert.K**2 * norm_phi.upper**2 * ddd_in.upper * dda_in.upper
-    step = linear_map_norm(improved - phi, R, SW, seed=seed, claim=_claim(step_bound))
-    dda_out = defect(improved, left=emb, restarts=R, sweeps=SW, seed=seed + 4, claim=_claim(defect_bound))
+    step = linear_map_norm(improved - phi, R, SW, seed=seed, claim=claim_limit(step_bound))
+    dda_out = defect(improved, left=emb, restarts=R, sweeps=SW, seed=seed + 4, claim=claim_limit(defect_bound))
     unit_resid = _maxabs(improved.apply(emb.unit_in_parent()) - a.unit_coords)
     return [
-        _nofalsify("improvement-step-bound", step.lower, step.upper, step_bound),
-        _nofalsify("improvement-defect-bound", dda_out.lower, dda_out.upper, defect_bound),
+        _nofalsify("improvement-step-bound", step, step_bound),
+        _nofalsify("improvement-defect-bound", dda_out, defect_bound),
         _exact("improvement-preserves-unit", unit_resid, max(1.0, _maxabs(phi.matrix) ** 2)),
     ]
 
@@ -572,22 +570,16 @@ def run_stabilize_checks(mode: str, seed: int, gamma_norm: float = 1e-3,
         CheckResult("stabilize-converged", report.converged,
                     float(len(report.iterates)), float(len(report.iterates)),
                     float(config.max_iter), float(config.max_iter)),
-        CheckResult("stabilize-distance-bound", report.distance_ok,
-                    report.total_distance.lower, report.total_distance.upper,
-                    report.theorem_bound, report.theorem_bound, report.distance_proved),
+        _nofalsify("stabilize-distance-bound", report.total_distance, report.theorem_bound),
         CheckResult("stabilize-self-modular", report.self_modular_residual <= SELF_MODULAR_TOL,
                     report.self_modular_residual, report.self_modular_residual, SELF_MODULAR_TOL, SELF_MODULAR_TOL),
     ]
     for rec in report.iterates:
-        results.append(CheckResult(f"stabilize-claim-step-{rec.step}", rec.step_ok,
-                                   rec.step_norm.lower, rec.step_norm.upper,
-                                   rec.claim_step_bound, rec.claim_step_bound, rec.step_proved))
-        results.append(CheckResult(f"stabilize-claim-defect-{rec.step}", rec.defect_ok,
-                                   rec.def_da.lower, rec.def_da.upper,
-                                   rec.claim_defect_bound, rec.claim_defect_bound, rec.defect_proved))
-        results.append(CheckResult(f"stabilize-norm-growth-{rec.step}", rec.norm_ok,
-                                   rec.norm_phi.lower, rec.norm_phi.upper,
-                                   NORM_GROWTH * config.L, NORM_GROWTH * config.L, rec.norm_proved))
+        results += [
+            _nofalsify(f"stabilize-claim-step-{rec.step}", rec.step_norm, rec.claim_step_bound),
+            _nofalsify(f"stabilize-claim-defect-{rec.step}", rec.def_da, rec.claim_defect_bound),
+            _nofalsify(f"stabilize-norm-growth-{rec.step}", rec.norm_phi, NORM_GROWTH * config.L),
+        ]
     return results
 
 
@@ -617,7 +609,7 @@ def checker_valid_battery(seed: int) -> list[CheckResult]:
     # dichotomy, large branch: a near-identity map at an idempotent
     gamma = unit_killing_perturbation(a, rng, 1e-4)
     psi = LinearMap(a, a, np.eye(a.dim) + gamma)
-    dpsi = defect(psi, restarts=0, sweeps=SW, seed=seed)
+    dpsi = defect(psi, restarts=0)
     delta = dpsi.upper * 1.5 + 1e-12
     p = a.basis_element(0)
 
@@ -630,10 +622,10 @@ def checker_valid_battery(seed: int) -> list[CheckResult]:
     # dichotomy, small branch: a uniformly small map, halved until its
     # certified defect meets the checker's precondition delta ||p||^2 <= 2/9
     small = LinearMap(a, a, 0.01 * complex_gaussian(rng, (a.dim, a.dim)))
-    delta_small = defect(small, restarts=0, sweeps=SW, seed=seed + 1).upper * 1.5 + 1e-12
+    delta_small = defect(small, restarts=0).upper * 1.5 + 1e-12
     while delta_small * p.norm() ** 2 > 2.0 / 9.0:
         small = LinearMap(a, a, small.matrix / 2)
-        delta_small = defect(small, restarts=0, sweeps=SW, seed=seed + 1).upper * 1.5 + 1e-12
+        delta_small = defect(small, restarts=0).upper * 1.5 + 1e-12
 
     def dichotomy_small():
         if delta_small * p.norm() ** 2 <= 2.0 / 9.0:
@@ -645,7 +637,7 @@ def checker_valid_battery(seed: int) -> list[CheckResult]:
 
     # absorption: a = e11, b = e12, small psi
     tiny = LinearMap(a, a, 0.01 * complex_gaussian(rng, (a.dim, a.dim)))
-    eta = defect(tiny, restarts=0, sweeps=SW, seed=seed + 2).upper * 1.2 + 1e-12
+    eta = defect(tiny, restarts=0).upper * 1.2 + 1e-12
     results.append(_guarded("absorption-valid", lambda: absorption_check(
         tiny, a.basis_element(0), a.basis_element(1), "left", eta, seed=seed + 2)))
 
@@ -719,7 +711,7 @@ def scan_pipeline_check(seed: int) -> CheckResult:
     factor_const = u.norm() * v.norm()
     threshold = clone_constant(max(1.0, factor_const))
     psi = LinearMap(q_alg, q_alg, 0.0015 * complex_gaussian(rng, (q_alg.dim, q_alg.dim)))
-    eta = defect(psi, restarts=0, sweeps=SW, seed=seed).upper * 1.2 + 1e-12
+    eta = defect(psi, restarts=0).upper * 1.2 + 1e-12
     if eta > threshold:
         return CheckResult("equivalence-pipeline", False, eta, eta, threshold, threshold)
 
@@ -740,7 +732,7 @@ def checker_refusal_battery(seed: int) -> list[CheckResult]:
     rng = stream(seed, 18)
     a = build_full_matrix_algebra(2)
     psi = LinearMap(a, a, 0.05 * complex_gaussian(rng, (a.dim, a.dim)))
-    eta = defect(psi, restarts=0, sweeps=SW, seed=seed).upper * 1.2 + 1e-12
+    eta = defect(psi, restarts=0).upper * 1.2 + 1e-12
     results = []
 
     def expect_refusal(name, thunk):

@@ -376,6 +376,21 @@ def test_run_config_checks_itself(fields):
         RunConfig(**{"command": "defect", "seed": 1, **fields})
 
 
+# The streams key on the seed mod 2**64, so each of these seeds once ran as
+# the seed of its pair (1 and 2**64 + 1 wrote the same stabilize report); and
+# stabilize seeds its estimates with seed << 8, which wraps from 2**56 on.
+@pytest.mark.parametrize("command", ["stabilize", "defect", "suite"])
+@pytest.mark.parametrize("seed", [-5, 2**64 - 5, 2**64 + 1, 2**56 + 1, 2**48])
+def test_seeds_that_alias_a_smaller_seed_exit_two(tmp_path, command, seed):
+    cfg = write_config(tmp_path, seed=seed)
+    code, err = run_main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert err == "configuration error: seed must lie in [0, 2**48)\n"
+    assert run_main([command, "--seed", str(seed), "--out", str(tmp_path / "out")])[0] == 2
+    assert not (tmp_path / "out").exists()
+    assert RunConfig(command=command, seed=2**48 - 1).seed == 2**48 - 1
+
+
 def test_config_echo_loads_back(tmp_path):
     sconf = StabilizeConfig(tol=1e-9, max_iter=12, L=1.5, check_claim_bounds=False, restarts=5, sweeps=70)
     for cfg in (RunConfig(command="defect", seed=3, out=str(tmp_path)),
@@ -455,7 +470,7 @@ def test_fuzzed_config_validated_or_refused(doc, command):
     sconf = cfg.stabilize
     assert cfg.norm_mode in ("spectral", "frobenius") and 1 <= cfg.matrix_dim <= 4
     assert 0 <= cfg.gamma_norm <= 1 and 1 <= cfg.instances <= 10000
-    assert isinstance(cfg.out, str) and type(cfg.seed) is int
+    assert isinstance(cfg.out, str) and type(cfg.seed) is int and 0 <= cfg.seed < 2**48
     assert all(type(v) is int for v in (cfg.matrix_dim, cfg.instances, sconf.max_iter,
                                          sconf.restarts, sconf.sweeps))
     assert type(sconf.check_claim_bounds) is bool

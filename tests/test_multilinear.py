@@ -16,7 +16,7 @@ from amnm.multilinear import (
     defect,
     defect_cochain,
     identity_map,
-    restrict_first,
+    restrict_slot,
 )
 from amnm.rng import complex_gaussian, stream
 
@@ -185,7 +185,7 @@ def test_restrict_first_full_algebra_is_basis_change():
     chain = defect_cochain(phi)
     d, emb = generated_subalgebra(m2, [m2.basis_element(1), m2.basis_element(2)], unital=False)
     assert d.dim == 4
-    restricted = restrict_first(emb, chain)
+    restricted = restrict_slot(chain, 0, emb)
     # evaluating on embedded basis vectors agrees with direct evaluation
     for m in range(4):
         got = restricted.tensor[:, m, :]
@@ -201,7 +201,7 @@ def test_restrict_first_scalar_subalgebra_kills_defect():
     gamma -= np.outer(gamma @ unit, unit.conj()) / np.vdot(unit, unit)
     phi = LinearMap(m2, m2, np.eye(4) + gamma)
     d, emb = generated_subalgebra(m2, [m2.unit()], unital=True)
-    restricted = restrict_first(emb, defect_cochain(phi))
+    restricted = restrict_slot(defect_cochain(phi), 0, emb)
     assert np.abs(restricted.tensor).max() < 1e-12
 
 

@@ -1,9 +1,11 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from amnm import multilinear, normest, stabilizer, suites
+from amnm import multilinear, normest, parallel, stabilizer, suites
+from amnm.cli import main
 from amnm.algebra import (
     Algebra,
     Embedding,
@@ -20,6 +22,7 @@ from amnm.multilinear import LinearMap, defect, defect_cochain, identity_map, li
 from amnm.rng import complex_gaussian, stream
 from amnm.stabilizer import (
     MAX_ITER_CAP,
+    NORM_GROWTH,
     IdealData,
     StabilizeConfig,
     decompose_over_ideal,
@@ -553,7 +556,7 @@ def test_suite_rows_are_proved_exactly_when_their_uppers_decide_them(monkeypatch
             if row.check == "improvement-preserves-unit":
                 assert row.proved == row.passed
             elif fn is not suites.check_relative_perturbed:
-                assert row.proved == (row.lhs_hi <= suites._claim(row.rhs_hi))
+                assert row.proved == (row.lhs_hi <= normest.claim_limit(row.rhs_hi))
             assert row.passed
             proved += row.proved
     # the searched rows are decided by the estimates whose claims they read
@@ -609,7 +612,7 @@ def test_stabilize_stops_on_the_defect_upper(mode, k, seed):
 
 
 def test_a_row_passed_by_its_lower_alone_is_not_proved(monkeypatch):
-    row = suites._nofalsify("bound", 1.0, 3.0, 2.0)
+    row = suites._nofalsify("bound", normest.DefectEstimate(1.0, 3.0, claim=normest.claim_limit(2.0)), 2.0)
     assert row.passed and not row.proved
     # the relative row is proved only when both of its sides are: widen
     # the right side's upper far past its bound
@@ -618,10 +621,100 @@ def test_a_row_passed_by_its_lower_alone_is_not_proved(monkeypatch):
     def widened(phi, left=None, right=None, restarts=0, sweeps=60, seed=0, claim=None):
         est = defect_(phi, left=left, right=right, restarts=restarts, sweeps=sweeps, seed=seed, claim=claim)
         if right is not None and restarts:
-            return normest.DefectEstimate(est.lower, 1e6 * est.upper, est.witness, est.restarts_used, est.seed)
+            return normest.DefectEstimate(est.lower, 1e6 * est.upper, est.witness, est.restarts_used, est.seed,
+                                          est.claim)
         return est
 
     assert suites.check_relative_perturbed("spectral", 3005).proved
     monkeypatch.setattr(suites, "defect", widened)
     row = suites.check_relative_perturbed("spectral", 3005)
     assert row.passed and not row.proved
+
+
+# -- written verdicts are the estimates' own --------------------------------------------
+
+
+def _claimed_estimates(monkeypatch) -> list:
+    """Every estimate made through ``multilinear_norm`` (also as the
+    suite's import) with a claim, in order; suite blocks run in this
+    process."""
+    claimed = []
+    norm = multilinear.multilinear_norm
+
+    def spy(*args, **kwargs):
+        est = norm(*args, **kwargs)
+        if est.claim is not None:
+            claimed.append(est)
+        return est
+
+    monkeypatch.setattr(multilinear, "multilinear_norm", spy)
+    monkeypatch.setattr(suites, "multilinear_norm", spy)
+    monkeypatch.setattr(parallel, "_cpus", lambda: 1)
+    return claimed
+
+
+@pytest.mark.parametrize("mode,k", [("spectral", 2), ("frobenius", 4)])
+def test_written_stabilize_flags_are_the_claimed_estimates_verdicts(monkeypatch, tmp_path, mode, k):
+    claimed = _claimed_estimates(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "norm_mode": mode, "dims": {"matrix": k}}))
+    assert main(["stabilize", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "stabilize_report.json").read_text())
+    L = doc["L"]
+    # the ||phi|| <= L precondition, three claims per iterate, the distance
+    norm0, *per_iterate, distance = claimed
+    assert norm0.claim == L * (1 + 1e-9) and norm0.passed
+    assert len(per_iterate) == 3 * len(doc["iterates"]) > 0
+    fields = {"step": "step_norm", "defect": "def_da", "norm": "norm_phi"}
+    for n, rec in enumerate(doc["iterates"]):
+        limits = {"step": normest.claim_limit(rec["claim_step_bound"]),
+                  "defect": normest.claim_limit(rec["claim_defect_bound"]),
+                  "norm": NORM_GROWTH * L * (1 + 1e-9)}
+        for name, est in zip(fields, per_iterate[3 * n : 3 * n + 3]):
+            written = rec[fields[name]]
+            assert est.claim == limits[name]
+            assert (written["lower"], written["upper"]) == (est.lower, est.upper)
+            assert rec["satisfied"][name] == (written["lower"] <= est.claim)
+            assert rec["proved"][name] == (written["upper"] <= est.claim)
+    written = doc["final_distance"]
+    assert distance.claim == normest.claim_limit(doc["theorem_bound"])
+    assert (written["lower"], written["upper"]) == (distance.lower, distance.upper)
+    assert written["proved"] == (written["upper"] <= distance.claim)
+    assert doc["claims_satisfied"] == all(est.lower <= est.claim for est in claimed[1:])
+
+
+@pytest.mark.parametrize("mode", ["spectral", "frobenius"])
+def test_written_suite_flags_are_the_claimed_estimates_verdicts(monkeypatch, tmp_path, mode):
+    claimed = _claimed_estimates(monkeypatch)
+    rows_of = []
+    nofalsify = suites._nofalsify
+
+    def spy(check, lhs, rhs):
+        rows_of.append((check, lhs, rhs))
+        return nofalsify(check, lhs, rhs)
+
+    monkeypatch.setattr(suites, "_nofalsify", spy)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5, "norm_mode": mode, "instances": 1}))
+    assert main(["suite", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    written = {}
+    for row in json.loads((tmp_path / "suite_report.json").read_text())["rows"]:
+        written.setdefault((row["check"], row["lhs"]["lo"], row["lhs"]["hi"]), []).append(row)
+    sides = {}
+    for check, lhs, rhs in rows_of:
+        # the sampled arity-3 row builds its estimate itself; every other
+        # row's estimate is one the estimator made with that claim
+        assert check == "coboundary-composition-bound" or any(est is lhs for est in claimed)
+        growth = check.startswith("stabilize-norm-growth")
+        assert lhs.claim == (NORM_GROWTH * StabilizeConfig().L * (1 + 1e-9) if growth else normest.claim_limit(rhs))
+        sides.setdefault(check, []).append(lhs)
+    # the relative row reports its left side and both sides' verdicts
+    relative = sides.pop("relative-perturbed-defect-bound")
+    left = written.pop(("relative-perturbed-defect-bound", relative[0].lower, relative[0].upper))
+    assert [(r["passed"], r["proved"]) for r in left] == [
+        (all(s.lower <= s.claim for s in relative), all(s.upper <= s.claim for s in relative))]
+    assert len(sides) == len(rows_of) - 2 > 10
+    for check, (lhs,) in sides.items():
+        (row,) = written[(check, lhs.lower, lhs.upper)]
+        assert (row["passed"], row["proved"]) == (lhs.lower <= lhs.claim, lhs.upper <= lhs.claim)
+        assert row["rhs"]["lo"] == row["rhs"]["hi"]

@@ -178,7 +178,8 @@ def test_checker_rows_carry_the_upper_that_proves_them(monkeypatch):
 
     def widened(*args, **kwargs):
         est = norm(*args, **kwargs)
-        return DefectEstimate(est.lower, 1e6 * max(est.upper, 1e-6), est.witness, est.restarts_used, est.seed)
+        return DefectEstimate(est.lower, 1e6 * max(est.upper, 1e-6), est.witness, est.restarts_used, est.seed,
+                              est.claim)
 
     monkeypatch.setattr(perturbation, "linear_map_norm", widened)
     rows = [r for r in suites.checker_valid_battery(9005) if r.check in _CHECKER_CLAIMS]
