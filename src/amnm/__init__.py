@@ -3,8 +3,8 @@ between finite-dimensional normed algebras."""
 
 import os
 
-# One BLAS thread per process unless the caller chose a number: commands run
-# their independent estimates on the other CPUs (``parallel.run_all``), and
+# One BLAS thread per process unless the caller chose a number: ``suite``
+# runs its independent blocks on the other CPUs (``parallel.run_all``), and
 # OpenBLAS's idle threads would spin on those CPUs.  Set before numpy loads.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

@@ -13,12 +13,12 @@ refused precondition, 2 configuration error.  Reports are byte-identical
 for identical (config, seed) because every row derives its randomness from
 (seed, instance index) and rows are assembled in key order.
 
-``defect`` and ``suite`` run their independent estimates and suite blocks
-on every CPU of the process's affinity mask, in forked helper processes
-(``parallel.run_all``); the reports do not depend on how many there are,
-and ``taskset -c 0`` runs a command in one process.  ``stabilize`` runs in
-one process: an estimate whose upper proves its claim searches only
-briefly, and a round of such estimates costs about as much as a fork.
+``suite`` runs its independent suite blocks on every CPU of the process's
+affinity mask, in forked helper processes (``parallel.run_all``); the
+report does not depend on how many there are, and ``taskset -c 0`` runs it
+in one process.  ``stabilize`` and ``defect`` run in one process: most of
+their estimates prove their claim or close their bracket in the brief
+cheap stage, and a round of such estimates costs about as much as a fork.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import csv
 import json
 import sys
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,15 +36,15 @@ from .algebra import Algebra, Embedding
 from .diagonal import DiagonalCert, _scenario
 from .errors import ConfigError, DomainError, FalsificationError, PreconditionError
 from .jsonio import dumps, write_json
-from .multilinear import LinearMap, defect, defect_cochain, linear_map_norm, unit_killing_perturbation
-from .parallel import run_all
+from .multilinear import LinearMap, defect, linear_map_norm, unit_killing_perturbation
 from .rng import stream
-from .stabilizer import CSV_COLUMNS, StabilizeConfig, stabilize
+from .stabilizer import CSV_COLUMNS, SeedCounter, StabilizeConfig, stabilize
 
 SCHEMA_VERSION = 1
-# Random streams key on the seed mod 2**64.  ``stabilize`` seeds estimate n
-# with (seed << 8) + n and the suite adds offsets below 20000 to the seed, so
-# below 2**48 no two seeds share a stream key by wrapping.
+# Random streams key on the seed mod 2**64.  ``stabilize`` and ``defect`` seed
+# their estimates from ``SeedCounter`` slots and the suite adds offsets below
+# 20000 to the seed, so below 2**48 no two seeds share a stream key by
+# wrapping; ``clones`` takes its seed as it is, in the same range.
 SEED_LIMIT = 2**48
 CLONES_MAX_N = 64
 CLONES_MAX_HORIZON = 1024
@@ -228,23 +227,19 @@ def cmd_defect(cfg: RunConfig) -> int:
     out = _ensure_out(cfg)
     inst = generate_instance(cfg)
     emb = inst.embedding
-    r, sw = cfg.stabilize.restarts, cfg.stabilize.sweeps
-    defect_cochain(inst.phi)  # built once, before the helpers fork
-    # run in parallel, the longest first: the norm of phi runs to the sweep cap
-    estimates = {
-        "norm": partial(linear_map_norm, inst.phi, r, sw, seed=cfg.seed + 4),
-        "def": partial(defect, inst.phi, restarts=r, sweeps=sw, seed=cfg.seed),
-        "def_da": partial(defect, inst.phi, left=emb, restarts=r, sweeps=sw, seed=cfg.seed + 1),
-        "def_ad": partial(defect, inst.phi, right=emb, restarts=r, sweeps=sw, seed=cfg.seed + 2),
-        "def_dd": partial(defect, inst.phi, left=emb, right=emb, restarts=r, sweeps=sw, seed=cfg.seed + 3),
-    }
-    done = dict(zip(estimates, run_all(estimates.values())))
-    rows = {key: done[key] for key in ("def", "def_da", "def_ad", "def_dd", "norm")}
+    # every estimate asks for a bracket: it may end once upper <= F * lower
+    budget = {"restarts": cfg.stabilize.restarts, "sweeps": cfg.stabilize.sweeps, "bracket": True}
+    # estimate n, in report order, takes seed slot n of the run
+    counter = SeedCounter(cfg.seed)
+    slots = {"def": {}, "def_da": {"left": emb}, "def_ad": {"right": emb}, "def_dd": {"left": emb, "right": emb}}
+    rows = {key: defect(inst.phi, seed=counter.next(), **restrict, **budget) for key, restrict in slots.items()}
+    rows["norm"] = linear_map_norm(inst.phi, seed=counter.next(), **budget)
     doc = {
         "schema": SCHEMA_VERSION,
         "config": cfg.to_json_dict(),
         "gamma_norm_measured": inst.gamma_norm_measured,
-        "estimates": {k: v.to_json_dict() for k, v in rows.items()},
+        # each estimate states the F of its bracket
+        "estimates": {k: {**v.to_json_dict(), "bracket_factor": v.factor} for k, v in rows.items()},
     }
     write_json(out / "defect_report.json", doc)
     print("defect:", ", ".join(f"{k}=[{v.lower:.6e}, {v.upper:.6e}]" for k, v in rows.items()))
@@ -331,6 +326,8 @@ def cmd_clones(args: argparse.Namespace) -> int:
     # and a family holds n integers of up to n bits
     if n > CLONES_MAX_N or horizon > CLONES_MAX_HORIZON:
         raise ConfigError(f"--n is capped at {CLONES_MAX_N} and --horizon at {CLONES_MAX_HORIZON}")
+    if not 0 <= args.seed < SEED_LIMIT:
+        raise ConfigError("--seed must lie in [0, 2**48)")
     families = [clone_family(w, n) for w in words]
     fam_docs = []
     for w, fam in zip(words, families):
@@ -350,7 +347,7 @@ def cmd_clones(args: argparse.Namespace) -> int:
                 "first_disagreement": rep.first_disagreement,
                 "identical_within_horizon": rep.identical_within_horizon,
             })
-    system = clone_system_verify(families, horizon, seed=args.seed or 0)
+    system = clone_system_verify(families, horizon, seed=args.seed)
     doc = {
         "schema": SCHEMA_VERSION,
         "families": fam_docs,

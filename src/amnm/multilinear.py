@@ -244,12 +244,14 @@ def multilinear_norm(
     sweeps: int = DEFAULT_SWEEPS,
     seed: int = 0,
     claim: float | None = None,
+    bracket: bool = False,
 ) -> DefectEstimate:
     """Certified interval for the norm of an arity-1 or arity-2 cochain.
 
     Arity 1 with Euclidean source and target balls is solved exactly by SVD.
-    ``claim`` is the bound the caller compares the lower bound with (see
-    ``estimate_tensor_norm``).
+    ``claim`` is the bound the caller compares the lower bound with, and
+    ``bracket`` asks an unclaimed estimate to stop once its upper is within
+    its equivalence factor of its lower (see ``estimate_tensor_norm``).
     """
     if psi.arity > 2:
         raise DomainError("norm estimation supports arities 1 and 2 only")
@@ -258,12 +260,12 @@ def multilinear_norm(
     if psi.arity == 1 and all(isinstance(b, EuclideanBall) for b in balls + [target]):
         mat = psi.tensor
         if not mat.any():
-            return DefectEstimate(0.0, 0.0, [np.zeros(psi.slots[0].dim, dtype=complex)], 0, seed, claim)
+            return DefectEstimate(0.0, 0.0, [np.zeros(psi.slots[0].dim, dtype=complex)], 0, seed, claim, 1.0)
         _, s, vh = np.linalg.svd(mat)
         sigma = float(s[0])
         witness = [vh[0].conj()]
-        return DefectEstimate(sigma, sigma, witness, 0, seed, claim)
-    return estimate_tensor_norm(psi.tensor, balls, target, restarts, sweeps, seed, claim)
+        return DefectEstimate(sigma, sigma, witness, 0, seed, claim, 1.0)
+    return estimate_tensor_norm(psi.tensor, balls, target, restarts, sweeps, seed, claim, bracket=bracket)
 
 
 def linear_map_norm(
@@ -272,10 +274,11 @@ def linear_map_norm(
     sweeps: int = DEFAULT_SWEEPS,
     seed: int = 0,
     claim: float | None = None,
+    bracket: bool = False,
 ) -> DefectEstimate:
     """Operator norm interval; exact (SVD) when both norms are Euclidean."""
     chain = Cochain((phi.source,), phi.target, phi.matrix)
-    return multilinear_norm(chain, restarts, sweeps, seed, claim)
+    return multilinear_norm(chain, restarts, sweeps, seed, claim, bracket)
 
 
 def defect(
@@ -286,6 +289,7 @@ def defect(
     sweeps: int = DEFAULT_SWEEPS,
     seed: int = 0,
     claim: float | None = None,
+    bracket: bool = False,
 ) -> DefectEstimate:
     """Multiplicative defect of phi, optionally restricted per slot.
 
@@ -301,4 +305,4 @@ def defect(
         chain = restrict_slot(chain, 0, left)
     if right is not None:
         chain = restrict_slot(chain, 1, right)
-    return multilinear_norm(chain, restarts, sweeps, seed, claim)
+    return multilinear_norm(chain, restarts, sweeps, seed, claim, bracket)

@@ -22,16 +22,26 @@ unfoldings and restart r > 0 draws its start point from the stream
 (seed, r, slot), so enlarging the restart budget never changes earlier
 restarts and never decreases the lower bound.
 
-The upper bound needs no search, so it is computed first.  A caller that
-will compare the estimate with a bound of its own passes that bound, with
-its rounding slack (``claim_limit``), as ``claim``; the estimate carries it
-and reads the verdict from it: ``passed`` (not falsified) when the lower
-meets it, ``proved`` when the upper does.  When the upper already meets the
-claim, no budget could falsify it, so the witness search is one cheap stage:
-restart 0 for at most ``PROVED_SWEEPS`` sweeps.  That stage is a prefix of
-the full search (its first restart, its first sweeps), so a larger budget
-still never lowers the lower bound.  Otherwise, and whenever the witness
-lifts the reported upper above the claim, the full budget runs.
+The upper bound needs no search, so it is computed first.  It is the
+unfolding bound times the equivalence factor F of the target and the slots,
+which the estimate carries as ``factor``.  A caller that will compare the
+estimate with a bound of its own passes that bound, with its rounding slack
+(``claim_limit``), as ``claim``; the estimate carries it and reads the
+verdict from it: ``passed`` (not falsified) when the lower meets it,
+``proved`` when the upper does.  A caller with no claim may ask for a
+``bracket`` instead, met once ``upper <= F * lower``: the interval's ratio
+is then at most F, the conversion slack that the upper carries anyway
+(``k`` for a spectral arity-2 estimate on ``M_k``, 1 on Euclidean balls,
+where only ``lower == upper`` meets it).
+
+The cheap stage decides both: restart 0 for at most ``PROVED_SWEEPS``
+sweeps.  It runs when the upper already meets the claim (no budget could
+falsify it then) or when a bracket is asked for, and it ends the estimate
+when its witness keeps the claim proved or closes the bracket.  Otherwise
+the full budget runs from the start, and the estimate has the bits of one
+that asked for neither; the cheap stage's few sweeps were spent on top.
+The cheap stage is a prefix of the full search (its first restart, its
+first sweeps), so a larger budget still never lowers the lower bound.
 
 The restarts sweep together as one batch: every ball step acts row by row
 on stacked (restarts, dim) arrays, and each restart leaves the batch at its
@@ -80,7 +90,8 @@ DEFAULT_RESTARTS = 32
 DEFAULT_SWEEPS = 200
 SWEEP_TOL = 1e-12
 TIE_TOL = 1e-12
-# the witness search of an estimate whose upper proves its claim
+# the witness search of an estimate whose upper proves its claim, or that
+# asked for a bracket
 PROVED_RESTARTS = 1
 PROVED_SWEEPS = 3
 
@@ -97,7 +108,10 @@ class DefectEstimate:
 
     ``lower`` is achieved by ``witness`` (one coordinate vector per slot);
     ``upper`` dominates the true supremum.  ``claim`` is the limit the
-    caller compares the estimate with, if any.
+    caller compares the estimate with, if any.  ``factor`` is the
+    equivalence factor F by which the upper converts its unfolding bound
+    (1 where the value is exact); None where the estimate does not record
+    it (the cached upper-only defect, intervals built by hand).
     """
 
     lower: float
@@ -106,6 +120,7 @@ class DefectEstimate:
     restarts_used: int = 0
     seed: int = 0
     claim: float | None = None
+    factor: float | None = None
 
     def __post_init__(self):
         # relative slack for rounding; the absolute slack covers only
@@ -605,6 +620,15 @@ def _svd_start(tensor: np.ndarray, balls) -> list:
     return xs
 
 
+def _converted(value: float, slot_balls, target) -> float:
+    """``value`` times the target's and then each slot's equivalence factor,
+    in the order the upper has always been rounded in."""
+    value *= target.target_factor()
+    for ball in slot_balls:
+        value *= ball.coords_factor()
+    return value
+
+
 def estimate_tensor_norm(
     tensor: np.ndarray,
     slot_balls,
@@ -613,6 +637,7 @@ def estimate_tensor_norm(
     sweeps: int = DEFAULT_SWEEPS,
     seed: int = 0,
     claim: float | None = None,
+    bracket: bool = False,
 ) -> DefectEstimate:
     """Interval estimate of sup ||T(x_1..x_n)|| over the slot unit balls.
 
@@ -622,34 +647,34 @@ def estimate_tensor_norm(
     ``stream(seed, r, s)``; all restarts sweep together as one batch.
     ``claim`` is the limit the caller compares the estimate with, carried
     by the estimate: when the reported upper meets it, only the cheap stage
-    of the search runs.
+    of the search runs.  ``bracket`` lets the cheap stage end an unclaimed
+    estimate whose upper is within its ``factor`` of its lower.
     """
     arity = tensor.ndim - 1
     if arity < 1:
         raise DomainError("tensor must have at least one input slot")
+    factor = _converted(1.0, slot_balls, target)
     if not tensor.any():
         witness = [np.zeros(b.dim, dtype=complex) for b in slot_balls]
-        return DefectEstimate(0.0, 0.0, witness, 0, seed, claim)
+        return DefectEstimate(0.0, 0.0, witness, 0, seed, claim, factor)
 
-    upper = _unfolding_upper(tensor) * target.target_factor()
-    for ball in slot_balls:
-        upper *= ball.coords_factor()
-
+    upper = _converted(_unfolding_upper(tensor), slot_balls, target)
     if restarts == 0:
         # upper-only mode: the unfolding bound needs no witness search
         witness = [np.zeros(b.dim, dtype=complex) for b in slot_balls]
-        return DefectEstimate(0.0, float(upper), witness, 0, seed, claim)
+        return DefectEstimate(0.0, upper, witness, 0, seed, claim, factor)
 
-    upper = float(upper)
-    if claim is not None and upper <= claim:
+    # a claim decides the estimate; the bracket applies to unclaimed ones
+    if (upper <= claim) if claim is not None else bracket:
         cheap = _search(tensor, slot_balls, target, min(restarts, PROVED_RESTARTS), min(sweeps, PROVED_SWEEPS),
                         seed, upper)
-        cheap.claim = claim
-        # the witness may lift the reported upper past the claim
-        if cheap.proved:
+        cheap.claim, cheap.factor = claim, factor
+        # the witness may lift the reported upper past the claim, or fall
+        # short of the bracket
+        if cheap.proved if claim is not None else cheap.lower * factor >= cheap.upper:
             return cheap
     full = _search(tensor, slot_balls, target, restarts, sweeps, seed, upper)
-    full.claim = claim
+    full.claim, full.factor = claim, factor
     return full
 
 

@@ -4,8 +4,9 @@ Each checker certifies its preconditions (refusing, not warning, when they
 cannot be certified) and then asserts the conclusion against certified
 estimates: eta always enters as an upper bound on the defect, conclusions
 are compared against certified lower estimates of their left sides.  The
-premise reads an upper-only defect estimate, which draws nothing, so of the
-checkers' seeds only ``small_on_identity``'s reaches an estimate.
+premise reads an upper-only defect estimate, which draws nothing, so only
+``small_on_identity``, whose conclusion is a searched norm estimate, takes a
+seed.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def _require_idempotent(p: Element, label: str = "p") -> None:
         raise PreconditionError(f"{label} is not idempotent: residual {resid:.3e}")
 
 
-def norm_dichotomy_check(psi: LinearMap, p: Element, delta: float, seed: int = 0) -> DichotomyVerdict:
+def norm_dichotomy_check(psi: LinearMap, p: Element, delta: float) -> DichotomyVerdict:
     """||psi(p)|| avoids the middle band (3/2)||p||^2 delta .. 1 - same.
 
     Requires p idempotent, delta ||p||^2 <= 2/9, and a certified defect
@@ -112,7 +113,7 @@ class BoundCertificate:
 
 
 def absorption_check(
-    psi: LinearMap, a: Element, b: Element, side: str = "left", eta: float = 0.0, seed: int = 0,
+    psi: LinearMap, a: Element, b: Element, side: str = "left", eta: float = 0.0
 ) -> BoundCertificate:
     """From ab = b (left) or ba = b (right) and ||psi(a)|| <= 1/3, conclude
     ||psi(b)|| <= (3/2) eta ||a|| ||b||."""
@@ -134,9 +135,7 @@ def absorption_check(
     return BoundCertificate(lhs, rhs, ok)
 
 
-def equivalent_projection_check(
-    psi: LinearMap, u: Element, v: Element, eta: float, seed: int = 0
-) -> BoundCertificate:
+def equivalent_projection_check(psi: LinearMap, u: Element, v: Element, eta: float) -> BoundCertificate:
     """Transfer smallness between the two products of a factorized pair:
     if uv and vu are idempotent, eta ||u||^3 ||v||^3 <= 2/9 and
     ||psi(uv)|| <= 1/3, then ||psi(vu)|| <= 1/3."""
@@ -185,9 +184,7 @@ class ScanReport:
     distances_ok: bool
 
 
-def orthogonal_family_scan(
-    psi: LinearMap, family: list[Element], L: float, eta: float, seed: int = 0
-) -> ScanReport:
+def orthogonal_family_scan(psi: LinearMap, family: list[Element], L: float, eta: float) -> ScanReport:
     """Scan a pairwise orthogonal idempotent family for small images.
 
     Returns the indices with ||psi(p)|| <= 2 eta L^2 and re-runs the

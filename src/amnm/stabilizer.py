@@ -43,7 +43,7 @@ IDEAL_TOL = 1e-9
 
 
 # A run makes 3 + 4 * max_iter + 1 estimates; at 63 iterations they fill
-# the 256 seed slots of _SeedCounter without reaching the next seed's.
+# the 256 seed slots of SeedCounter without reaching the next seed's.
 MAX_ITER_CAP = 63
 # theorem_bound is 12 K^2 L^3 delta0 in Python floats: L**3 overflows past
 # about 5.6e102, and at 1e100 the bound stays finite for K^2 delta0 < 1e7.
@@ -218,7 +218,7 @@ def stabilize(
         raise PreconditionError("diagonal certificate is not valid")
     k_const = cert.K
     L = config.L
-    counter = _SeedCounter(config.seed)
+    counter = SeedCounter(config.seed)
     notes = [
         "amenability constant uses the representation bound; theorem_bound is an upper envelope",
     ]
@@ -290,8 +290,14 @@ def stabilize(
     )
 
 
-class _SeedCounter:
-    # estimate n of a run takes seed slot n of 256; MAX_ITER_CAP keeps n <= 256
+class SeedCounter:
+    """The seed slots of a run: estimate n draws ``(seed << 8) + n``.
+
+    A run owns the 256 slots below the next seed's first, so runs at
+    neighbouring seeds share no stream; ``stabilize`` stays within them by
+    MAX_ITER_CAP, ``defect`` takes five.
+    """
+
     def __init__(self, seed: int):
         self.seed = seed
         self._n = 0

@@ -148,7 +148,7 @@ def test_criterion_4_dichotomy_numerics():
 
     m2 = build_full_matrix_algebra(2)
     zero = LinearMap(m2, m2, np.zeros((4, 4)))
-    verdict = norm_dichotomy_check(zero, m2.basis_element(0), 2.0 / 9.0, seed=1)
+    verdict = norm_dichotomy_check(zero, m2.basis_element(0), 2.0 / 9.0)
     thresholds_exact = (
         verdict.threshold_small == 1.0 / 3.0
         and verdict.threshold_large == 1.0 - 1.0 / 3.0

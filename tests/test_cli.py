@@ -219,6 +219,33 @@ def test_defect_lowers_survive_underflow(tmp_path):
         assert 0.0 < est[key]["lower"] <= est[key]["upper"]
 
 
+@pytest.mark.parametrize("mode,k", [("spectral", 2), ("spectral", 3), ("spectral", 4), ("frobenius", 3)])
+def test_defect_estimates_are_bracketed_or_use_the_full_budget(tmp_path, mode, k):
+    cfg = write_config(tmp_path, seed=4, norm_mode=mode, dims={"matrix": k})
+    out = tmp_path / "df"
+    assert main(["defect", "--config", str(cfg), "--out", str(out)]) == 0
+    est = json.loads((out / "defect_report.json").read_text())["estimates"]
+    assert list(est) == ["def", "def_ad", "def_da", "def_dd", "norm"]
+    for e in est.values():
+        assert e["lower"] <= e["upper"]
+        assert e["upper"] <= e["bracket_factor"] * e["lower"] or e["restarts_used"] == StabilizeConfig.restarts
+        if mode == "frobenius":
+            assert e["bracket_factor"] == 1.0
+
+
+def test_defect_seeds_of_neighbouring_runs_are_disjoint(tmp_path):
+    seeds = []
+    for seed in (7, 8):
+        cfg = write_config(tmp_path, seed=seed)
+        out = tmp_path / f"seed{seed}"
+        assert main(["defect", "--config", str(cfg), "--out", str(out)]) == 0
+        est = json.loads((out / "defect_report.json").read_text())["estimates"]
+        # the seed slots (seed << 8) + n that stabilize takes its estimates' seeds from
+        assert {e["seed"] for e in est.values()} == {(seed << 8) + n for n in range(1, 6)}
+        seeds.append({e["seed"] for e in est.values()})
+    assert not seeds[0] & seeds[1]
+
+
 def test_tsirelson_command(capsys):
     assert main(["tsirelson", "--vector", "[0,1,1,1]"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -389,6 +416,16 @@ def test_seeds_that_alias_a_smaller_seed_exit_two(tmp_path, command, seed):
     assert run_main([command, "--seed", str(seed), "--out", str(tmp_path / "out")])[0] == 2
     assert not (tmp_path / "out").exists()
     assert RunConfig(command=command, seed=2**48 - 1).seed == 2**48 - 1
+
+
+# The clone samples key on the seed mod 2**64 too: -5 and 2**64 - 5 drew the
+# same samples, and so did 1 and 2**64 + 1.
+@pytest.mark.parametrize("seed", [-5, 2**64 - 5, 2**64 + 1, 2**48])
+def test_clones_seeds_outside_the_range_exit_two(seed):
+    argv = ["clones", "--word", "0110", "--word", "1011", "--n", "8", "--horizon", "10", "--seed"]
+    assert run_main(argv + [str(seed)]) == (2, "configuration error: --seed must lie in [0, 2**48)\n")
+    for kept in (1, 2**48 - 1):
+        assert run_main(argv + [str(kept)])[0] == 0
 
 
 def test_config_echo_loads_back(tmp_path):

@@ -440,6 +440,84 @@ def test_a_witness_that_lifts_the_upper_past_the_claim_gets_the_full_search(monk
     assert _same_estimate(est, full)
 
 
+# -- brackets: an unclaimed estimate may end at the cheap stage -------------------------
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("name", list(_ball_cases()))
+def test_a_bracket_ends_at_the_cheap_stage_or_keeps_the_full_search(name, arity):
+    algebra = _ball_cases()[name]
+    target = algebra.unit_ball
+    balls = [target] * arity
+    for draw in range(3):
+        tensor = complex_gaussian(stream(46 + draw, arity), (algebra.dim,) * (arity + 1))
+        full = estimate_tensor_norm(tensor, balls, target, restarts=8, sweeps=60, seed=5)
+        est = estimate_tensor_norm(tensor, balls, target, restarts=8, sweeps=60, seed=5, bracket=True)
+        assert est.factor == full.factor
+        assert est.upper == full.upper
+        prefix = estimate_tensor_norm(tensor, balls, target, restarts=1, sweeps=PROVED_SWEEPS, seed=5)
+        if prefix.lower * prefix.factor >= prefix.upper:
+            # the cheap stage is restart 0 of the full search, cut at PROVED_SWEEPS sweeps
+            assert _same_estimate(est, prefix)
+            assert est.restarts_used == 1 and est.lower <= full.lower
+        else:
+            # the unmet bracket leaves the full search as it is without one
+            assert _same_estimate(est, full)
+            assert est.restarts_used == 8
+        assert est.claim is None
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("name", list(_ball_cases()))
+def test_doubling_the_restarts_never_lowers_a_bracketed_lower(name, arity):
+    algebra = _ball_cases()[name]
+    target = algebra.unit_ball
+    balls = [target] * arity
+    for draw in range(3):
+        tensor = complex_gaussian(stream(46 + draw, arity), (algebra.dim,) * (arity + 1))
+        lowers = [estimate_tensor_norm(tensor, balls, target, restarts=r, sweeps=60, seed=5, bracket=True).lower
+                  for r in (4, 8, 16)]
+        assert lowers == sorted(lowers)
+
+
+def test_a_frobenius_bracket_closes_only_at_lower_equal_upper():
+    # every factor is 1 on Euclidean balls, so upper <= F * lower means
+    # lower == upper: a rank-one tensor, whose search attains the unfolding
+    # bound, and nothing generic
+    a, b = frob_pair(3, 4)
+    balls, target = [a.unit_ball, a.unit_ball], b.unit_ball
+    closed = 0
+    for draw in range(4):
+        rng = stream(45 + draw, 0)
+        rank_one = np.einsum("t,i,j->tij", complex_gaussian(rng, 4), complex_gaussian(rng, 3),
+                             complex_gaussian(rng, 3))
+        generic = complex_gaussian(rng, (4, 3, 3))
+        for tensor in (rank_one, generic):
+            est = estimate_tensor_norm(tensor, balls, target, restarts=4, sweeps=60, seed=7, bracket=True)
+            assert est.factor == 1.0
+            assert (est.restarts_used == 1) == (est.lower == est.upper)
+            if est.restarts_used == 4:
+                full = estimate_tensor_norm(tensor, balls, target, restarts=4, sweeps=60, seed=7)
+                assert _same_estimate(est, full)
+            closed += est.restarts_used == 1
+        assert est.restarts_used == 4 and est.lower < est.upper  # the generic draw
+    assert closed >= 1
+
+
+def test_the_factor_is_the_conversion_of_the_unfolding_bound():
+    m2, c3 = build_full_matrix_algebra(2), build_commutative_algebra(3)
+    tensor = complex_gaussian(stream(47, 0), (4, 3, 4))
+    balls, target = [c3.unit_ball, m2.unit_ball], m2.unit_ball
+    est = estimate_tensor_norm(tensor, balls, target, restarts=2, sweeps=10, seed=1)
+    factor = target.target_factor() * c3.unit_ball.coords_factor() * m2.unit_ball.coords_factor()
+    assert est.factor == factor
+    assert est.upper == pytest.approx(_unfolding_upper(tensor) * factor, rel=1e-15)
+    # every return path carries it
+    assert estimate_tensor_norm(tensor, balls, target, restarts=0).factor == factor
+    assert estimate_tensor_norm(0 * tensor, balls, target).factor == factor
+    assert linear_map_norm(LinearMap(*frob_pair(3, 3), np.eye(3))).factor == 1.0
+
+
 @pytest.mark.parametrize("name", list(_ball_cases()))
 def test_ball_methods_act_row_by_row(name):
     ball = _ball_cases()[name].unit_ball

@@ -149,13 +149,13 @@ def test_max_iter_cap_keeps_a_run_in_its_seed_slots(monkeypatch):
     with pytest.raises(ConfigError):
         StabilizeConfig(max_iter=64)
     seeds = []
-    draw = stabilizer._SeedCounter.next
+    draw = stabilizer.SeedCounter.next
 
     def recorded(counter):
         seeds.append(draw(counter))
         return seeds[-1]
 
-    monkeypatch.setattr(stabilizer._SeedCounter, "next", recorded)
+    monkeypatch.setattr(stabilizer.SeedCounter, "next", recorded)
     a, emb, cert = m2_diag()
     cfg = StabilizeConfig(tol=1e-300, max_iter=MAX_ITER_CAP, seed=5, check_claim_bounds=False,
                           restarts=1, sweeps=1)
@@ -511,9 +511,9 @@ def _spy_estimates(monkeypatch) -> list:
         searches.append((restarts, sweeps))
         return search(tensor, balls, target, restarts, sweeps, seed, upper)
 
-    def spy_estimate(tensor, balls, target, restarts=32, sweeps=200, seed=0, claim=None):
+    def spy_estimate(tensor, balls, target, restarts=32, sweeps=200, seed=0, claim=None, bracket=False):
         start = len(searches)
-        est = estimate(tensor, balls, target, restarts, sweeps, seed, claim)
+        est = estimate(tensor, balls, target, restarts, sweeps, seed, claim, bracket)
         records.append((claim, restarts, sweeps, est, searches[start:]))
         return est
 

@@ -195,9 +195,9 @@ def test_small_branch_draw_is_shrunk_into_the_checker_precondition(monkeypatch):
     deltas = []
     check = suites.norm_dichotomy_check
 
-    def spy(psi, p, delta, seed=0):
+    def spy(psi, p, delta):
         deltas.append(delta)
-        return check(psi, p, delta, seed=seed)
+        return check(psi, p, delta)
 
     monkeypatch.setattr(suites, "norm_dichotomy_check", spy)
     rows = suites.checker_valid_battery(16511)
