@@ -198,14 +198,18 @@ def generate_instance(config: RunConfig, index: int = 0) -> Instance:
 # -- commands -----------------------------------------------------------------
 
 
-def _ensure_out(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _ensure_out(path: str) -> Path:
+    """The output directory, made before any work; a path that cannot be one is a ConfigError."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory {path!r}: {exc.strerror or exc}") from exc
     return out
 
 
 def cmd_stabilize(cfg: RunConfig) -> int:
-    out = _ensure_out(cfg)
+    out = _ensure_out(cfg.out)
     inst = generate_instance(cfg)
     report = stabilize(inst.phi, inst.embedding, inst.cert, replace(cfg.stabilize, seed=cfg.seed))
     doc = {"schema": SCHEMA_VERSION, "config": cfg.to_json_dict()}
@@ -224,11 +228,11 @@ def cmd_stabilize(cfg: RunConfig) -> int:
 
 
 def cmd_defect(cfg: RunConfig) -> int:
-    out = _ensure_out(cfg)
+    out = _ensure_out(cfg.out)
     inst = generate_instance(cfg)
     emb = inst.embedding
-    # every estimate asks for a bracket: it may end once upper <= F * lower
-    budget = {"restarts": cfg.stabilize.restarts, "sweeps": cfg.stabilize.sweeps, "bracket": True}
+    # no estimate has a claim, so each may end once upper <= F * lower
+    budget = {"restarts": cfg.stabilize.restarts, "sweeps": cfg.stabilize.sweeps}
     # estimate n, in report order, takes seed slot n of the run
     counter = SeedCounter(cfg.seed)
     slots = {"def": {}, "def_da": {"left": emb}, "def_ad": {"right": emb}, "def_dd": {"left": emb, "right": emb}}
@@ -249,7 +253,7 @@ def cmd_defect(cfg: RunConfig) -> int:
 def cmd_suite(cfg: RunConfig) -> int:
     from . import suites
 
-    out = _ensure_out(cfg)
+    out = _ensure_out(cfg.out)
     flat = suites.suite_rows(cfg)
     passed = all(r["passed"] for r in flat)
     doc = {
@@ -293,6 +297,7 @@ def cmd_tsirelson(args: argparse.Namespace) -> int:
     if args.vector is None:
         raise ConfigError("--vector is required")
     vec = TsirelsonVector.from_dense(_json_array("--vector", args.vector, float))
+    out = _ensure_out(args.out) if args.out else None
     levels = tsirelson_norm_levels(vec)
     doc = {
         "schema": SCHEMA_VERSION,
@@ -307,9 +312,8 @@ def cmd_tsirelson(args: argparse.Namespace) -> int:
         doc["schreier"] = {"J": sorted(indices), "norm": cert.norm,
                            "half_sum": cert.half_sum, "ok": cert.ok}
     print(dumps(doc))
-    if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        write_json(Path(args.out) / "tsirelson_report.json", doc)
+    if out:
+        write_json(out / "tsirelson_report.json", doc)
     return 0
 
 
@@ -328,6 +332,7 @@ def cmd_clones(args: argparse.Namespace) -> int:
         raise ConfigError(f"--n is capped at {CLONES_MAX_N} and --horizon at {CLONES_MAX_HORIZON}")
     if not 0 <= args.seed < SEED_LIMIT:
         raise ConfigError("--seed must lie in [0, 2**48)")
+    out = _ensure_out(args.out) if args.out else None
     families = [clone_family(w, n) for w in words]
     fam_docs = []
     for w, fam in zip(words, families):
@@ -361,9 +366,8 @@ def cmd_clones(args: argparse.Namespace) -> int:
         },
     }
     print(dumps(doc))
-    if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        write_json(Path(args.out) / "clones_report.json", doc)
+    if out:
+        write_json(out / "clones_report.json", doc)
     return 0 if system.ok else 1
 
 

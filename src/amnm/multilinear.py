@@ -244,14 +244,13 @@ def multilinear_norm(
     sweeps: int = DEFAULT_SWEEPS,
     seed: int = 0,
     claim: float | None = None,
-    bracket: bool = False,
 ) -> DefectEstimate:
     """Certified interval for the norm of an arity-1 or arity-2 cochain.
 
     Arity 1 with Euclidean source and target balls is solved exactly by SVD.
-    ``claim`` is the bound the caller compares the lower bound with, and
-    ``bracket`` asks an unclaimed estimate to stop once its upper is within
-    its equivalence factor of its lower (see ``estimate_tensor_norm``).
+    ``claim`` is the bound the caller compares the lower bound with; an
+    estimate with none stops once its upper is within its equivalence
+    factor of its lower (see ``estimate_tensor_norm``).
     """
     if psi.arity > 2:
         raise DomainError("norm estimation supports arities 1 and 2 only")
@@ -265,7 +264,7 @@ def multilinear_norm(
         sigma = float(s[0])
         witness = [vh[0].conj()]
         return DefectEstimate(sigma, sigma, witness, 0, seed, claim, 1.0)
-    return estimate_tensor_norm(psi.tensor, balls, target, restarts, sweeps, seed, claim, bracket=bracket)
+    return estimate_tensor_norm(psi.tensor, balls, target, restarts, sweeps, seed, claim)
 
 
 def linear_map_norm(
@@ -274,11 +273,10 @@ def linear_map_norm(
     sweeps: int = DEFAULT_SWEEPS,
     seed: int = 0,
     claim: float | None = None,
-    bracket: bool = False,
 ) -> DefectEstimate:
     """Operator norm interval; exact (SVD) when both norms are Euclidean."""
     chain = Cochain((phi.source,), phi.target, phi.matrix)
-    return multilinear_norm(chain, restarts, sweeps, seed, claim, bracket)
+    return multilinear_norm(chain, restarts, sweeps, seed, claim)
 
 
 def defect(
@@ -289,7 +287,6 @@ def defect(
     sweeps: int = DEFAULT_SWEEPS,
     seed: int = 0,
     claim: float | None = None,
-    bracket: bool = False,
 ) -> DefectEstimate:
     """Multiplicative defect of phi, optionally restricted per slot.
 
@@ -305,4 +302,4 @@ def defect(
         chain = restrict_slot(chain, 0, left)
     if right is not None:
         chain = restrict_slot(chain, 1, right)
-    return multilinear_norm(chain, restarts, sweeps, seed, claim, bracket)
+    return multilinear_norm(chain, restarts, sweeps, seed, claim)

@@ -28,18 +28,18 @@ which the estimate carries as ``factor``.  A caller that will compare the
 estimate with a bound of its own passes that bound, with its rounding slack
 (``claim_limit``), as ``claim``; the estimate carries it and reads the
 verdict from it: ``passed`` (not falsified) when the lower meets it,
-``proved`` when the upper does.  A caller with no claim may ask for a
-``bracket`` instead, met once ``upper <= F * lower``: the interval's ratio
-is then at most F, the conversion slack that the upper carries anyway
-(``k`` for a spectral arity-2 estimate on ``M_k``, 1 on Euclidean balls,
-where only ``lower == upper`` meets it).
+``proved`` when the upper does.  An estimate with no claim is bracketed
+instead, met once ``upper <= F * lower``: the interval's ratio is then at
+most F, the conversion slack that the upper carries anyway (``k`` for a
+spectral arity-2 estimate on ``M_k``, 1 on Euclidean balls, where only
+``lower == upper`` meets it).
 
 The cheap stage decides both: restart 0 for at most ``PROVED_SWEEPS``
-sweeps.  It runs when the upper already meets the claim (no budget could
-falsify it then) or when a bracket is asked for, and it ends the estimate
-when its witness keeps the claim proved or closes the bracket.  Otherwise
-the full budget runs from the start, and the estimate has the bits of one
-that asked for neither; the cheap stage's few sweeps were spent on top.
+sweeps.  It runs when the estimate has no claim or its upper already meets
+the claim (no budget could falsify it then), and it ends the estimate when
+its witness closes the bracket or keeps the claim proved.  Otherwise the
+full budget runs from the start, and the estimate has the bits of
+``_search`` at that budget; the cheap stage's few sweeps were spent on top.
 The cheap stage is a prefix of the full search (its first restart, its
 first sweeps), so a larger budget still never lowers the lower bound.
 
@@ -90,8 +90,8 @@ DEFAULT_RESTARTS = 32
 DEFAULT_SWEEPS = 200
 SWEEP_TOL = 1e-12
 TIE_TOL = 1e-12
-# the witness search of an estimate whose upper proves its claim, or that
-# asked for a bracket
+# the cheap stage: the witness search of an estimate with no claim, or
+# whose upper proves its claim
 PROVED_RESTARTS = 1
 PROVED_SWEEPS = 3
 
@@ -637,7 +637,6 @@ def estimate_tensor_norm(
     sweeps: int = DEFAULT_SWEEPS,
     seed: int = 0,
     claim: float | None = None,
-    bracket: bool = False,
 ) -> DefectEstimate:
     """Interval estimate of sup ||T(x_1..x_n)|| over the slot unit balls.
 
@@ -647,25 +646,21 @@ def estimate_tensor_norm(
     ``stream(seed, r, s)``; all restarts sweep together as one batch.
     ``claim`` is the limit the caller compares the estimate with, carried
     by the estimate: when the reported upper meets it, only the cheap stage
-    of the search runs.  ``bracket`` lets the cheap stage end an unclaimed
-    estimate whose upper is within its ``factor`` of its lower.
+    of the search runs.  With no claim, the cheap stage ends the estimate
+    once its upper is within its ``factor`` of its lower.
     """
     arity = tensor.ndim - 1
     if arity < 1:
         raise DomainError("tensor must have at least one input slot")
     factor = _converted(1.0, slot_balls, target)
-    if not tensor.any():
-        witness = [np.zeros(b.dim, dtype=complex) for b in slot_balls]
-        return DefectEstimate(0.0, 0.0, witness, 0, seed, claim, factor)
-
     upper = _converted(_unfolding_upper(tensor), slot_balls, target)
-    if restarts == 0:
-        # upper-only mode: the unfolding bound needs no witness search
+    if restarts == 0 or not tensor.any():
+        # upper-only mode, or a zero tensor (upper 0): no witness search
         witness = [np.zeros(b.dim, dtype=complex) for b in slot_balls]
         return DefectEstimate(0.0, upper, witness, 0, seed, claim, factor)
 
-    # a claim decides the estimate; the bracket applies to unclaimed ones
-    if (upper <= claim) if claim is not None else bracket:
+    # a claim decides the estimate; the bracket decides an unclaimed one
+    if claim is None or upper <= claim:
         cheap = _search(tensor, slot_balls, target, min(restarts, PROVED_RESTARTS), min(sweeps, PROVED_SWEEPS),
                         seed, upper)
         cheap.claim, cheap.factor = claim, factor

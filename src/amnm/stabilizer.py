@@ -20,7 +20,8 @@ its bound's limit as the estimate's claim, and the verdicts are read from
 the estimate: a claim is *satisfied* when the certified lower meets the
 limit (no falsification), and *proved* when the certified upper does.  An
 estimate whose upper proves its claim runs only the cheap stage of the
-witness search (``normest.estimate_tensor_norm``).
+witness search (``normest.estimate_tensor_norm``); each iterate's ``def_dd``
+has no claim and ends there once its upper is within its factor F of its lower.
 """
 
 from __future__ import annotations

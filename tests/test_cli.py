@@ -336,6 +336,31 @@ def test_bad_input_exits_two_with_one_line(argv):
     assert err.startswith("configuration error: ") and err.count("\n") == 1
 
 
+OUT_COMMANDS = [
+    ["stabilize", "--seed", "3"],
+    ["defect", "--seed", "3"],
+    ["suite", "--seed", "3"],
+    ["tsirelson", "--vector", "[1,0,2]"],
+    ["clones", "--word", "0110", "--n", "8", "--horizon", "10"],
+]
+
+
+# --out that cannot be a directory once raised FileExistsError (exit 1 with a
+# traceback), and tsirelson and clones printed their report before it
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_an_out_that_cannot_be_a_directory_exits_two(tmp_path, argv, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", str(blocker / "sub" if under else blocker)])
+    assert code == 2
+    assert err.getvalue().startswith("configuration error") and err.getvalue().count("\n") == 1
+    assert out.getvalue() == ""
+    assert blocker.read_text() == ""
+
+
 def test_config_out_must_be_a_string(tmp_path):
     cfg = write_config(tmp_path, out=5)
     with pytest.raises(ConfigError):

@@ -76,8 +76,10 @@ def test_richer_search_never_escapes_upper():
     m2 = build_full_matrix_algebra(2)
     for trial in range(6):
         phi = LinearMap(m2, m2, complex_gaussian(rng, (4, 4)))
-        cheap = defect(phi, restarts=2, sweeps=20, seed=trial)
-        rich = defect(phi, restarts=24, sweeps=200, seed=trial)
+        # an unmet claim keeps the full search at either budget
+        cheap = defect(phi, restarts=2, sweeps=20, seed=trial, claim=0.0)
+        rich = defect(phi, restarts=24, sweeps=200, seed=trial, claim=0.0)
+        assert (cheap.restarts_used, rich.restarts_used) == (2, 24)
         assert rich.lower >= cheap.lower - 1e-12
         assert rich.lower <= cheap.upper * (1 + 1e-9)
         assert rich.upper == pytest.approx(cheap.upper)  # unfolding bound is search-free

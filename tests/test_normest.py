@@ -275,7 +275,9 @@ def test_defect_estimate_serialization_schema():
     est = defect(phi, restarts=4, seed=12)
     doc = est.to_json_dict()
     assert set(doc) == {"lower", "upper", "witness", "restarts_used", "seed"}
-    assert doc["restarts_used"] == 4 and doc["seed"] == 12
+    # an unclaimed estimate ends at the cheap stage only with its bracket closed
+    assert doc["restarts_used"] == 4 or (doc["restarts_used"] == 1 and est.upper <= est.factor * est.lower)
+    assert doc["seed"] == 12
     assert len(doc["witness"]) == 2
 
 
@@ -317,6 +319,13 @@ def _sweep(tensor, balls, target, xs, sweeps):
             break
         prev = v
     return best_val, best_xs
+
+
+def _full_search(tensor, balls, target, restarts, sweeps, seed):
+    """The full witness search at this budget under the estimate's upper:
+    what an estimate returns when the cheap stage does not end it."""
+    upper = estimate_tensor_norm(tensor, balls, target, restarts=0).upper
+    return normest._search(tensor, balls, target, restarts, sweeps, seed, upper)
 
 
 def reference_estimate(tensor, balls, target, restarts, sweeps, seed):
@@ -361,7 +370,7 @@ def test_batched_estimate_matches_per_restart_reference(name, arity):
     for restarts in (1, 2, 5, 16):
         tensor = complex_gaussian(rng, (algebra.dim,) * (arity + 1))
         seed = 100 + restarts
-        est = estimate_tensor_norm(tensor, balls, target, restarts=restarts, sweeps=60, seed=seed)
+        est = _full_search(tensor, balls, target, restarts, 60, seed)
         lower, winner, iterates = reference_estimate(tensor, balls, target, restarts, 60, seed)
         assert est.lower == pytest.approx(lower, rel=1e-12)
         assert est.restarts_used == restarts
@@ -401,7 +410,7 @@ def test_a_met_claim_runs_restart_zero_for_a_few_sweeps(name, arity):
     target = algebra.unit_ball
     balls = [target] * arity
     tensor = complex_gaussian(stream(43, arity), (algebra.dim,) * (arity + 1))
-    full = estimate_tensor_norm(tensor, balls, target, restarts=8, sweeps=60, seed=5)
+    full = _full_search(tensor, balls, target, 8, 60, 5)
     proved = estimate_tensor_norm(tensor, balls, target, restarts=8, sweeps=60, seed=5, claim=2.0 * full.upper)
     assert proved.upper == full.upper
     assert proved.restarts_used == 1
@@ -414,13 +423,14 @@ def test_a_met_claim_runs_restart_zero_for_a_few_sweeps(name, arity):
 @pytest.mark.parametrize("arity", [1, 2])
 @pytest.mark.parametrize("name", list(_ball_cases()))
 def test_an_unmet_or_absent_claim_keeps_the_full_search(name, arity):
+    # an absent claim is bracketed instead (see the bracket tests below)
     algebra = _ball_cases()[name]
     target = algebra.unit_ball
     balls = [target] * arity
     tensor = complex_gaussian(stream(44, arity), (algebra.dim,) * (arity + 1))
-    full = estimate_tensor_norm(tensor, balls, target, restarts=8, sweeps=60, seed=6)
+    full = _full_search(tensor, balls, target, 8, 60, 6)
     assert full.restarts_used == 8
-    for claim in (None, np.nextafter(full.upper, 0.0), 0.5 * full.upper, 0.0):
+    for claim in (np.nextafter(full.upper, 0.0), 0.5 * full.upper, 0.0):
         est = estimate_tensor_norm(tensor, balls, target, restarts=8, sweeps=60, seed=6, claim=claim)
         assert _same_estimate(est, full)
 
@@ -434,13 +444,13 @@ def test_a_witness_that_lifts_the_upper_past_the_claim_gets_the_full_search(monk
     balls, target = [a.unit_ball, a.unit_ball], b.unit_ball
     monkeypatch.setattr(normest, "_unfolding_upper", lambda t: _unfolding_upper(t) * (1 - 1e-10))
     raw = normest._unfolding_upper(tensor)
-    full = estimate_tensor_norm(tensor, balls, target, restarts=4, sweeps=60, seed=7)
+    full = _full_search(tensor, balls, target, 4, 60, 7)
     assert full.lower > raw and full.upper == full.lower
     est = estimate_tensor_norm(tensor, balls, target, restarts=4, sweeps=60, seed=7, claim=raw)
     assert _same_estimate(est, full)
 
 
-# -- brackets: an unclaimed estimate may end at the cheap stage -------------------------
+# -- brackets: an unclaimed estimate ends at the cheap stage once upper <= F * lower --------
 
 
 @pytest.mark.parametrize("arity", [1, 2])
@@ -451,17 +461,17 @@ def test_a_bracket_ends_at_the_cheap_stage_or_keeps_the_full_search(name, arity)
     balls = [target] * arity
     for draw in range(3):
         tensor = complex_gaussian(stream(46 + draw, arity), (algebra.dim,) * (arity + 1))
-        full = estimate_tensor_norm(tensor, balls, target, restarts=8, sweeps=60, seed=5)
-        est = estimate_tensor_norm(tensor, balls, target, restarts=8, sweeps=60, seed=5, bracket=True)
-        assert est.factor == full.factor
+        full = _full_search(tensor, balls, target, 8, 60, 5)
+        est = estimate_tensor_norm(tensor, balls, target, restarts=8, sweeps=60, seed=5)
+        assert est.factor == estimate_tensor_norm(tensor, balls, target, restarts=0).factor
         assert est.upper == full.upper
-        prefix = estimate_tensor_norm(tensor, balls, target, restarts=1, sweeps=PROVED_SWEEPS, seed=5)
-        if prefix.lower * prefix.factor >= prefix.upper:
+        prefix = _full_search(tensor, balls, target, 1, PROVED_SWEEPS, 5)
+        if prefix.lower * est.factor >= prefix.upper:
             # the cheap stage is restart 0 of the full search, cut at PROVED_SWEEPS sweeps
             assert _same_estimate(est, prefix)
             assert est.restarts_used == 1 and est.lower <= full.lower
         else:
-            # the unmet bracket leaves the full search as it is without one
+            # an open bracket leaves the estimate to the full search
             assert _same_estimate(est, full)
             assert est.restarts_used == 8
         assert est.claim is None
@@ -475,7 +485,7 @@ def test_doubling_the_restarts_never_lowers_a_bracketed_lower(name, arity):
     balls = [target] * arity
     for draw in range(3):
         tensor = complex_gaussian(stream(46 + draw, arity), (algebra.dim,) * (arity + 1))
-        lowers = [estimate_tensor_norm(tensor, balls, target, restarts=r, sweeps=60, seed=5, bracket=True).lower
+        lowers = [estimate_tensor_norm(tensor, balls, target, restarts=r, sweeps=60, seed=5).lower
                   for r in (4, 8, 16)]
         assert lowers == sorted(lowers)
 
@@ -493,12 +503,11 @@ def test_a_frobenius_bracket_closes_only_at_lower_equal_upper():
                              complex_gaussian(rng, 3))
         generic = complex_gaussian(rng, (4, 3, 3))
         for tensor in (rank_one, generic):
-            est = estimate_tensor_norm(tensor, balls, target, restarts=4, sweeps=60, seed=7, bracket=True)
+            est = estimate_tensor_norm(tensor, balls, target, restarts=4, sweeps=60, seed=7)
             assert est.factor == 1.0
             assert (est.restarts_used == 1) == (est.lower == est.upper)
             if est.restarts_used == 4:
-                full = estimate_tensor_norm(tensor, balls, target, restarts=4, sweeps=60, seed=7)
-                assert _same_estimate(est, full)
+                assert _same_estimate(est, _full_search(tensor, balls, target, 4, 60, 7))
             closed += est.restarts_used == 1
         assert est.restarts_used == 4 and est.lower < est.upper  # the generic draw
     assert closed >= 1

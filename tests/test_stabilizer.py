@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from amnm import multilinear, normest, parallel, stabilizer, suites
-from amnm.cli import main
+from amnm.cli import RunConfig, generate_instance, main
 from amnm.algebra import (
     Algebra,
     Embedding,
@@ -273,6 +273,14 @@ def test_improve_right_refusals():
         improve_right(identity_map(a), emb, bad)
 
 
+def _full_search_norm(phi, restarts, seed):
+    """``linear_map_norm`` at this budget without the cheap stage: the full
+    witness search under the estimate's upper."""
+    upper = linear_map_norm(phi, restarts=0).upper
+    return normest._search(phi.matrix, [phi.source.unit_ball], phi.target.unit_ball, restarts,
+                           normest.DEFAULT_SWEEPS, seed, upper)
+
+
 def test_unitize_map_values():
     a = build_full_matrix_algebra(2)
     zero = LinearMap(a, a, np.zeros((4, 4)))
@@ -283,8 +291,7 @@ def test_unitize_map_values():
     # norm: max(||1_B||, ||psi||) in the composite ball
     psi = LinearMap(a, a, complex_gaussian(stream(59, 0), (4, 4)))
     ext2 = unitize_map(psi)
-    base = linear_map_norm(psi, restarts=8, seed=4)
-    lifted = linear_map_norm(ext2, restarts=8, seed=4)
+    base, lifted = (_full_search_norm(f, restarts=8, seed=4) for f in (psi, ext2))
     assert lifted.lower >= max(1.0, base.lower) - 1e-9
     assert lifted.upper <= max(1.0, base.upper) * (1 + 1e-9) + 1e-12 or lifted.upper >= lifted.lower
 
@@ -503,17 +510,19 @@ def test_right_modular_null_space_is_cached_bit_for_bit(mode):
 
 def _spy_estimates(monkeypatch) -> list:
     """Record every estimate made through ``multilinear``: its claim, budget,
-    result and the witness-search budgets it ran."""
+    result and the witness searches it ran, each as its budget, the upper it
+    was given and its result."""
     records, searches = [], []
     search, estimate = normest._search, normest.estimate_tensor_norm
 
     def spy_search(tensor, balls, target, restarts, sweeps, seed, upper):
-        searches.append((restarts, sweeps))
-        return search(tensor, balls, target, restarts, sweeps, seed, upper)
+        found = search(tensor, balls, target, restarts, sweeps, seed, upper)
+        searches.append(((restarts, sweeps), upper, found))
+        return found
 
-    def spy_estimate(tensor, balls, target, restarts=32, sweeps=200, seed=0, claim=None, bracket=False):
+    def spy_estimate(tensor, balls, target, restarts=32, sweeps=200, seed=0, claim=None):
         start = len(searches)
-        est = estimate(tensor, balls, target, restarts, sweeps, seed, claim, bracket)
+        est = estimate(tensor, balls, target, restarts, sweeps, seed, claim)
         records.append((claim, restarts, sweeps, est, searches[start:]))
         return est
 
@@ -523,16 +532,26 @@ def _spy_estimates(monkeypatch) -> list:
 
 
 def _assert_budgets(records) -> None:
-    """A claimed estimate that its upper proves ran the cheap stage first;
-    every other searched estimate ended with the full budget."""
+    """One rule for every searched estimate: one with no claim, or whose
+    upper proves its claim, ran the cheap stage first and ended there
+    exactly when the cheap witness kept the claim proved or closed the
+    bracket (upper <= F * lower); otherwise its last search is the full
+    budget."""
     for claim, restarts, sweeps, est, searches in records:
         if restarts == 0 or not searches:
             continue
-        if claim is not None and est.upper <= claim:
-            assert searches[0] == (1, min(sweeps, 3))
-        else:
-            assert searches[-1] == (restarts, sweeps)
-            assert est.restarts_used == restarts
+        budget, upper, cheap = searches[0]
+        staged = claim is None or upper <= claim
+        if staged:
+            assert budget == (1, min(sweeps, 3))
+            ended = cheap.upper <= claim if claim is not None else cheap.lower * est.factor >= cheap.upper
+            assert (len(searches) == 1) == ended
+            if ended:
+                assert est is cheap
+                continue
+        assert len(searches) == 1 + staged
+        assert searches[-1][0] == (restarts, sweeps)
+        assert est is searches[-1][2] and est.restarts_used == restarts
 
 
 @pytest.mark.parametrize("mode", ["spectral", "frobenius"])
@@ -572,6 +591,27 @@ def test_suite_rows_are_proved_exactly_when_their_uppers_decide_them(monkeypatch
     for row in suites.checker_valid_battery(seed + 6000):
         assert row.passed and row.proved
     assert proved == 9  # at these seeds every searched row is proved
+
+
+@pytest.mark.parametrize("mode,k,seed", [("spectral", 2, 3), ("frobenius", 4, 6)])
+def test_a_stabilize_run_keeps_the_budget_rule(monkeypatch, mode, k, seed):
+    records = _spy_estimates(monkeypatch)
+    cfg = RunConfig("stabilize", seed, norm_mode=mode, matrix_dim=k)
+    inst = generate_instance(cfg)
+    report = stabilize(inst.phi, inst.embedding, inst.cert, dataclasses.replace(cfg.stabilize, seed=seed))
+    assert report.converged and report.iterates
+    _assert_budgets(records)
+    # each iterate's def_dd is the run's one unclaimed searched estimate
+    unclaimed = [est for claim, restarts, _, est, _ in records if claim is None and restarts > 0]
+    assert len(unclaimed) == len(report.iterates)
+    assert all(est is rec.def_dd for est, rec in zip(unclaimed, report.iterates))
+    # F = 2 closes the spectral brackets at the cheap stage; F = 1 leaves
+    # the Frobenius ones, whose lower stays below the upper, to the full search
+    for est in unclaimed:
+        if mode == "spectral":
+            assert est.factor > 1 and est.restarts_used == 1
+        else:
+            assert est.factor == 1 and est.lower < est.upper and est.restarts_used == cfg.stabilize.restarts
 
 
 def test_unit_row_carries_the_residual_it_checked(monkeypatch):
