@@ -11,14 +11,16 @@ an (optional) identity element, and one of three norms:
 * ``unitization-composite``: |lambda| + ||a|| for an element (lambda, a) of
   a unitization, using the base algebra's norm for a.
 
-Associativity, the identity law, the realization and submultiplicativity
-(sampled) are checked eagerly, once, when an algebra object is constructed;
-everything downstream assumes them.  Algebras are immutable (their arrays
-are read-only), so one object may be shared: the library constructors
-``build_full_matrix_algebra`` and ``build_commutative_algebra`` build each
-(k, norm mode) once per process, ``unitize`` builds one unitization per
-base algebra, and ``opposite`` builds an opposite once per algebra, with
-``opposite(opposite(a)) is a``.
+Each algebra object is checked once, at construction, and everything
+downstream assumes the checks (``Algebra._check_invariants``): matrices
+reproduce the structure constants (its realization, else its left-regular
+matrices), the unit laws hold, ``||1|| = 1`` in spectral mode, and unrealized
+algebras and unitizations pass a sampled submultiplicativity check.
+Algebras are immutable (their arrays are read-only), so one object may be
+shared: the library constructors ``build_full_matrix_algebra`` and
+``build_commutative_algebra`` build each (k, norm mode) once per process,
+``unitize`` builds one unitization per base algebra, and ``opposite`` builds
+an opposite once per algebra, with ``opposite(opposite(a)) is a``.
 """
 
 from __future__ import annotations
@@ -48,6 +50,29 @@ def _frozen(values) -> np.ndarray:
     out = np.array(values, dtype=complex)
     out.flags.writeable = False
     return out
+
+
+def _realization_tol(d: int, k: int) -> float:
+    """eps such that a realization R_1..R_d in M_k whose Gram matrix and
+    residuals E_ij = R_i R_j - sum_m c[i,j,m] R_m are within eps per entry
+    passes the two checks it replaces.  To first order in eps (the Gram
+    moves each step by a factor 1 + O(d eps)), ||E_ij||_F <= k eps and
+    ||R_i|| <= ||R_i||_F = 1.  Associativity (|gap| <= 1e-9 at scale >= 1):
+    as matrix products associate, sum_l gap[i,j,k,l] R_l is
+    sum_m c[j,k,m] E_im + R_i E_jk - sum_m c[i,j,m] E_mk - E_ij R_k, and
+    sum_m |c[i,j,m]| <= sqrt(d) ||R_i R_j - E_ij||_F, so
+    |gap| <= 2 k (1 + sqrt d) eps.  Submultiplicativity (relative 1e-9): ab
+    realizes to AB - sum a_i b_j E_ij, and |a|_1 |b|_1 <= d |a|_2 |b|_2 <=
+    d k ||A|| ||B||, so ||ab|| <= ||a|| ||b|| (1 + d k^2 eps) in the spectral
+    norm and the box (the realized spectral norm, see ``unit_ball``); the
+    Frobenius coordinate norm is ||A||_F (1 +- d eps / 2) by the Gram, so
+    there the factor is 1 + d (k + 3/2) eps.  The denominator below exceeds
+    each first-order coefficient (d <= k^2) by more than the higher-order
+    terms, and eps is below the 1e-9 reproduction and 1e-8 Gram tolerances
+    realized algebras also had to pass (7.3e-13 at M_6): nothing they
+    refused passes.
+    """
+    return min(ASSOC_TOL, SUBMULT_TOL) / (2 * k * (1 + np.sqrt(d)) + d * k * k)
 
 
 class Algebra:
@@ -92,39 +117,38 @@ class Algebra:
         d = self.dim
         if d == 0:
             return  # every invariant holds vacuously in the zero algebra
-        # (e_i e_j) e_k less e_i (e_j e_k), indexed [(i, j), (k, l)]; in place,
-        # since at d = 20 each d^4 array takes 2.5 MB
-        gap = c.reshape(d * d, d) @ c.reshape(d, d * d)
-        gap -= np.matmul(c.reshape(d * d, d), c).reshape(d * d, d * d)
-        scale = max(1.0, float(np.abs(c).max()) ** 2)
-        if np.abs(gap).max() > ASSOC_TOL * scale:
-            raise ConfigError("structure constants are not associative")
-        if self.unit_coords is not None:
-            if self.unit_coords.shape != (d,):
+        # matrices m_i with m_i m_j = sum_k c[i,j,k] m_k: the realization, else
+        # the left-regular matrices (m_i y = e_i y) at the scale max(1, |c|max^2)
+        m = self.realization
+        if m is None:
+            m, tol = np.swapaxes(c, 1, 2), ASSOC_TOL * max(1.0, float(np.abs(c).max()) ** 2)
+            failure = "structure constants are not associative"
+        else:
+            if m.shape[0] != d or m.shape[1] != m.shape[2]:
+                raise ConfigError("realization must be one square matrix per basis element")
+            tol = _realization_tol(d, m.shape[1])
+            flat = m.reshape(d, -1)
+            if np.abs(flat @ flat.conj().T - np.eye(d)).max() > tol:
+                raise ConfigError("realized basis must be Frobenius-orthonormal")
+            failure = "realizing matrices do not reproduce the structure constants"
+        # in place: the left-regular products take d^4 entries (2.5 MB at d = 20)
+        gap = (m[:, None] @ m[None, :]).reshape(d * d, -1)
+        gap -= c.reshape(d * d, d) @ m.reshape(d, -1)
+        if np.abs(gap).max() > tol:
+            raise ConfigError(failure)
+        u = self.unit_coords
+        if u is not None:
+            if u.shape != (d,):
                 raise ConfigError("unit coordinate vector has wrong length")
-            u = self.unit_coords
             # row j of each: 1 e_j and e_j 1
             lhs = (u @ c.reshape(d, d * d)).reshape(d, d)
             rhs = np.swapaxes(c, 1, 2) @ u
             if max(np.abs(lhs - np.eye(d)).max(), np.abs(rhs - np.eye(d)).max()) > UNIT_TOL:
                 raise ConfigError("unit coordinates are not a two-sided identity")
-        if self.realization is not None:
-            r = self.realization
-            if r.shape[0] != d or r.shape[1] != r.shape[2]:
-                raise ConfigError("realization must be one square matrix per basis element")
-            flat = r.reshape(d, -1)
-            gram = flat @ flat.conj().T
-            if np.abs(gram - np.eye(d)).max() > 1e-8:
-                raise ConfigError("realized basis must be Frobenius-orthonormal")
-            prod = (r[:, None] @ r[None, :]).reshape(d * d, -1)
-            via_struct = c.reshape(d * d, d) @ flat
-            pscale = max(1.0, float(np.abs(prod).max()))
-            if np.abs(prod - via_struct).max() > ASSOC_TOL * pscale:
-                raise ConfigError("realizing matrices do not reproduce the structure constants")
-        if self.norm_mode == "spectral" and self.unit_coords is not None:
-            if abs(self.element_norm(self.unit_coords) - 1.0) > 1e-8:
+            if self.norm_mode == "spectral" and abs(self.element_norm(u) - 1.0) > 1e-8:
                 raise ConfigError("spectral mode requires ||1|| = 1")
-        self._check_submultiplicative()
+        if self.realization is None or self.norm_mode == "unitization-composite":
+            self._check_submultiplicative()
 
     def _check_submultiplicative(self) -> None:
         d = self.dim
@@ -144,8 +168,9 @@ class Algebra:
         base's ball for a unitization, the box in the ``idempotent_frame`` of
         an adjoint-closed spectral span short of M_k that has one (its
         idempotents are then orthogonal projections, so the box norm is the
-        spectral norm), else the ``SpectralBall``.  The construction checks
-        read it, so it reads only the structure, realization and base.
+        spectral norm), else the ``SpectralBall``.  The ``||1|| = 1`` check and,
+        where the norm is not a realization's own, the sampled check read it
+        at construction, so it reads only the structure, realization and base.
         """
         if self.norm_mode == "frobenius":
             return EuclideanBall(self.dim)
@@ -313,21 +338,12 @@ def build_full_matrix_algebra(k: int, norm_mode: str = "spectral") -> Algebra:
 def _full_matrix_algebra(k: int, norm_mode: str) -> Algebra:
     if k < 1:
         raise DomainError("matrix size must be at least 1")
-    dim = k * k
-    idx = lambda i, j: i * k + j
-    structure = np.zeros((dim, dim, dim), dtype=complex)
-    realization = np.zeros((dim, k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            realization[idx(i, j), i, j] = 1.0
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                # e_ij e_jl = e_il
-                structure[idx(i, j), idx(j, l), idx(i, l)] = 1.0
-    unit = np.zeros(dim, dtype=complex)
-    for i in range(k):
-        unit[idx(i, i)] = 1.0
+    i, j, l = np.indices((k, k, k)).reshape(3, -1)
+    structure = np.zeros((k * k,) * 3, dtype=complex)
+    structure[i * k + j, j * k + l, i * k + l] = 1.0  # e_ij e_jl = e_il
+    # e_ij is basis element i k + j, realized as the matrix unit
+    realization = np.eye(k * k, dtype=complex).reshape(k * k, k, k)
+    unit = np.eye(k, dtype=complex).reshape(-1)
     return Algebra(structure, unit, norm_mode, realization, kind={"name": "matrix"})
 
 
@@ -341,13 +357,10 @@ def build_commutative_algebra(k: int, norm_mode: str = "spectral") -> Algebra:
 def _commutative_algebra(k: int, norm_mode: str) -> Algebra:
     if k < 1:
         raise DomainError("dimension must be at least 1")
+    # p_i p_i = p_i, realized as the diagonal matrix unit: the same array
     structure = np.zeros((k, k, k), dtype=complex)
-    realization = np.zeros((k, k, k), dtype=complex)
-    for i in range(k):
-        structure[i, i, i] = 1.0
-        realization[i, i, i] = 1.0
-    unit = np.ones(k, dtype=complex)
-    return Algebra(structure, unit, norm_mode, realization, kind={"name": "commutative"})
+    structure[range(k), range(k), range(k)] = 1.0
+    return Algebra(structure, np.ones(k), norm_mode, structure, kind={"name": "commutative"})
 
 
 def direct_sum(a1: Algebra, a2: Algebra) -> Algebra:
@@ -365,9 +378,7 @@ def direct_sum(a1: Algebra, a2: Algebra) -> Algebra:
     structure = np.zeros((dim, dim, dim), dtype=complex)
     structure[:d1, :d1, :d1] = a1.structure
     structure[d1:, d1:, d1:] = a2.structure
-    unit = None
-    if a1.is_unital and a2.is_unital:
-        unit = np.concatenate([a1.unit_coords, a2.unit_coords])
+    unit = np.concatenate([a1.unit_coords, a2.unit_coords]) if a1.is_unital and a2.is_unital else None
     realization = None
     if a1.realization is not None and a2.realization is not None:
         k1, k2 = a1.realization.shape[1], a2.realization.shape[1]
@@ -385,17 +396,11 @@ def summand_quotient(sum_algebra: Algebra, keep: int) -> tuple[Algebra, np.ndarr
     """
     if "summands" not in sum_algebra.kind:
         raise DomainError("not a direct sum")
+    if keep not in (0, 1):
+        raise DomainError("keep must be 0 or 1")
     a1, a2 = sum_algebra.kind["summands"]
-    d1, d2 = a1.dim, a2.dim
-    if keep == 0:
-        qmat = np.zeros((d1, d1 + d2), dtype=complex)
-        qmat[:, :d1] = np.eye(d1)
-        return a1, qmat
-    if keep == 1:
-        qmat = np.zeros((d2, d1 + d2), dtype=complex)
-        qmat[:, d1:] = np.eye(d2)
-        return a2, qmat
-    raise DomainError("keep must be 0 or 1")
+    rows = np.eye(a1.dim + a2.dim, dtype=complex)
+    return (a1, rows[: a1.dim]) if keep == 0 else (a2, rows[a1.dim :])
 
 
 def _orthonormal_columns(vectors: np.ndarray) -> np.ndarray:
@@ -453,14 +458,8 @@ def generated_subalgebra(
             if np.linalg.norm(prod - basis @ coeffs) > 1e-8 * max(1.0, np.linalg.norm(prod)):
                 raise ConfigError("closure failed: product left the candidate span")
             structure[i, j] = coeffs
-    unit_coords = None
-    if unital:
-        unit_coords = proj @ parent.unit_coords
-    else:
-        unit_coords = _find_internal_unit(structure)
-    realization = None
-    if parent.realization is not None:
-        realization = np.tensordot(basis.T, parent.realization, axes=(1, 0))
+    unit_coords = proj @ parent.unit_coords if unital else _find_internal_unit(structure)
+    realization = None if parent.realization is None else np.tensordot(basis.T, parent.realization, axes=(1, 0))
     sub = Algebra(structure, unit_coords, parent.norm_mode, realization, kind={"name": "generated"})
     return sub, Embedding(sub, parent, basis)
 
@@ -494,16 +493,11 @@ def unitize(algebra: Algebra) -> Algebra:
 
 
 def _unitization(algebra: Algebra) -> Algebra:
-    d = algebra.dim
-    dim = d + 1
+    dim = algebra.dim + 1
     structure = np.zeros((dim, dim, dim), dtype=complex)
-    structure[0, 0, 0] = 1.0
-    for i in range(d):
-        structure[0, i + 1, i + 1] = 1.0
-        structure[i + 1, 0, i + 1] = 1.0
+    structure[0] = structure[:, 0] = np.eye(dim)  # 1 e_i = e_i 1 = e_i
     structure[1:, 1:, 1:] = algebra.structure
-    unit = np.zeros(dim, dtype=complex)
-    unit[0] = 1.0
+    unit = np.eye(dim)[0]
     return Algebra(structure, unit, "unitization-composite", None, kind={"name": "unitization"}, base=algebra)
 
 
@@ -511,7 +505,8 @@ def opposite(algebra: Algebra) -> Algebra:
     """Same space and norm, product reversed (structure transposed in the
     first two indices; realizing matrices transposed).
 
-    Built once per algebra, with every construction check, and involutive:
+    Built once per algebra through ``Algebra(...)`` (a realized reversal runs
+    the reproduction, unit and ``||1|| = 1`` checks only), and involutive:
     the source keeps its opposite in its cache and the opposite keeps the
     source in its own, so ``opposite(opposite(a)) is a``.  The involution is
     exact, not approximate: both transposes only permute entries, so doing
@@ -526,9 +521,7 @@ def opposite(algebra: Algebra) -> Algebra:
 
 def _opposite(algebra: Algebra) -> Algebra:
     structure = np.swapaxes(algebra.structure, 0, 1)
-    realization = None
-    if algebra.realization is not None:
-        realization = np.swapaxes(algebra.realization, 1, 2)
+    realization = None if algebra.realization is None else np.swapaxes(algebra.realization, 1, 2)
     base = None if algebra.base is None else opposite(algebra.base)
     kind = {"name": algebra.kind.get("name", "")}
     if "summands" in algebra.kind:

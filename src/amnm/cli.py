@@ -199,12 +199,9 @@ def generate_instance(config: RunConfig, index: int = 0) -> Instance:
 
 
 def _ensure_out(path: str) -> Path:
-    """The output directory, made before any work; a path that cannot be one is a ConfigError."""
+    """The output directory, made before any work."""
     out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create the output directory {path!r}: {exc.strerror or exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -311,9 +308,9 @@ def cmd_tsirelson(args: argparse.Namespace) -> int:
         cert = schreier_inequality(vec, indices)
         doc["schreier"] = {"J": sorted(indices), "norm": cert.norm,
                            "half_sum": cert.half_sum, "ok": cert.ok}
-    print(dumps(doc))
     if out:
         write_json(out / "tsirelson_report.json", doc)
+    print(dumps(doc))
     return 0
 
 
@@ -365,9 +362,9 @@ def cmd_clones(args: argparse.Namespace) -> int:
             "checked_pairs": system.checked_pairs,
         },
     }
-    print(dumps(doc))
     if out:
         write_json(out / "clones_report.json", doc)
+    print(dumps(doc))
     return 0 if system.ok else 1
 
 
@@ -419,6 +416,11 @@ def main(argv=None) -> int:
         return 1
     except DomainError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        print(f"configuration error: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

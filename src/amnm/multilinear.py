@@ -37,7 +37,7 @@ it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -82,9 +82,12 @@ class LinearMap:
         return Cochain((a, a), b, tensor)
 
     @cached_property
-    def _defect_upper(self) -> float:
+    def _defect_bound(self) -> DefectEstimate:
         # the upper-only estimate reads the defect tensor alone, not the seed
-        return multilinear_norm(self._defect, restarts=0).upper
+        bound = multilinear_norm(self._defect, restarts=0)
+        for w in bound.witness:
+            w.flags.writeable = False
+        return bound
 
     def apply(self, coords: np.ndarray) -> np.ndarray:
         return self.matrix @ coords
@@ -292,11 +295,10 @@ def defect(
 
     ``left``/``right`` restrict the first/second argument to a subalgebra,
     giving the D x A, A x D and D x D defect functionals.  The unrestricted
-    upper-only estimate (``restarts=0``) is computed once per map.
+    upper-only estimate (``restarts=0``) is cached per map, seed and claim aside.
     """
     if restarts == 0 and left is None and right is None:
-        witness = [np.zeros(phi.source.dim, dtype=complex) for _ in range(2)]
-        return DefectEstimate(0.0, phi._defect_upper, witness, 0, seed, claim)
+        return replace(phi._defect_bound, seed=seed, claim=claim)
     chain = defect_cochain(phi)
     if left is not None:
         chain = restrict_slot(chain, 0, left)

@@ -20,7 +20,8 @@ slots and its target norm alike.  Norms are reported as intervals
 Restart 0 of an estimate starts from the leading singular vectors of the
 unfoldings and restart r > 0 draws its start point from the stream
 (seed, r, slot), so enlarging the restart budget never changes earlier
-restarts and never decreases the lower bound.
+restarts' starts and never decreases the lower bound beyond rounding (the
+batch below can end restart 0 an ulp apart from a one-row search).
 
 The upper bound needs no search, so it is computed first.  It is the
 unfolding bound times the equivalence factor F of the target and the slots,
@@ -41,7 +42,8 @@ its witness closes the bracket or keeps the claim proved.  Otherwise the
 full budget runs from the start, and the estimate has the bits of
 ``_search`` at that budget; the cheap stage's few sweeps were spent on top.
 The cheap stage is a prefix of the full search (its first restart, its
-first sweeps), so a larger budget still never lowers the lower bound.
+first sweeps), so a larger budget still never lowers the lower bound
+beyond that rounding.
 
 The restarts sweep together as one batch: every ball step acts row by row
 on stacked (restarts, dim) arrays, and each restart leaves the batch at its
@@ -110,8 +112,7 @@ class DefectEstimate:
     ``upper`` dominates the true supremum.  ``claim`` is the limit the
     caller compares the estimate with, if any.  ``factor`` is the
     equivalence factor F by which the upper converts its unfolding bound
-    (1 where the value is exact); None where the estimate does not record
-    it (the cached upper-only defect, intervals built by hand).
+    (1 where the value is exact); None only for intervals built by hand.
     """
 
     lower: float

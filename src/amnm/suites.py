@@ -143,7 +143,7 @@ def _nofalsify(check: str, lhs: DefectEstimate, rhs: float) -> CheckResult:
 # algebras need no cache of their own (their constructors build each one once
 # per process), nor do diagonals (``library_diagonal`` builds one per
 # algebra).  Algebras are immutable and each object is checked once, when it
-# is constructed.
+# is constructed (``Algebra._check_invariants``, cheap for realized ones).
 
 
 @cache

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from amnm.algebra import (
     Algebra,
+    _realization_tol,
     build_commutative_algebra,
     build_full_matrix_algebra,
     direct_sum,
@@ -229,9 +232,11 @@ def test_opposite_checks_each_reversal_once(monkeypatch):
     # the sum's summands and the unitization's base reverse once, through the same call
     reversed_ = [opposite(a) for a in (fresh_m2, fresh_c3, total, unital, unital.base)]
     assert len({id(x) for x in reversed_}) == 5
-    # each reversal ran every construction check exactly once, at its first call
-    for checked in (invariants, submult):
-        assert sorted(map(id, checked)) == sorted(map(id, reversed_))
+    # each reversal ran its construction checks exactly once, at its first
+    # call; only the unitization's composite norm is not a realization's
+    # own, so only its reversal ran the sampled check
+    assert sorted(map(id, invariants)) == sorted(map(id, reversed_))
+    assert submult == [opposite(unital)]
 
 
 def test_summand_quotient():
@@ -292,6 +297,66 @@ def test_realization_must_reproduce_structure():
     realization[0, 0, 0] = realization[1, 0, 1] = 1.0
     with pytest.raises(ConfigError, match="do not reproduce"):
         Algebra(build_commutative_algebra(2).structure, np.ones(2), "frobenius", realization)
+
+
+def _associativity_gap(c: np.ndarray) -> float:
+    """The largest entry of (e_i e_j) e_k - e_i (e_j e_k), over the
+    associativity gate's scale max(1, |c|max^2)."""
+    gap = np.einsum("ijm,mkl->ijkl", c, c) - np.einsum("jkm,iml->ijkl", c, c)
+    return np.abs(gap).max() / max(1.0, np.abs(c).max() ** 2)
+
+
+def _perturbed_matrix_structure(k: int, delta: float) -> tuple[np.ndarray, Algebra]:
+    """M_k's structure with e_11 e_12 = (1 + delta) e_12: its realization's
+    residual is delta, in one entry."""
+    mk = build_full_matrix_algebra(k)
+    c = mk.structure.copy()
+    c[0, 1, 1] += delta
+    return c, mk
+
+
+def test_realized_non_associative_structure_refused_by_its_realization():
+    c, m2 = _perturbed_matrix_structure(2, 1e-3)
+    assert _associativity_gap(c) > 1e-9
+    for mode in ("spectral", "frobenius"):
+        with pytest.raises(ConfigError, match="do not reproduce"):
+            Algebra(c, m2.unit_coords, mode, m2.realization)
+
+
+@pytest.mark.parametrize("mode", ["spectral", "frobenius"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_realization_tolerance_boundary(k, mode):
+    tol = _realization_tol(k * k, k)
+    # never looser than the reproduction tolerance realized algebras had
+    assert tol < 1e-9
+    c, mk = _perturbed_matrix_structure(k, 0.99 * tol)
+    alg = Algebra(c, mk.unit_coords, mode, mk.realization)
+    # accepted, so it passes the associativity and sampled checks it no longer runs
+    assert _associativity_gap(c) <= 1e-9
+    alg._check_submultiplicative()
+    c, mk = _perturbed_matrix_structure(k, 1.01 * tol)
+    with pytest.raises(ConfigError, match="do not reproduce"):
+        Algebra(c, mk.unit_coords, mode, mk.realization)
+
+
+def test_nearly_orthonormal_frobenius_realization_still_refused():
+    # C realized by the 1x1 matrix r with |r|^2 = 1 + 5e-9: the product
+    # x y r has coordinate norm |x| |y| |r| > |x| |y| (1 + 1e-9), and the
+    # Gram check, within 1e-8 of the identity, no longer lets it through
+    r = np.sqrt(1 + 5e-9)
+    with pytest.raises(ConfigError):
+        Algebra(np.full((1, 1, 1), r), np.array([1 / r]), "frobenius", np.full((1, 1, 1), r))
+
+
+def test_realized_m6_construction_peaks_under_8_mib():
+    m6 = build_full_matrix_algebra(6)
+    tracemalloc.start()
+    try:
+        Algebra(m6.structure, m6.unit_coords, "spectral", m6.realization)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_non_submultiplicative_norm_rejected():

@@ -361,6 +361,21 @@ def test_an_out_that_cannot_be_a_directory_exits_two(tmp_path, argv, under):
     assert blocker.read_text() == ""
 
 
+# a report path that is a directory once ran the whole command and exited 1
+# with an IsADirectoryError traceback, and tsirelson and clones printed
+# their report before writing it
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: argv[0])
+def test_a_report_that_cannot_be_written_exits_two(tmp_path, argv):
+    report = tmp_path / f"{argv[0]}_report.json"
+    report.mkdir()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", str(tmp_path)])
+    assert code == 2
+    assert err.getvalue() == f"configuration error: cannot write {report}: Is a directory\n"
+    assert out.getvalue() == ""
+
+
 def test_config_out_must_be_a_string(tmp_path):
     cfg = write_config(tmp_path, out=5)
     with pytest.raises(ConfigError):

@@ -227,6 +227,25 @@ def test_defect_homomorphism_interval_zero():
     assert est.lower == 0.0 and est.upper == 0.0
 
 
+@pytest.mark.parametrize("mode", ["spectral", "frobenius"])
+def test_cached_upper_only_defect_is_the_estimators_own(mode):
+    from dataclasses import fields
+
+    from amnm.multilinear import multilinear_norm
+
+    m2 = build_full_matrix_algebra(2, mode)
+    phi = random_map(m2, m2, 29, scale=0.1)
+    want = multilinear_norm(defect_cochain(phi), restarts=0)
+    assert want.factor is not None
+    for seed, claim in ((0, None), (7, 0.5)):
+        got = defect(phi, restarts=0, seed=seed, claim=claim)
+        assert (got.seed, got.claim) == (seed, claim)
+        for name in {f.name for f in fields(got)} - {"seed", "claim", "witness"}:
+            assert getattr(got, name) == getattr(want, name)
+        assert len(got.witness) == len(want.witness)
+        assert all(np.array_equal(g, w) for g, w in zip(got.witness, want.witness))
+
+
 def test_defect_nested_domains():
     m2 = build_full_matrix_algebra(2)
     d, emb = generated_subalgebra(m2, [m2.basis_element(0)], unital=True)
