@@ -3,9 +3,10 @@ between finite-dimensional normed algebras."""
 
 import os
 
-# One BLAS thread per process unless the caller chose a number: ``suite``
-# runs its independent blocks on the other CPUs (``parallel.run_all``), and
-# OpenBLAS's idle threads would spin on those CPUs.  Set before numpy loads.
+# One BLAS thread per process unless the caller chose a number: every
+# command runs in one process on tiny matrices, where BLAS threads gain
+# nothing, and starting OpenBLAS's thread pool makes ``import numpy``, which
+# every CLI process pays, markedly slower.  Set before numpy loads.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .algebra import (

@@ -14,8 +14,10 @@ an (optional) identity element, and one of three norms:
 Each algebra object is checked once, at construction, and everything
 downstream assumes the checks (``Algebra._check_invariants``): matrices
 reproduce the structure constants (its realization, else its left-regular
-matrices), the unit laws hold, ``||1|| = 1`` in spectral mode, and unrealized
-algebras and unitizations pass a sampled submultiplicativity check.
+matrices; a unitization's structure must be exactly that of its checked base
+with the unit adjoined), the unit laws hold, ``||1|| = 1`` in spectral mode,
+and unrealized algebras and unitizations pass a sampled submultiplicativity
+check.
 Algebras are immutable (their arrays are read-only), so one object may be
 shared: the library constructors ``build_full_matrix_algebra`` and
 ``build_commutative_algebra`` build each (k, norm mode) once per process,
@@ -117,9 +119,32 @@ class Algebra:
         d = self.dim
         if d == 0:
             return  # every invariant holds vacuously in the zero algebra
-        # matrices m_i with m_i m_j = sum_k c[i,j,k] m_k: the realization, else
-        # the left-regular matrices (m_i y = e_i y) at the scale max(1, |c|max^2)
-        m = self.realization
+        if self.base is None:
+            self._check_reproduction()
+        # a unitization is exactly its checked base with the unit adjoined, so
+        # its left-regular matrices reproduce its structure as closely as the
+        # base's reproduce the base's, at the same scale
+        elif self.realization is not None or not np.array_equal(c, _unitization_structure(self.base)):
+            raise ConfigError("structure is not the unitization of its base")
+        u = self.unit_coords
+        if u is not None:
+            if u.shape != (d,):
+                raise ConfigError("unit coordinate vector has wrong length")
+            # row j of each: 1 e_j and e_j 1
+            lhs = (u @ c.reshape(d, d * d)).reshape(d, d)
+            rhs = np.swapaxes(c, 1, 2) @ u
+            if max(np.abs(lhs - np.eye(d)).max(), np.abs(rhs - np.eye(d)).max()) > UNIT_TOL:
+                raise ConfigError("unit coordinates are not a two-sided identity")
+            if self.norm_mode == "spectral" and abs(self.element_norm(u) - 1.0) > 1e-8:
+                raise ConfigError("spectral mode requires ||1|| = 1")
+        if self.realization is None or self.norm_mode == "unitization-composite":
+            self._check_submultiplicative()
+
+    def _check_reproduction(self) -> None:
+        """Matrices m_i with m_i m_j = sum_k c[i,j,k] m_k: the realization,
+        else the left-regular matrices (m_i y = e_i y) at the scale
+        max(1, |c|max^2)."""
+        c, d, m = self.structure, self.dim, self.realization
         if m is None:
             m, tol = np.swapaxes(c, 1, 2), ASSOC_TOL * max(1.0, float(np.abs(c).max()) ** 2)
             failure = "structure constants are not associative"
@@ -136,19 +161,6 @@ class Algebra:
         gap -= c.reshape(d * d, d) @ m.reshape(d, -1)
         if np.abs(gap).max() > tol:
             raise ConfigError(failure)
-        u = self.unit_coords
-        if u is not None:
-            if u.shape != (d,):
-                raise ConfigError("unit coordinate vector has wrong length")
-            # row j of each: 1 e_j and e_j 1
-            lhs = (u @ c.reshape(d, d * d)).reshape(d, d)
-            rhs = np.swapaxes(c, 1, 2) @ u
-            if max(np.abs(lhs - np.eye(d)).max(), np.abs(rhs - np.eye(d)).max()) > UNIT_TOL:
-                raise ConfigError("unit coordinates are not a two-sided identity")
-            if self.norm_mode == "spectral" and abs(self.element_norm(u) - 1.0) > 1e-8:
-                raise ConfigError("spectral mode requires ||1|| = 1")
-        if self.realization is None or self.norm_mode == "unitization-composite":
-            self._check_submultiplicative()
 
     def _check_submultiplicative(self) -> None:
         d = self.dim
@@ -493,12 +505,17 @@ def unitize(algebra: Algebra) -> Algebra:
 
 
 def _unitization(algebra: Algebra) -> Algebra:
+    unit = np.eye(algebra.dim + 1)[0]
+    return Algebra(_unitization_structure(algebra), unit, "unitization-composite", None,
+                   kind={"name": "unitization"}, base=algebra)
+
+
+def _unitization_structure(algebra: Algebra) -> np.ndarray:
     dim = algebra.dim + 1
     structure = np.zeros((dim, dim, dim), dtype=complex)
     structure[0] = structure[:, 0] = np.eye(dim)  # 1 e_i = e_i 1 = e_i
     structure[1:, 1:, 1:] = algebra.structure
-    unit = np.eye(dim)[0]
-    return Algebra(structure, unit, "unitization-composite", None, kind={"name": "unitization"}, base=algebra)
+    return structure
 
 
 def opposite(algebra: Algebra) -> Algebra:

@@ -13,12 +13,10 @@ refused precondition, 2 configuration error.  Reports are byte-identical
 for identical (config, seed) because every row derives its randomness from
 (seed, instance index) and rows are assembled in key order.
 
-``suite`` runs its independent suite blocks on every CPU of the process's
-affinity mask, in forked helper processes (``parallel.run_all``); the
-report does not depend on how many there are, and ``taskset -c 0`` runs it
-in one process.  ``stabilize`` and ``defect`` run in one process: most of
-their estimates prove their claim or close their bracket in the brief
-cheap stage, and a round of such estimates costs about as much as a fork.
+Every command runs in one process.  ``suite`` runs each check with a
+searched estimate once over all its instances, with their estimates stacked
+(``multilinear.multilinear_norms``): most of them prove their claim in the
+brief cheap stage, where a stack of N costs little more than one.
 """
 
 from __future__ import annotations

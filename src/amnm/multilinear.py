@@ -49,7 +49,7 @@ from .normest import (
     DEFAULT_SWEEPS,
     DefectEstimate,
     EuclideanBall,
-    estimate_tensor_norm,
+    estimate_tensor_norms,
 )
 from .rng import complex_gaussian
 
@@ -199,13 +199,20 @@ def _target_multiply_right(target: Algebra, tensor: np.ndarray, coeffs: np.ndarr
     return out.reshape((d,) + tensor.shape[1:] + (coeffs.shape[1],))
 
 
-def defect_cochain(phi: LinearMap) -> Cochain:
-    """The bilinear map (a, b) -> phi(ab) - phi(a)phi(b).
+def defect_cochain(phi: LinearMap, left: Embedding | None = None, right: Embedding | None = None) -> Cochain:
+    """The bilinear map (a, b) -> phi(ab) - phi(a)phi(b), its first/second
+    argument restricted to the subalgebra of ``left``/``right`` if given.
 
-    Built on the first call for each map (maps are immutable) and shared by
-    every later one, so its tensor is read-only.
+    The unrestricted cochain is built on the first call for each map (maps
+    are immutable) and shared by every later one, so its tensor is
+    read-only.
     """
-    return phi._defect
+    chain = phi._defect
+    if left is not None:
+        chain = restrict_slot(chain, 0, left)
+    if right is not None:
+        chain = restrict_slot(chain, 1, right)
+    return chain
 
 
 def coboundary(phi: LinearMap, psi: Cochain) -> Cochain:
@@ -253,21 +260,44 @@ def multilinear_norm(
     Arity 1 with Euclidean source and target balls is solved exactly by SVD.
     ``claim`` is the bound the caller compares the lower bound with; an
     estimate with none stops once its upper is within its equivalence
-    factor of its lower (see ``estimate_tensor_norm``).
+    factor of its lower (see ``estimate_tensor_norm``).  The N = 1 call of
+    ``multilinear_norms``.
     """
-    if psi.arity > 2:
-        raise DomainError("norm estimation supports arities 1 and 2 only")
-    balls = [s.unit_ball for s in psi.slots]
-    target = psi.target.unit_ball
-    if psi.arity == 1 and all(isinstance(b, EuclideanBall) for b in balls + [target]):
-        mat = psi.tensor
-        if not mat.any():
-            return DefectEstimate(0.0, 0.0, [np.zeros(psi.slots[0].dim, dtype=complex)], 0, seed, claim, 1.0)
-        _, s, vh = np.linalg.svd(mat)
-        sigma = float(s[0])
-        witness = [vh[0].conj()]
-        return DefectEstimate(sigma, sigma, witness, 0, seed, claim, 1.0)
-    return estimate_tensor_norm(psi.tensor, balls, target, restarts, sweeps, seed, claim)
+    return multilinear_norms([psi], restarts, sweeps, [seed], [claim])[0]
+
+
+def multilinear_norms(chains, restarts: int, sweeps: int, seeds, claims) -> list[DefectEstimate]:
+    """``multilinear_norm`` of each cochain with its own seed and claim; the
+    cochains with the same slot and target algebras are estimated as one
+    stack (``estimate_tensor_norms``)."""
+    groups: dict[tuple, list[int]] = {}
+    for i, psi in enumerate(chains):
+        if psi.arity > 2:
+            raise DomainError("norm estimation supports arities 1 and 2 only")
+        groups.setdefault(tuple(map(id, (psi.target,) + psi.slots)), []).append(i)
+    found = [None] * len(chains)
+    for group in groups.values():
+        psi = chains[group[0]]
+        balls = [s.unit_ball for s in psi.slots]
+        target = psi.target.unit_ball
+        if psi.arity == 1 and all(isinstance(b, EuclideanBall) for b in balls + [target]):
+            for i in group:
+                found[i] = _operator_norm(chains[i].tensor, seeds[i], claims[i])
+            continue
+        estimates = estimate_tensor_norms(np.stack([chains[i].tensor for i in group]), balls, target, restarts,
+                                          sweeps, [seeds[i] for i in group], [claims[i] for i in group])
+        for i, est in zip(group, estimates):
+            found[i] = est
+    return found
+
+
+def _operator_norm(mat: np.ndarray, seed: int, claim: float | None) -> DefectEstimate:
+    """The exact norm of a matrix between Euclidean balls, by SVD."""
+    if not mat.any():
+        return DefectEstimate(0.0, 0.0, [np.zeros(mat.shape[1], dtype=complex)], 0, seed, claim, 1.0)
+    _, s, vh = np.linalg.svd(mat)
+    sigma = float(s[0])
+    return DefectEstimate(sigma, sigma, [vh[0].conj()], 0, seed, claim, 1.0)
 
 
 def linear_map_norm(
@@ -299,9 +329,4 @@ def defect(
     """
     if restarts == 0 and left is None and right is None:
         return replace(phi._defect_bound, seed=seed, claim=claim)
-    chain = defect_cochain(phi)
-    if left is not None:
-        chain = restrict_slot(chain, 0, left)
-    if right is not None:
-        chain = restrict_slot(chain, 1, right)
-    return multilinear_norm(chain, restarts, sweeps, seed, claim)
+    return multilinear_norm(defect_cochain(phi, left, right), restarts, sweeps, seed, claim)

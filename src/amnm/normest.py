@@ -52,6 +52,13 @@ lead by more than ``TIE_TOL``) are those of restarts run one by one.  Each
 evaluation of the target gives the value's norm and its norming functional
 (the next sweep's dual) from one factorization, ``norm_and_dual``.
 
+``estimate_tensor_norms`` estimates N tensors of one shape over the same
+balls, each with its own seed and claim, and ``estimate_tensor_norm`` is its
+N = 1 call.  Their cheap stages sweep together, one row per tensor held as a
+(1, dim) batch of its own with its own tensor, so every product of a row is
+the one-row product of its call alone (a one-row and a many-row matrix
+product need not round alike); their full searches run one at a time.
+
 A spectral step on M_k with k >= 3 is one stacked SVD.  On 2x2 realizations
 the steps are closed forms, element-wise over the rows.  For M with
 singular values s1 >= s2, F = |M|_F^2 and row Gram matrix
@@ -92,9 +99,8 @@ DEFAULT_RESTARTS = 32
 DEFAULT_SWEEPS = 200
 SWEEP_TOL = 1e-12
 TIE_TOL = 1e-12
-# the cheap stage: the witness search of an estimate with no claim, or
-# whose upper proves its claim
-PROVED_RESTARTS = 1
+# the cheap stage, restart 0 alone: the witness search of an estimate with
+# no claim, or whose upper proves its claim
 PROVED_SWEEPS = 3
 
 
@@ -154,10 +160,6 @@ class FalsificationGuard(FalsificationError):
     def __init__(self, lower, upper):
         super().__init__(f"certified lower {lower} exceeds certified upper {upper}")
         self.lower, self.upper = lower, upper
-
-    def __reduce__(self):
-        # pickle re-creates an exception from its args, here only the message
-        return type(self), (self.lower, self.upper)
 
 
 # -- unit balls ----------------------------------------------------------------
@@ -576,14 +578,17 @@ class CompositeSumBall:
 # -- the estimator ----------------------------------------------------------------
 
 
-def _unfolding_upper(tensor: np.ndarray) -> float:
-    best = np.inf
-    n_axes = tensor.ndim
-    for axis in range(n_axes):
-        mat = np.moveaxis(tensor, axis, 0).reshape(tensor.shape[axis], -1)
-        sigma = np.linalg.svd(mat, compute_uv=False)[0] if mat.any() else 0.0
-        best = min(best, float(sigma))
-    return best
+def _unfolding_uppers(tensors: np.ndarray) -> list[float]:
+    """The smallest spectral norm over the unfoldings of each of the tensors
+    stacked along the leading axis, one stacked SVD per unfolding."""
+    n, axes = len(tensors), range(1, tensors.ndim)
+    best = np.full(n, np.inf)
+    for axis in axes:
+        # the unfolding's columns in the order of the remaining axes
+        order = (0, axis, *(a for a in axes if a != axis))
+        mats = tensors.transpose(order).reshape(n, tensors.shape[axis], -1)
+        best = np.minimum(best, np.linalg.svd(mats, compute_uv=False)[:, 0])
+    return np.where(tensors.reshape(n, -1).any(axis=1), best, 0.0).tolist()
 
 
 def _apply_slots(lead: np.ndarray, xs: list) -> np.ndarray:
@@ -596,28 +601,29 @@ def _apply_slots(lead: np.ndarray, xs: list) -> np.ndarray:
 
 
 def _gradient(w: np.ndarray, xs: list, skip: int) -> np.ndarray:
-    """Gradient functional coefficients for slot ``skip``, one row per restart:
-    the rows of ``w`` (the dual contracted with the tensor) applied to every
+    """Gradient functional coefficients for slot ``skip``, one per row: the
+    rows of ``w`` (the dual contracted with the tensor) applied to every
     other slot's point."""
-    rows = w.shape[0]
     g = w
     for x in reversed(xs[skip + 1:]):
-        g = (g.reshape(rows, -1, x.shape[1]) @ x[:, :, None])[..., 0]
+        g = (g.reshape(x.shape[:-1] + (-1, x.shape[-1])) @ x[..., None])[..., 0]
     for x in xs[:skip]:
-        g = (x[:, None, :] @ g.reshape(rows, x.shape[1], -1))[:, 0]
+        g = (x[..., None, :] @ g.reshape(x.shape[:-1] + (x.shape[-1], -1)))[..., 0, :]
     return g
 
 
-def _svd_start(tensor: np.ndarray, balls) -> list:
-    """Deterministic start from leading singular vectors of slot unfoldings."""
+def _svd_start(tensors: np.ndarray, balls) -> list:
+    """Deterministic starts from the leading singular vectors of the slot
+    unfoldings of the stacked tensors, (N, dim) per slot."""
+    n = len(tensors)
     xs = []
     for s, ball in enumerate(balls):
-        axis = s + 1
-        mat = np.moveaxis(tensor, axis, 0).reshape(tensor.shape[axis], -1)
-        u, _, _ = np.linalg.svd(mat, full_matrices=False)
-        x = np.conj(u[:, 0])
-        n = ball.norm(x)
-        xs.append(x / n if n > 0 else x)
+        axis = s + 2
+        mats = np.moveaxis(tensors, axis, 1).reshape(n, tensors.shape[axis], -1)
+        u, _, _ = np.linalg.svd(mats, full_matrices=False)
+        # normed one by one: a single vector's norm keeps its own rounding
+        norms = [(x, ball.norm(x)) for x in np.conj(u[:, :, 0])]
+        xs.append(np.stack([x / size if size > 0 else x for x, size in norms]))
     return xs
 
 
@@ -648,36 +654,56 @@ def estimate_tensor_norm(
     ``claim`` is the limit the caller compares the estimate with, carried
     by the estimate: when the reported upper meets it, only the cheap stage
     of the search runs.  With no claim, the cheap stage ends the estimate
-    once its upper is within its ``factor`` of its lower.
+    once its upper is within its ``factor`` of its lower.  The N = 1 call
+    of ``estimate_tensor_norms``.
     """
-    arity = tensor.ndim - 1
-    if arity < 1:
+    return estimate_tensor_norms(tensor[None], slot_balls, target, restarts, sweeps, [seed], [claim])[0]
+
+
+def estimate_tensor_norms(tensors: np.ndarray, slot_balls, target, restarts: int, sweeps: int, seeds,
+                          claims) -> list[DefectEstimate]:
+    """``estimate_tensor_norm`` of N tensors of one shape, stacked along the
+    leading axis of ``tensors``, each with its own seed and claim.
+
+    The uppers take one stacked SVD per unfolding, and the cheap stages of
+    all N run as one batch, one row per tensor; every product of a row is
+    taken as a one-row product of its own, so each estimate has the bits of
+    its call alone.  An estimate the cheap stage does not end gets its full
+    search alone.
+    """
+    if tensors.ndim < 3:
         raise DomainError("tensor must have at least one input slot")
     factor = _converted(1.0, slot_balls, target)
-    upper = _converted(_unfolding_upper(tensor), slot_balls, target)
-    if restarts == 0 or not tensor.any():
-        # upper-only mode, or a zero tensor (upper 0): no witness search
-        witness = [np.zeros(b.dim, dtype=complex) for b in slot_balls]
-        return DefectEstimate(0.0, upper, witness, 0, seed, claim, factor)
-
-    # a claim decides the estimate; the bracket decides an unclaimed one
-    if claim is None or upper <= claim:
-        cheap = _search(tensor, slot_balls, target, min(restarts, PROVED_RESTARTS), min(sweeps, PROVED_SWEEPS),
-                        seed, upper)
-        cheap.claim, cheap.factor = claim, factor
-        # the witness may lift the reported upper past the claim, or fall
-        # short of the bracket
-        if cheap.proved if claim is not None else cheap.lower * factor >= cheap.upper:
-            return cheap
-    full = _search(tensor, slot_balls, target, restarts, sweeps, seed, upper)
-    full.claim, full.factor = claim, factor
-    return full
+    uppers = [_converted(u, slot_balls, target) for u in _unfolding_uppers(tensors)]
+    found, searched = [None] * len(tensors), []
+    for i, tensor in enumerate(tensors):
+        if restarts > 0 and tensor.any():
+            searched.append(i)
+        else:  # upper-only mode, or a zero tensor (upper 0): no witness search
+            witness = [np.zeros(b.dim, dtype=complex) for b in slot_balls]
+            found[i] = DefectEstimate(0.0, uppers[i], witness, 0, seeds[i], claims[i], factor)
+    # a claim decides an estimate; the bracket decides an unclaimed one
+    staged = [i for i in searched if claims[i] is None or uppers[i] <= claims[i]]
+    if staged:
+        cheap = _cheap_searches(tensors[staged], slot_balls, target, min(sweeps, PROVED_SWEEPS),
+                                [seeds[i] for i in staged], [uppers[i] for i in staged])
+        for i, est in zip(staged, cheap):
+            est.claim, est.factor = claims[i], factor
+            # the witness may lift the reported upper past the claim, or
+            # fall short of the bracket
+            if est.proved if est.claim is not None else est.lower * factor >= est.upper:
+                found[i] = est
+    for i in searched:
+        if found[i] is None:
+            found[i] = _search(tensors[i], slot_balls, target, restarts, sweeps, seeds[i], uppers[i])
+            found[i].claim, found[i].factor = claims[i], factor
+    return found
 
 
 def _search(tensor, slot_balls, target, restarts, sweeps, seed, upper) -> DefectEstimate:
     """The witness search: ``restarts`` restarts of at most ``sweeps``
     sweeps, the winner's value as the lower bound."""
-    starts = [x[None] for x in _svd_start(tensor, slot_balls)]
+    starts = _svd_start(tensor[None], slot_balls)
     if restarts > 1:
         starts = [
             np.concatenate([x, ball.random_points([stream(seed, r, s) for r in range(1, restarts)])])
@@ -685,29 +711,47 @@ def _search(tensor, slot_balls, target, restarts, sweeps, seed, upper) -> Defect
         ]
     # built once per estimate: for arity >= 2 the reshape copies the tensor
     lead = np.moveaxis(tensor, 0, -1).reshape(tensor.shape[1], -1)
-    values, iterates = _sweep(tensor, lead, slot_balls, target, starts, sweeps)
+    values, iterates = _sweep(tensor.reshape(tensor.shape[0], -1), lead, slot_balls, target, starts, sweeps)
     # restarts are ranked in order: a later one wins only by more than TIE_TOL
     best = 0
     for r in range(1, restarts):
         if values[r] > values[best] + TIE_TOL:
             best = r
-    witness = [x[best] for x in iterates]
+    return _witnessed(lead, [x[best] for x in iterates], target, restarts, seed, upper)
+
+
+def _cheap_searches(tensors, slot_balls, target, sweeps, seeds, uppers) -> list:
+    """Restart 0 of the search of each stacked tensor, for at most
+    ``sweeps`` sweeps, all as one batch: row i holds tensor i and its points
+    as (1, dim) arrays, so its products are one-row products."""
+    n = len(tensors)
+    starts = [x[:, None] for x in _svd_start(tensors, slot_balls)]
+    leads = np.moveaxis(tensors, 1, -1).reshape(n, tensors.shape[2], -1)
+    _, iterates = _sweep(tensors.reshape(n, tensors.shape[1], -1), leads, slot_balls, target, starts, sweeps)
+    return [_witnessed(leads[i], [x[i, 0] for x in iterates], target, 1, seeds[i], uppers[i]) for i in range(n)]
+
+
+def _witnessed(lead, witness, target, restarts, seed, upper) -> DefectEstimate:
     # the witness certifies the lower bound; re-evaluate to be safe
     lower = target.norm(_apply_slots(lead, witness))
     return DefectEstimate(float(lower), upper, witness, restarts, seed)
 
 
-def _sweep(tensor, lead, balls, target, xs, sweeps):
-    """Alternating maximization of a batch of restarts, one row each.
+def _sweep(flat, lead, balls, target, xs, sweeps):
+    """Alternating maximization of a batch of rows.
 
-    Returns every row's best value and best iterate.  Within a sweep the
-    slots update in turn (Gauss-Seidel) against the dual functional that the
+    A row is a restart of one tensor (``flat`` and ``lead`` are its
+    matrices, and the points (rows, dim)), or restart 0 of a tensor of its
+    own (both stacked one per row, and the points (rows, 1, dim)).  Returns
+    every row's best value and best iterate.  Within a sweep the slots
+    update in turn (Gauss-Seidel) against the dual functional that the
     previous target evaluation returned with its norm; a row leaves the batch
     at the sweep where its value moves by less than ``SWEEP_TOL``.
     """
-    flat = tensor.reshape(tensor.shape[0], -1)
+    per_row = flat.ndim == 3
     xs = list(xs)
     best_val, dual = target.norm_and_dual(_apply_slots(lead, xs))
+    best_val = best_val.reshape(-1)
     best_xs = [x.copy() for x in xs]
     prev = best_val.copy()
     rows = np.arange(len(prev))
@@ -719,9 +763,10 @@ def _sweep(tensor, lead, balls, target, xs, sweeps):
             if not ball.exact:
                 # inscribed steps are taken only where they do not lose value
                 keep = val >= np.abs(np.sum(g * xs[s], axis=-1))
-                xnew = np.where(keep[:, None], xnew, xs[s])
+                xnew = np.where(keep[..., None], xnew, xs[s])
             xs[s] = xnew
         v, dual = target.norm_and_dual(_apply_slots(lead, xs))
+        v = v.reshape(-1)
         gained = v > best_val[rows]
         best_val[rows[gained]] = v[gained]
         for best, x in zip(best_xs, xs):
@@ -732,5 +777,7 @@ def _sweep(tensor, lead, balls, target, xs, sweeps):
                 break
             rows, v, dual = rows[live], v[live], dual[live]
             xs = [x[live] for x in xs]
+            if per_row:
+                flat, lead = flat[live], lead[live]
         prev = v
     return best_val, best_xs

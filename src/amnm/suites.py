@@ -1,11 +1,15 @@
 """Seeded check instances: exact identities, no-falsification bounds,
 checker batteries, and the Tsirelson block.
 
-Every check is a pure function of (norm mode, seed) returning a CheckResult;
-the suite command and the acceptance tests drive the same functions.  Exact
-identities compare coefficient tensors at 1e-10 of their natural scale.
-A bound check assembles its bound from certified uppers before it
-estimates the left side, whose estimate takes the bound's limit
+Every check is a pure function of (norm mode, seed) returning a CheckResult,
+except the checks with a searched estimate (``SEARCHED_CHECKS`` and
+``check_improving_bounds``): they take (norm mode, seeds) and return the
+results of every seed, each instance drawn and assembled alone and all
+their searched estimates stacked (``multilinear_norms``), which keeps each
+result's bits.  The suite command and the acceptance tests drive the same
+functions.  Exact identities compare coefficient tensors at 1e-10 of their
+natural scale.  A bound check assembles its bound from certified uppers
+before it estimates the left side, whose estimate takes the bound's limit
 (``normest.claim_limit``) as its claim; the row's verdicts are the
 estimate's: ``passed`` (not falsified) when its certified lower meets the
 claim, ``proved`` when its certified upper does.  So a row its upper
@@ -25,7 +29,7 @@ the M_2 twist of ``check_decompose_equality`` builds its seeded map.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -48,6 +52,7 @@ from .multilinear import (
     defect_cochain,
     linear_map_norm,
     multilinear_norm,
+    multilinear_norms,
     restrict_slot,
     unit_killing_perturbation,
 )
@@ -62,7 +67,6 @@ from .perturbation import (
     orthogonal_family_scan,
     small_on_identity,
 )
-from .parallel import run_all
 from .rng import complex_gaussian, stream
 from .stabilizer import (
     NORM_GROWTH,
@@ -383,42 +387,53 @@ def check_decompose_equality(mode: str, seed: int) -> CheckResult:
 # -- no-falsification checks -----------------------------------------------------
 
 
-def check_perturbed_defect(mode: str, seed: int) -> CheckResult:
-    rng = stream(seed, 7)
-    a = _algebra_cycle(mode, seed)
-    psi = random_map(a, a, rng)
-    gamma = random_map(a, a, rng, scale=0.1)
-    theta = LinearMap(a, a, psi.matrix + gamma.matrix)
-    gap = linear_map_norm(theta - psi, restarts=0)
-    if gap.upper > 1.0:
-        shrink = 0.9 / gap.upper
-        gamma = LinearMap(a, a, gamma.matrix * shrink)
+def _bound_rows(check: str, chains, seeds, bounds) -> list[CheckResult]:
+    """The rows of the bounds on the chains' norms: each chain estimated at
+    the suite budget with its seed and its bound's limit as its claim, all
+    in one stacked call (``multilinear_norms``)."""
+    lhs = multilinear_norms(chains, R, SW, seeds, [claim_limit(b) for b in bounds])
+    return [_nofalsify(check, est, b) for est, b in zip(lhs, bounds)]
+
+
+def check_perturbed_defect(mode: str, seeds) -> list[CheckResult]:
+    chains, bounds = [], []
+    for seed in seeds:
+        rng = stream(seed, 7)
+        a = _algebra_cycle(mode, seed)
+        psi = random_map(a, a, rng)
+        gamma = random_map(a, a, rng, scale=0.1)
         theta = LinearMap(a, a, psi.matrix + gamma.matrix)
         gap = linear_map_norm(theta - psi, restarts=0)
-    d_psi = defect(psi, restarts=0)
-    n_psi = linear_map_norm(psi, restarts=0)
-    rhs = d_psi.upper + 2.0 * gap.upper * (1.0 + n_psi.upper)
-    lhs = defect(theta, restarts=R, sweeps=SW, seed=seed + 1, claim=claim_limit(rhs))
-    return _nofalsify("perturbed-defect-bound", lhs, rhs)
+        if gap.upper > 1.0:
+            shrink = 0.9 / gap.upper
+            gamma = LinearMap(a, a, gamma.matrix * shrink)
+            theta = LinearMap(a, a, psi.matrix + gamma.matrix)
+            gap = linear_map_norm(theta - psi, restarts=0)
+        d_psi = defect(psi, restarts=0)
+        n_psi = linear_map_norm(psi, restarts=0)
+        bounds.append(d_psi.upper + 2.0 * gap.upper * (1.0 + n_psi.upper))
+        chains.append(defect_cochain(theta))
+    return _bound_rows("perturbed-defect-bound", chains, [seed + 1 for seed in seeds], bounds)
 
 
-def check_relative_perturbed(mode: str, seed: int) -> CheckResult:
-    rng = stream(seed, 8)
-    a, emb, _ = _scenario(2, mode)
-    phi = random_map(a, a, rng)
-    gamma = random_map(a, a, rng, scale=0.2)
-    combined = LinearMap(a, a, phi.matrix + gamma.matrix)
-    n_phi = linear_map_norm(phi, restarts=0)
-    n_gamma = linear_map_norm(gamma, restarts=0)
-    sides = []
-    for kw in ({"left": emb}, {"right": emb}):
-        base = defect(phi, restarts=0, **kw)
-        rhs = base.upper + (2.0 * n_phi.upper + 1.0) * n_gamma.upper + n_gamma.upper**2
-        lhs = defect(combined, restarts=R, sweeps=SW, seed=seed + 2, claim=claim_limit(rhs), **kw)
-        sides.append(_nofalsify("relative-perturbed-defect-bound", lhs, rhs))
-    left, right = sides
-    # the row reports the left side
-    return replace(left, passed=left.passed and right.passed, proved=left.proved and right.proved)
+def check_relative_perturbed(mode: str, seeds) -> list[CheckResult]:
+    sides = {"left": ([], []), "right": ([], [])}  # the restricted slot: its chains and bounds
+    for seed in seeds:
+        rng = stream(seed, 8)
+        a, emb, _ = _scenario(2, mode)
+        phi = random_map(a, a, rng)
+        gamma = random_map(a, a, rng, scale=0.2)
+        combined = LinearMap(a, a, phi.matrix + gamma.matrix)
+        n_phi = linear_map_norm(phi, restarts=0)
+        n_gamma = linear_map_norm(gamma, restarts=0)
+        for side, (chains, bounds) in sides.items():
+            base = defect(phi, restarts=0, **{side: emb})
+            bounds.append(base.upper + (2.0 * n_phi.upper + 1.0) * n_gamma.upper + n_gamma.upper**2)
+            chains.append(defect_cochain(combined, **{side: emb}))
+    left, right = (_bound_rows("relative-perturbed-defect-bound", chains, [seed + 2 for seed in seeds], bounds)
+                   for chains, bounds in sides.values())
+    # each row reports the left side
+    return [replace(lo, passed=lo.passed and ro.passed, proved=lo.proved and ro.proved) for lo, ro in zip(left, right)]
 
 
 def _sample_points(slots, seed: int, samples: int) -> list[np.ndarray]:
@@ -472,18 +487,19 @@ def check_coboundary_composition(mode: str, seed: int) -> CheckResult:
     return _nofalsify("coboundary-composition-bound", lhs, rhs)
 
 
-def check_averaging_bound(mode: str, seed: int) -> CheckResult:
-    rng = stream(seed, 11)
-    a, emb, _ = _scenario(2, mode)
-    phi = random_map(a, a, rng)
-    psi = Cochain((a, a), a, complex_gaussian(rng, (a.dim, a.dim, a.dim)))
-    rep = random_tensor_rep(emb.sub, rng)
-    avg = average(phi, emb, rep, psi)
-    n_phi = linear_map_norm(phi, restarts=0)
-    res = multilinear_norm(restrict_slot(psi, 0, emb), restarts=0)
-    rhs = rep.proj_bound * n_phi.upper * res.upper
-    lhs = multilinear_norm(avg, R, SW, seed=seed, claim=claim_limit(rhs))
-    return _nofalsify("averaging-operator-bound", lhs, rhs)
+def check_averaging_bound(mode: str, seeds) -> list[CheckResult]:
+    chains, bounds = [], []
+    for seed in seeds:
+        rng = stream(seed, 11)
+        a, emb, _ = _scenario(2, mode)
+        phi = random_map(a, a, rng)
+        psi = Cochain((a, a), a, complex_gaussian(rng, (a.dim, a.dim, a.dim)))
+        rep = random_tensor_rep(emb.sub, rng)
+        chains.append(average(phi, emb, rep, psi))
+        n_phi = linear_map_norm(phi, restarts=0)
+        res = multilinear_norm(restrict_slot(psi, 0, emb), restarts=0)
+        bounds.append(rep.proj_bound * n_phi.upper * res.upper)
+    return _bound_rows("averaging-operator-bound", chains, seeds, bounds)
 
 
 def _left_modular_gap(phi: LinearMap, emb: Embedding, rep: TensorRep, psi: Cochain) -> Cochain:
@@ -500,60 +516,64 @@ def _left_modular_gap(phi: LinearMap, emb: Embedding, rep: TensorRep, psi: Cocha
     return Cochain((d,) + psi.slots[1:], b, term1 - term2)
 
 
-def check_left_modular(mode: str, seed: int) -> CheckResult:
-    rng = stream(seed, 12)
-    a, emb, _ = _scenario(2, mode)
-    d, b = emb.sub, a
-    phi = random_map(a, b, rng)
-    psi = Cochain((a, a), b, complex_gaussian(rng, (b.dim, a.dim, a.dim)))
-    rep = random_tensor_rep(d, rng)
-    gap = _left_modular_gap(phi, emb, rep, psi)
-    ddd = defect(phi, left=emb, right=emb, restarts=0)
-    res = multilinear_norm(restrict_slot(psi, 0, emb), restarts=0)
-    rhs = ddd.upper * rep.proj_bound * res.upper
-    lhs = multilinear_norm(gap, R, SW, seed=seed, claim=claim_limit(rhs))
-    return _nofalsify("left-modular-bound", lhs, rhs)
+def check_left_modular(mode: str, seeds) -> list[CheckResult]:
+    chains, bounds = [], []
+    for seed in seeds:
+        rng = stream(seed, 12)
+        a, emb, _ = _scenario(2, mode)
+        d, b = emb.sub, a
+        phi = random_map(a, b, rng)
+        psi = Cochain((a, a), b, complex_gaussian(rng, (b.dim, a.dim, a.dim)))
+        rep = random_tensor_rep(d, rng)
+        chains.append(_left_modular_gap(phi, emb, rep, psi))
+        ddd = defect(phi, left=emb, right=emb, restarts=0)
+        res = multilinear_norm(restrict_slot(psi, 0, emb), restarts=0)
+        bounds.append(ddd.upper * rep.proj_bound * res.upper)
+    return _bound_rows("left-modular-bound", chains, seeds, bounds)
 
 
-def check_splitting_v2(mode: str, seed: int) -> CheckResult:
+def check_splitting_v2(mode: str, seeds) -> list[CheckResult]:
     """Homotopy defect of the splitting operators against 2K defDD."""
-    rng = stream(seed, 13)
-    a, emb, cert = _scenario(2, mode)
-    gamma = unit_killing_perturbation(a, rng, 0.05)
-    phi = LinearMap(a, a, np.eye(a.dim) + gamma)
-    psi = Cochain((a, a), a, complex_gaussian(rng, (a.dim, a.dim, a.dim)))
-    s1 = split(phi, emb, cert, psi)
-    inner = coboundary(phi, s1).tensor + split(phi, emb, cert, coboundary(phi, psi)).tensor - psi.tensor
-    gap = restrict_slot(Cochain((a, a), a, inner), 0, emb)
-    ddd = defect(phi, left=emb, right=emb, restarts=0)
-    res = multilinear_norm(restrict_slot(psi, 0, emb), restarts=0)
-    rhs = 2.0 * cert.K * ddd.upper * res.upper
-    lhs = multilinear_norm(gap, R, SW, seed=seed, claim=claim_limit(rhs))
-    return _nofalsify("splitting-homotopy-bound", lhs, rhs)
+    chains, bounds = [], []
+    for seed in seeds:
+        rng = stream(seed, 13)
+        a, emb, cert = _scenario(2, mode)
+        gamma = unit_killing_perturbation(a, rng, 0.05)
+        phi = LinearMap(a, a, np.eye(a.dim) + gamma)
+        psi = Cochain((a, a), a, complex_gaussian(rng, (a.dim, a.dim, a.dim)))
+        s1 = split(phi, emb, cert, psi)
+        inner = coboundary(phi, s1).tensor + split(phi, emb, cert, coboundary(phi, psi)).tensor - psi.tensor
+        chains.append(restrict_slot(Cochain((a, a), a, inner), 0, emb))
+        ddd = defect(phi, left=emb, right=emb, restarts=0)
+        res = multilinear_norm(restrict_slot(psi, 0, emb), restarts=0)
+        bounds.append(2.0 * cert.K * ddd.upper * res.upper)
+    return _bound_rows("splitting-homotopy-bound", chains, seeds, bounds)
 
 
-def check_improving_bounds(mode: str, seed: int) -> list[CheckResult]:
-    """One improving step on a seeded M_2 instance: step <= K ||phi|| defDA,
-    new defDA <= 3 K^2 ||phi||^2 defDD defDA, and the unit value is kept."""
-    rng = stream(seed, 14)
-    a, emb, cert = _scenario(2, mode)
-    gamma = unit_killing_perturbation(a, rng, 1e-3)
-    phi = LinearMap(a, a, np.eye(a.dim) + gamma)
-    improved = improve(phi, emb, cert)
-    # the bounds read only the uppers of the input's estimates
-    norm_phi = linear_map_norm(phi, restarts=0)
-    dda_in = defect(phi, left=emb, restarts=0)
-    ddd_in = defect(phi, left=emb, right=emb, restarts=0)
-    step_bound = cert.K * norm_phi.upper * dda_in.upper
-    defect_bound = 3.0 * cert.K**2 * norm_phi.upper**2 * ddd_in.upper * dda_in.upper
-    step = linear_map_norm(improved - phi, R, SW, seed=seed, claim=claim_limit(step_bound))
-    dda_out = defect(improved, left=emb, restarts=R, sweeps=SW, seed=seed + 4, claim=claim_limit(defect_bound))
-    unit_resid = _maxabs(improved.apply(emb.unit_in_parent()) - a.unit_coords)
-    return [
-        _nofalsify("improvement-step-bound", step, step_bound),
-        _nofalsify("improvement-defect-bound", dda_out, defect_bound),
-        _exact("improvement-preserves-unit", unit_resid, max(1.0, _maxabs(phi.matrix) ** 2)),
-    ]
+def check_improving_bounds(mode: str, seeds) -> list[list[CheckResult]]:
+    """One improving step on each seeded M_2 instance: step <= K ||phi||
+    defDA, new defDA <= 3 K^2 ||phi||^2 defDD defDA, and the unit value is
+    kept; three rows per seed."""
+    steps, step_bounds, defects, defect_bounds, units = [], [], [], [], []
+    for seed in seeds:
+        rng = stream(seed, 14)
+        a, emb, cert = _scenario(2, mode)
+        gamma = unit_killing_perturbation(a, rng, 1e-3)
+        phi = LinearMap(a, a, np.eye(a.dim) + gamma)
+        improved = improve(phi, emb, cert)
+        # the bounds read only the uppers of the input's estimates
+        norm_phi = linear_map_norm(phi, restarts=0)
+        dda_in = defect(phi, left=emb, restarts=0)
+        ddd_in = defect(phi, left=emb, right=emb, restarts=0)
+        step_bounds.append(cert.K * norm_phi.upper * dda_in.upper)
+        defect_bounds.append(3.0 * cert.K**2 * norm_phi.upper**2 * ddd_in.upper * dda_in.upper)
+        steps.append(Cochain((a,), a, (improved - phi).matrix))
+        defects.append(defect_cochain(improved, left=emb))
+        unit_resid = _maxabs(improved.apply(emb.unit_in_parent()) - a.unit_coords)
+        units.append(_exact("improvement-preserves-unit", unit_resid, max(1.0, _maxabs(phi.matrix) ** 2)))
+    step_rows = _bound_rows("improvement-step-bound", steps, seeds, step_bounds)
+    defect_rows = _bound_rows("improvement-defect-bound", defects, [seed + 4 for seed in seeds], defect_bounds)
+    return [list(rows) for rows in zip(step_rows, defect_rows, units)]
 
 
 def run_stabilize_checks(mode: str, seed: int, gamma_norm: float = 1e-3,
@@ -823,55 +843,53 @@ def tsirelson_battery(seed: int) -> list[CheckResult]:
 # -- suite assembly ----------------------------------------------------------------
 
 
+EXACT_CHECKS = (
+    check_two_cocycle, check_linearization, check_unitize_tensors,
+    check_splitting_v1, check_average_unit_vanish, check_preserved_by_improvement,
+    check_diagonal_residuals, check_decompose_equality,
+)
+# the no-falsification checks with a searched estimate, over all seeds at once
+# (``check_improving_bounds`` too, with three rows per seed)
+SEARCHED_CHECKS = (
+    check_perturbed_defect, check_relative_perturbed, check_averaging_bound, check_left_modular, check_splitting_v2,
+)
+
+
 def suite_rows(cfg) -> list[dict]:
     """Every row of the suite for a run configuration, sorted by id.
 
-    The rows come in independent blocks, costliest kinds first: one per
-    instance, per stabilize run and per checker seed, then the dichotomy
-    grid with the Tsirelson battery; ``run_all`` spreads them over the CPUs.
+    Instance i of each block has its own seed: ``cfg.seed + i`` for the
+    exact identities, plus 3000 for the no-falsification checks, 6000 for
+    the stabilize runs and 9000 for the checker batteries.  Each check with
+    a searched estimate runs once over all instances, its estimates stacked.
     """
     mode = cfg.norm_mode
     n = cfg.instances
-    exact_checks = [
-        check_two_cocycle, check_linearization, check_unitize_tensors,
-        check_splitting_v1, check_average_unit_vanish, check_preserved_by_improvement,
-        check_diagonal_residuals, check_decompose_equality,
-    ]
-    nofalsify_checks = [
-        check_perturbed_defect, check_relative_perturbed, check_coboundary_composition,
-        check_averaging_bound, check_left_modular, check_splitting_v2,
-    ]
     stabilize_config = replace(cfg.stabilize, restarts=min(cfg.stabilize.restarts, 16),
                                sweeps=min(cfg.stabilize.sweeps, 120))
-
-    def instance_rows(i: int) -> list[dict]:
+    rows = []
+    for i in range(n):
         seed = cfg.seed + i
-        rows = [fn(mode, seed).row(f"exact-{i:04d}-{fn.__name__}", seed) for fn in exact_checks]
+        rows += [fn(mode, seed).row(f"exact-{i:04d}-{fn.__name__}", seed) for fn in EXACT_CHECKS]
         seed = cfg.seed + 3000 + i
-        rows += [fn(mode, seed).row(f"nofalsify-{i:04d}-{fn.__name__}", seed) for fn in nofalsify_checks]
-        return rows + [r.row(f"nofalsify-{i:04d}-improving-{j}", seed)
-                       for j, r in enumerate(check_improving_bounds(mode, seed))]
-
-    def stabilize_rows(i: int) -> list[dict]:
+        rows.append(check_coboundary_composition(mode, seed).row(
+            f"nofalsify-{i:04d}-check_coboundary_composition", seed))
+    seeds = [cfg.seed + 3000 + i for i in range(n)]
+    for fn in SEARCHED_CHECKS:
+        results = fn(mode, seeds)
+        rows += [r.row(f"nofalsify-{i:04d}-{fn.__name__}", seed) for i, (seed, r) in enumerate(zip(seeds, results))]
+    for i, (seed, results) in enumerate(zip(seeds, check_improving_bounds(mode, seeds))):
+        rows += [r.row(f"nofalsify-{i:04d}-improving-{j}", seed) for j, r in enumerate(results)]
+    for i in range(max(1, n // 4)):
         seed = cfg.seed + 6000 + i
         checks = run_stabilize_checks(mode, seed, cfg.gamma_norm, stabilize_config)
-        return [r.row(f"stabilize-{i:04d}-{j:02d}", seed) for j, r in enumerate(checks)]
-
-    def checker_rows(i: int) -> list[dict]:
+        rows += [r.row(f"stabilize-{i:04d}-{j:02d}", seed) for j, r in enumerate(checks)]
+    for i in range(max(1, n // 2)):
         seed = cfg.seed + 9000 + i
-        rows = [r.row(f"checkers-{i:04d}-{j:02d}", seed)
-                for j, r in enumerate(checker_valid_battery(seed))]
-        return rows + [r.row(f"refusals-{i:04d}-{j:02d}", seed)
-                       for j, r in enumerate(checker_refusal_battery(seed))]
-
-    def tail_rows() -> list[dict]:
-        return [dichotomy_grid_check().row("dichotomy-grid-0000", cfg.seed)] + [
-            r.row(f"tsirelson-0000-{j:02d}", cfg.seed) for j, r in enumerate(tsirelson_battery(cfg.seed))]
-
-    blocks = [partial(instance_rows, i) for i in range(n)]
-    blocks += [partial(stabilize_rows, i) for i in range(max(1, n // 4))]
-    blocks += [partial(checker_rows, i) for i in range(max(1, n // 2))]
-    blocks.append(tail_rows)
-    rows = [row for block in run_all(blocks) for row in block]
+        rows += [r.row(f"checkers-{i:04d}-{j:02d}", seed) for j, r in enumerate(checker_valid_battery(seed))]
+        rows += [r.row(f"refusals-{i:04d}-{j:02d}", seed) for j, r in enumerate(checker_refusal_battery(seed))]
+    rows.append(dichotomy_grid_check().row("dichotomy-grid-0000", cfg.seed))
+    rows += [r.row(f"tsirelson-0000-{j:02d}", cfg.seed) for j, r in enumerate(tsirelson_battery(cfg.seed))]
     rows.sort(key=lambda r: r["id"])
     return rows
+

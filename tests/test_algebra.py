@@ -104,6 +104,32 @@ def test_unitization_submultiplicative_sampled():
         assert lhs <= u.element_norm(a) * u.element_norm(b) * (1 + 1e-9) + 1e-12
 
 
+def test_a_unitization_is_exactly_its_base_with_the_unit_adjoined():
+    m2 = build_full_matrix_algebra(2)
+    u = unitize(m2)
+    again = Algebra(u.structure, u.unit_coords, "unitization-composite", None, base=m2)
+    assert np.array_equal(again.structure, u.structure)
+    # a base block moved by one ulp, a unit row or a base product with a
+    # unit component: each is refused, though the unit laws still hold
+    for index in ((1, 1, 1), (0, 1, 2), (1, 2, 0)):
+        structure = u.structure.copy()
+        structure[index] = np.nextafter(structure[index].real, 2.0)
+        with pytest.raises(ConfigError, match="not the unitization of its base"):
+            Algebra(structure, u.unit_coords, "unitization-composite", None, base=m2)
+
+
+def test_unitization_of_m6_peaks_under_8_mib():
+    m6 = build_full_matrix_algebra(6)
+    u = unitize(m6)
+    tracemalloc.start()
+    try:
+        Algebra(u.structure, u.unit_coords, "unitization-composite", None, base=m6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_direct_sum_structure():
     m2 = build_full_matrix_algebra(2)
     c2 = build_commutative_algebra(2)

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from amnm import cli
 from amnm.cli import RunConfig, generate_instance, load_config, main
 from amnm.errors import ConfigError
+from amnm.normest import FalsificationGuard
 from amnm.stabilizer import L_CAP, StabilizeConfig
 from amnm.tsirelson import clone_family_closed_form
 
@@ -128,6 +130,20 @@ def test_stabilize_precondition_exit_one(tmp_path):
     proc = run_cli(["stabilize", "--config", str(cfg), "--out", str(tmp_path / "px")])
     assert proc.returncode == 1
     assert "precondition" in proc.stderr
+
+
+def test_a_falsified_estimate_exits_one_with_the_first_failure(monkeypatch, tmp_path):
+    # every defect estimate raises, so the first one made is the one reported
+    def guarded(*args, seed, **kwargs):
+        raise FalsificationGuard(float(seed), 0.0)
+
+    monkeypatch.setattr(cli, "defect", guarded)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["defect", "--seed", "40", "--out", str(tmp_path / "out")])
+    # "def" is the first defect estimate, seeded with slot 1 of seed 40
+    first = float((40 << 8) + 1)
+    assert (code, err.getvalue()) == (1, f"falsified: certified lower {first} exceeds certified upper 0.0\n")
 
 
 # The refusals of the default scenario at seed 3: the combined constant

@@ -10,7 +10,7 @@ from amnm.algebra import (
 )
 from amnm.errors import DomainError, FalsificationError
 from amnm.multilinear import Cochain, DefectEstimate, LinearMap, defect, linear_map_norm, multilinear_norm
-from amnm import normest
+from amnm import normest, suites
 from amnm.normest import (
     PROVED_SWEEPS,
     SWEEP_TOL,
@@ -21,7 +21,7 @@ from amnm.normest import (
     FalsificationGuard,
     SpectralBall,
     _svd_start,
-    _unfolding_upper,
+    _unfolding_uppers,
     estimate_tensor_norm,
 )
 from amnm.rng import complex_gaussian, stream
@@ -335,7 +335,7 @@ def reference_estimate(tensor, balls, target, restarts, sweeps, seed):
     iterates, best, best_val = [], None, -1.0
     for r in range(restarts):
         if r == 0:
-            xs = _svd_start(tensor, balls)
+            xs = [x[0] for x in _svd_start(tensor[None], balls)]
         else:
             xs = [balls[s].random_points([stream(seed, r, s)])[0] for s in range(len(balls))]
         val, xs = _sweep(tensor, balls, target, xs, sweeps)
@@ -405,6 +405,28 @@ def _same_estimate(x, y) -> bool:
 
 @pytest.mark.parametrize("arity", [1, 2])
 @pytest.mark.parametrize("name", list(_ball_cases()))
+def test_stacked_estimates_equal_their_single_calls(name, arity):
+    algebra = _ball_cases()[name]
+    target = algebra.unit_ball
+    balls = [target] * arity
+    tensors = np.stack([complex_gaussian(stream(48 + i, arity), (algebra.dim,) * (arity + 1)) for i in range(3)])
+    uppers = [estimate_tensor_norm(t, balls, target, restarts=0).upper for t in tensors]
+    # a claim its upper proves, no claim, and a claim below the upper, which
+    # leaves the estimate to the full search
+    seeds, claims = [5, 6, 7], [2.0 * uppers[0], None, 0.5 * uppers[2]]
+    stacked = normest.estimate_tensor_norms(tensors, balls, target, 8, 60, seeds, claims)
+    for tensor, seed, claim, est in zip(tensors, seeds, claims, stacked):
+        alone = estimate_tensor_norm(tensor, balls, target, restarts=8, sweeps=60, seed=seed, claim=claim)
+        assert _same_estimate(est, alone)
+        assert (est.claim, est.factor) == (alone.claim, alone.factor)
+        if claim is not None:
+            assert (est.passed, est.proved) == (alone.passed, alone.proved)
+    assert stacked[0].proved and stacked[0].restarts_used == 1
+    assert not stacked[2].proved and stacked[2].restarts_used == 8
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("name", list(_ball_cases()))
 def test_a_met_claim_runs_restart_zero_for_a_few_sweeps(name, arity):
     algebra = _ball_cases()[name]
     target = algebra.unit_ball
@@ -442,8 +464,8 @@ def test_a_witness_that_lifts_the_upper_past_the_claim_gets_the_full_search(monk
     rng = stream(45, 0)
     tensor = np.einsum("t,i,j->tij", complex_gaussian(rng, 4), complex_gaussian(rng, 3), complex_gaussian(rng, 3))
     balls, target = [a.unit_ball, a.unit_ball], b.unit_ball
-    monkeypatch.setattr(normest, "_unfolding_upper", lambda t: _unfolding_upper(t) * (1 - 1e-10))
-    raw = normest._unfolding_upper(tensor)
+    monkeypatch.setattr(normest, "_unfolding_uppers", lambda t: [u * (1 - 1e-10) for u in _unfolding_uppers(t)])
+    raw = normest._unfolding_uppers(tensor[None])[0]
     full = _full_search(tensor, balls, target, 4, 60, 7)
     assert full.lower > raw and full.upper == full.lower
     est = estimate_tensor_norm(tensor, balls, target, restarts=4, sweeps=60, seed=7, claim=raw)
@@ -520,7 +542,7 @@ def test_the_factor_is_the_conversion_of_the_unfolding_bound():
     est = estimate_tensor_norm(tensor, balls, target, restarts=2, sweeps=10, seed=1)
     factor = target.target_factor() * c3.unit_ball.coords_factor() * m2.unit_ball.coords_factor()
     assert est.factor == factor
-    assert est.upper == pytest.approx(_unfolding_upper(tensor) * factor, rel=1e-15)
+    assert est.upper == pytest.approx(_unfolding_uppers(tensor[None])[0] * factor, rel=1e-15)
     # every return path carries it
     assert estimate_tensor_norm(tensor, balls, target, restarts=0).factor == factor
     assert estimate_tensor_norm(0 * tensor, balls, target).factor == factor
@@ -582,6 +604,27 @@ def test_svd_calls_do_not_scale_with_restarts(monkeypatch):
         calls.clear()
         defect(phi, restarts=restarts, sweeps=sweeps, seed=1)
         assert len(calls) <= (slots + 1) * sweeps + 16, (restarts, len(calls))
+
+
+@pytest.mark.parametrize("mode", ["spectral", "frobenius"])
+def test_sweeps_of_the_stacked_suite_checks_do_not_scale_with_instances(monkeypatch, mode):
+    # each check sweeps once per stack (per algebra), however many instances
+    # it holds: at the suite's seeds every estimate ends at the cheap stage
+    sweep, calls = normest._sweep, []
+
+    def counting_sweep(*args):
+        calls.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(normest, "_sweep", counting_sweep)
+    counts = []
+    for n in (4, 16):
+        calls.clear()
+        seeds = [3000 + i for i in range(n)]
+        for fn in suites.SEARCHED_CHECKS + (suites.check_improving_bounds,):
+            fn(mode, seeds)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0, counts
 
 
 def test_m2_spectral_steps_make_no_svd_per_sweep(monkeypatch):

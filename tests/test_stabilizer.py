@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from amnm import multilinear, normest, parallel, stabilizer, suites
+from amnm import multilinear, normest, stabilizer, suites
 from amnm.cli import RunConfig, generate_instance, main
 from amnm.algebra import (
     Algebra,
@@ -111,7 +111,7 @@ def test_improve_preserves_right_modularity_exactly():
 @pytest.mark.parametrize("mode", ["spectral", "frobenius"])
 @pytest.mark.parametrize("seed", [7, 54, 611])
 def test_improving_bounds_hold(mode, seed):
-    rows = check_improving_bounds(mode, seed)
+    (rows,) = check_improving_bounds(mode, [seed])
     assert [r.check for r in rows] == [
         "improvement-step-bound", "improvement-defect-bound", "improvement-preserves-unit",
     ]
@@ -511,23 +511,32 @@ def test_right_modular_null_space_is_cached_bit_for_bit(mode):
 def _spy_estimates(monkeypatch) -> list:
     """Record every estimate made through ``multilinear``: its claim, budget,
     result and the witness searches it ran, each as its budget, the upper it
-    was given and its result."""
+    was given and its result.  The estimates of one stacked call have
+    distinct seeds, which match them with their searches."""
     records, searches = [], []
-    search, estimate = normest._search, normest.estimate_tensor_norm
+    search, cheap, estimate = normest._search, normest._cheap_searches, normest.estimate_tensor_norms
 
     def spy_search(tensor, balls, target, restarts, sweeps, seed, upper):
         found = search(tensor, balls, target, restarts, sweeps, seed, upper)
         searches.append(((restarts, sweeps), upper, found))
         return found
 
-    def spy_estimate(tensor, balls, target, restarts=32, sweeps=200, seed=0, claim=None):
+    def spy_cheap(tensors, balls, target, sweeps, seeds, uppers):
+        found = cheap(tensors, balls, target, sweeps, seeds, uppers)
+        searches.extend(((1, sweeps), upper, est) for upper, est in zip(uppers, found))
+        return found
+
+    def spy_estimate(tensors, balls, target, restarts, sweeps, seeds, claims):
+        assert len(set(seeds)) == len(seeds)
         start = len(searches)
-        est = estimate(tensor, balls, target, restarts, sweeps, seed, claim)
-        records.append((claim, restarts, sweeps, est, searches[start:]))
-        return est
+        found = estimate(tensors, balls, target, restarts, sweeps, seeds, claims)
+        for claim, seed, est in zip(claims, seeds, found):
+            records.append((claim, restarts, sweeps, est, [s for s in searches[start:] if s[2].seed == seed]))
+        return found
 
     monkeypatch.setattr(normest, "_search", spy_search)
-    monkeypatch.setattr(multilinear, "estimate_tensor_norm", spy_estimate)
+    monkeypatch.setattr(normest, "_cheap_searches", spy_cheap)
+    monkeypatch.setattr(multilinear, "estimate_tensor_norms", spy_estimate)
     return records
 
 
@@ -563,7 +572,7 @@ def test_suite_rows_are_proved_exactly_when_their_uppers_decide_them(monkeypatch
     proved = 0
     for fn in checks + [suites.check_improving_bounds]:
         del records[:]
-        rows = fn(mode, seed)
+        rows = fn(mode, seed) if fn is suites.check_coboundary_composition else fn(mode, [seed])[0]
         rows = rows if isinstance(rows, list) else [rows]
         _assert_budgets(records)
         claimed = [(claim, est) for claim, _, _, est, _ in records if claim is not None]
@@ -618,7 +627,7 @@ def test_unit_row_carries_the_residual_it_checked(monkeypatch):
     a, emb, cert = _scenario(2, "spectral")
     phi = LinearMap(a, a, np.eye(4) + unit_killing_perturbation(a, stream(7, 14), 1e-3))
     bound = suites.EXACT_TOL * max(1.0, np.abs(phi.matrix).max() ** 2)
-    unit = check_improving_bounds("spectral", 7)[2]
+    unit = check_improving_bounds("spectral", [7])[0][2]
     assert unit.check == "improvement-preserves-unit" and unit.passed
     assert unit.rhs_lo == unit.rhs_hi == bound
     assert unit.lhs_lo == unit.lhs_hi == np.abs(improve(phi, emb, cert).apply(emb.unit_in_parent()) - a.unit_coords).max()
@@ -627,7 +636,7 @@ def test_unit_row_carries_the_residual_it_checked(monkeypatch):
     shift[0, 0] = 1e-6
     moved = LinearMap(a, a, improve(phi, emb, cert).matrix + shift)
     monkeypatch.setattr(suites, "improve", lambda *args: moved)
-    row = check_improving_bounds("spectral", 7)[2]
+    row = check_improving_bounds("spectral", [7])[0][2]
     assert row.lhs_lo == row.lhs_hi == np.abs(moved.apply(emb.unit_in_parent()) - a.unit_coords).max() > bound
     assert not row.passed and not row.proved
 
@@ -656,18 +665,17 @@ def test_a_row_passed_by_its_lower_alone_is_not_proved(monkeypatch):
     assert row.passed and not row.proved
     # the relative row is proved only when both of its sides are: widen
     # the right side's upper far past its bound
-    defect_ = suites.defect
+    norms, sub = suites.multilinear_norms, _scenario(2, "spectral")[1].sub
 
-    def widened(phi, left=None, right=None, restarts=0, sweeps=60, seed=0, claim=None):
-        est = defect_(phi, left=left, right=right, restarts=restarts, sweeps=sweeps, seed=seed, claim=claim)
-        if right is not None and restarts:
-            return normest.DefectEstimate(est.lower, 1e6 * est.upper, est.witness, est.restarts_used, est.seed,
-                                          est.claim)
-        return est
+    def widened(chains, restarts, sweeps, seeds, claims):
+        found = norms(chains, restarts, sweeps, seeds, claims)
+        return [normest.DefectEstimate(est.lower, 1e6 * est.upper, est.witness, est.restarts_used, est.seed,
+                                       est.claim) if chain.slots[1] is sub else est
+                for chain, est in zip(chains, found)]
 
-    assert suites.check_relative_perturbed("spectral", 3005).proved
-    monkeypatch.setattr(suites, "defect", widened)
-    row = suites.check_relative_perturbed("spectral", 3005)
+    assert suites.check_relative_perturbed("spectral", [3005])[0].proved
+    monkeypatch.setattr(suites, "multilinear_norms", widened)
+    (row,) = suites.check_relative_perturbed("spectral", [3005])
     assert row.passed and not row.proved
 
 
@@ -675,21 +683,19 @@ def test_a_row_passed_by_its_lower_alone_is_not_proved(monkeypatch):
 
 
 def _claimed_estimates(monkeypatch) -> list:
-    """Every estimate made through ``multilinear_norm`` (also as the
-    suite's import) with a claim, in order; suite blocks run in this
-    process."""
+    """Every estimate made through the stacked ``multilinear_norms`` (also
+    as the suite's import, and as the N = 1 call ``multilinear_norm``)
+    with a claim, in order."""
     claimed = []
-    norm = multilinear.multilinear_norm
+    norms = multilinear.multilinear_norms
 
     def spy(*args, **kwargs):
-        est = norm(*args, **kwargs)
-        if est.claim is not None:
-            claimed.append(est)
-        return est
+        found = norms(*args, **kwargs)
+        claimed.extend(est for est in found if est.claim is not None)
+        return found
 
-    monkeypatch.setattr(multilinear, "multilinear_norm", spy)
-    monkeypatch.setattr(suites, "multilinear_norm", spy)
-    monkeypatch.setattr(parallel, "_cpus", lambda: 1)
+    monkeypatch.setattr(multilinear, "multilinear_norms", spy)
+    monkeypatch.setattr(suites, "multilinear_norms", spy)
     return claimed
 
 

@@ -9,6 +9,7 @@ from amnm.algebra import build_commutative_algebra, build_full_matrix_algebra, d
 from amnm.cli import RunConfig
 from amnm.diagonal import TensorRep, _scenario, average
 from amnm.errors import DomainError
+from amnm.jsonio import dumps
 from amnm.multilinear import Cochain, LinearMap, coboundary, defect_cochain, multilinear_norm, restrict_slot
 from amnm.normest import DefectEstimate
 from amnm.rng import complex_gaussian, stream
@@ -250,6 +251,17 @@ def test_seeded_suite_rows_are_all_passed_and_proved(mode, seed):
     rows = suites.suite_rows(RunConfig(command="suite", seed=seed, norm_mode=mode, instances=10))
     assert len(rows) == 268
     assert [r["id"] for r in rows if not (r["passed"] and r["proved"])] == []
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_an_instances_rows_do_not_depend_on_how_many_instances_run(mode):
+    # the searched estimates of all instances are stacked, yet each row keeps
+    # the bytes it has in a smaller suite
+    few = suites.suite_rows(RunConfig(command="suite", seed=611, norm_mode=mode, instances=3))
+    many = {r["id"]: r for r in suites.suite_rows(RunConfig(command="suite", seed=611, norm_mode=mode, instances=10))}
+    assert {r["id"].split("-")[1] for r in few if r["id"].startswith("nofalsify")} == {"0000", "0001", "0002"}
+    for row in few:
+        assert dumps(row) == dumps(many[row["id"]])
 
 
 def _random_tensor_rep_per_leg(d, rng, pairs=2):
