@@ -161,6 +161,10 @@ class FalsificationGuard(FalsificationError):
         super().__init__(f"certified lower {lower} exceeds certified upper {upper}")
         self.lower, self.upper = lower, upper
 
+    def __reduce__(self):
+        # pickle re-creates an exception from its args, here only the message
+        return type(self), (self.lower, self.upper)
+
 
 # -- unit balls ----------------------------------------------------------------
 #
