@@ -5,10 +5,12 @@ what moved between them.
 
 The seed set is ``stabilize`` and ``defect`` at ``dims.matrix`` 2-4 and
 seeds 3, 4, 6, ``suite`` with 10 instances at seeds 5, 9, 611 (each in
-both norm modes), ``tsirelson`` on two vectors and ``clones``.  Each run is
-a fresh ``python -m amnm.cli`` process on the tree's ``src``.  The child is
-the tree holding this script; a parent that is not a directory is read as
-a git revision of its repository and checked out in a temporary worktree.
+both norm modes), ``tsirelson`` on two vectors, and ``clones`` with two
+words at horizon 20 and with eight words at the horizon cap 1024.  Each run
+is a fresh ``python -m amnm.cli`` process on the tree's ``src``.  The child
+is the tree holding this script; a parent that is not a directory is read
+as a git revision of its repository and checked out in a temporary
+worktree.
 
 The table gives, per command and report field (list positions folded into
 ``[]``), the count of floats that moved and the largest absolute and
@@ -65,6 +67,8 @@ def seed_set() -> list[Run]:
     runs.append(Run("tsirelson-a", ("tsirelson", "--vector", "[0,1,1,1]", "--schreier", "[3,4,5]")))
     runs.append(Run("tsirelson-b", ("tsirelson", "--vector", "[3,-1.5,0,2,0.25,1,0,0,4,-2]")))
     runs.append(Run("clones", ("clones", "--word", "0110", "--word", "1011", "--n", "12", "--horizon", "20")))
+    words = ("0110", "1011", "0001", "1111", "0101", "1100", "0011", "1000")
+    runs.append(Run("clones-cap", ("clones", *(f"--word={w}" for w in words), "--n", "12", "--horizon", "1024")))
     return runs
 
 

@@ -313,7 +313,7 @@ def cmd_tsirelson(args: argparse.Namespace) -> int:
 
 
 def cmd_clones(args: argparse.Namespace) -> int:
-    from .tsirelson import clone_family, clone_system_verify, intersection_size, interval_schreier_report
+    from .tsirelson import CloneFamily, clone_system_verify, intersection_size, interval_schreier_report
 
     words = args.word or []
     if not words:
@@ -321,14 +321,15 @@ def cmd_clones(args: argparse.Namespace) -> int:
     n, horizon = args.n, args.horizon
     if n < 1 or horizon < 1:
         raise ConfigError("--n and --horizon must be positive")
-    # the projection check holds a dense horizon x horizon matrix per word,
-    # and a family holds n integers of up to n bits
+    # the projection check holds a 0/1 diagonal of horizon entries per word
+    # and multiplies two per pair of words, and a family holds n integers of
+    # up to n bits
     if n > CLONES_MAX_N or horizon > CLONES_MAX_HORIZON:
         raise ConfigError(f"--n is capped at {CLONES_MAX_N} and --horizon at {CLONES_MAX_HORIZON}")
     if not 0 <= args.seed < SEED_LIMIT:
         raise ConfigError("--seed must lie in [0, 2**48)")
     out = _ensure_out(args.out) if args.out else None
-    families = [clone_family(w, n) for w in words]
+    families = [CloneFamily(w, n) for w in words]
     fam_docs = []
     for w, fam in zip(words, families):
         gaps = interval_schreier_report(fam, horizon)
@@ -403,7 +404,7 @@ def main(argv=None) -> int:
         if args.command == "defect":
             return cmd_defect(cfg)
         return cmd_suite(cfg)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:
@@ -412,9 +413,6 @@ def main(argv=None) -> int:
     except FalsificationError as exc:
         print(f"falsified: {exc}", file=sys.stderr)
         return 1
-    except DomainError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         if exc.filename is None:
             raise

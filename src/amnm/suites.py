@@ -79,9 +79,9 @@ from .stabilizer import (
     unitize_map,
 )
 from .tsirelson import (
+    CloneFamily,
     TsirelsonVector,
     basis_vector,
-    clone_family,
     clone_family_closed_form,
     intersection_size,
     interval_schreier_report,
@@ -648,10 +648,8 @@ def checker_valid_battery(seed: int) -> list[CheckResult]:
         delta_small = defect(small, restarts=0).upper * 1.5 + 1e-12
 
     def dichotomy_small():
-        if delta_small * p.norm() ** 2 <= 2.0 / 9.0:
-            verdict = norm_dichotomy_check(small, p, delta_small)
-            return verdict.branch == "small", verdict.value, verdict.threshold_small
-        return False, delta_small, 2 / 9
+        verdict = norm_dichotomy_check(small, p, delta_small)
+        return verdict.branch == "small", verdict.value, verdict.threshold_small
 
     results.append(_guarded("dichotomy-small-branch", dichotomy_small))
 
@@ -820,7 +818,7 @@ def tsirelson_battery(seed: int) -> list[CheckResult]:
     results.append(CheckResult("schreier-inequality", bad <= 1e-12, bad, bad, 1e-12, 1e-12))
 
     word_bits = [int(b) for b in rng.integers(0, 2, size=10)]
-    fam = clone_family(word_bits, 10)
+    fam = CloneFamily(word_bits, 10)
     closed = all(clone_family_closed_form(word_bits, n) == fam.terms[n - 1] for n in range(1, 11))
     try:
         interval_schreier_report(fam, 64)

@@ -26,9 +26,10 @@ interval mechanism behind it rather than computing isomorphism distances.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -153,7 +154,6 @@ def tsirelson_norm_levels(x: TsirelsonVector, support_cap: int = SUPPORT_CAP) ->
 class SchreierCert:
     indices: tuple[int, ...]
     schreier: bool
-    sigma_bound: float | None
 
 
 def schreier_check(J) -> SchreierCert:
@@ -168,8 +168,7 @@ def schreier_check(J) -> SchreierCert:
         raise DomainError("indices must be >= 1")
     if len(set(indices)) < len(indices):
         raise DomainError("indices must be distinct")
-    flag = bool(indices) and len(indices) <= indices[0]
-    return SchreierCert(indices, flag, 2.0 if flag else None)
+    return SchreierCert(indices, bool(indices) and len(indices) <= indices[0])
 
 
 @dataclass
@@ -179,8 +178,8 @@ class SchreierInequalityCert:
     ok: bool
 
 
-def schreier_inequality(x: TsirelsonVector, J, tol: float = 1e-12) -> SchreierInequalityCert:
-    """||x|| >= (1/2) sum_{j in J} |x_j| for a Schreier set J.
+def schreier_inequality(x: TsirelsonVector, J) -> SchreierInequalityCert:
+    """||x|| >= (1/2) sum_{j in J} |x_j| for a Schreier set J, to within 1e-12.
 
     This is the inequality behind the coefficient bound sigma <= 2 on
     intervals avoiding a clone family.
@@ -192,7 +191,7 @@ def schreier_inequality(x: TsirelsonVector, J, tol: float = 1e-12) -> SchreierIn
         raise PreconditionError("J is not a Schreier set")
     norm = tsirelson_norm(x)
     half_sum = 0.5 * sum(abs(x.entries.get(j, 0.0)) for j in cert.indices)
-    ok = norm >= half_sum - tol
+    ok = norm >= half_sum - 1e-12
     if not ok:
         raise FalsificationError(f"Schreier inequality falsified: {norm} < {half_sum}")
     return SchreierInequalityCert(norm, half_sum, ok)
@@ -200,7 +199,7 @@ def schreier_inequality(x: TsirelsonVector, J, tol: float = 1e-12) -> SchreierIn
 
 @dataclass
 class CloneFamily:
-    """Index family from the doubling recursion over a binary word.
+    """The first n terms of m_1 = 1, m_{j+1} = 2 m_j + f(j) for a binary word f.
 
     ``word[j]`` (0-based storage) is the paper-style f(j+1); positions past
     the stored word are treated as 0, so the word is a genuine prefix.  The
@@ -208,36 +207,30 @@ class CloneFamily:
     """
 
     word: tuple[int, ...]
-    terms: list[int] = field(default_factory=list)
+    n: InitVar[int]
+    terms: list[int] = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, n: int):
         word = tuple(self.word)
         if any(b not in (0, 1, "0", "1") for b in word):
             raise DomainError("word must be binary")
+        if n < 1:
+            raise DomainError("need at least one term")
         self.word = tuple(int(b) for b in word)
+        self.terms = [1]
+        for j in range(1, n):
+            self.terms.append(2 * self.terms[-1] + self.bit(j))
+        if any(b > 2 * a + 2 for a, b in zip(self.terms, self.terms[1:])):
+            raise FalsificationError("doubling recursion escaped its envelope")
 
     def bit(self, n: int) -> int:
         """f(n), 1-based."""
         return self.word[n - 1] if 1 <= n <= len(self.word) else 0
 
 
-def clone_family(word, n: int) -> CloneFamily:
-    """First n terms of m_1 = 1, m_{j+1} = 2 m_j + f(j)."""
-    if n < 1:
-        raise DomainError("need at least one term")
-    fam = CloneFamily(word)
-    terms = [1]
-    for j in range(1, n):
-        terms.append(2 * terms[-1] + fam.bit(j))
-    fam.terms = terms
-    if any(b > 2 * a + 2 for a, b in zip(terms, terms[1:])):
-        raise FalsificationError("doubling recursion escaped its envelope")
-    return fam
-
-
 def clone_family_closed_form(word, n: int) -> int:
-    """m_n = 2^(n-1) + sum_{j<n} f(j) 2^(n-1-j)."""
-    fam = CloneFamily(word)
+    """m_n = 2^(n-1) + sum_{j<n} f(j) 2^(n-1-j), refused where CloneFamily(word, n) is."""
+    fam = CloneFamily(word, n)
     return 2 ** (n - 1) + sum(fam.bit(j) * 2 ** (n - 1 - j) for j in range(1, n))
 
 
@@ -253,8 +246,8 @@ def intersection_size(f_word, g_word, horizon: int) -> IntersectionReport:
     word disagreement k; the two agree exactly on their first k terms."""
     if horizon < 1:
         raise DomainError("horizon must be at least 1")
-    famf = clone_family(f_word, horizon)
-    famg = clone_family(g_word, horizon)
+    famf = CloneFamily(f_word, horizon)
+    famg = CloneFamily(g_word, horizon)
     k = None
     for j in range(1, horizon):
         if famf.bit(j) != famg.bit(j):
@@ -274,36 +267,40 @@ def intersection_size(f_word, g_word, horizon: int) -> IntersectionReport:
 def interval_schreier_report(fam: CloneFamily, horizon: int) -> list[tuple[int, int]]:
     """Maximal intervals between consecutive terms, all certified Schreier.
 
-    Terms are extended past the horizon so every gap inside [1, horizon] is
-    a genuine gap of the infinite family; raises if any gap fails
-    |J| <= min J.
+    The family is taken past the horizon (m_n >= 2^(n-1), so its first
+    bit_length(horizon) + 1 terms end beyond it), so every gap inside
+    [1, horizon] is a genuine gap of the infinite family; raises if any gap
+    is not a Schreier set.
     """
-    terms = list(fam.terms)
-    while terms[-1] <= horizon:
-        terms.append(2 * terms[-1] + fam.bit(len(terms)))
+    terms = CloneFamily(fam.word, horizon.bit_length() + 1).terms
     gaps = []
     for a, b in zip(terms, terms[1:]):
         lo, hi = a + 1, min(b - 1, horizon)
         if lo > hi:
             continue
-        size = hi - lo + 1
-        if size > lo:
+        if not schreier_check(range(lo, hi + 1)).schreier:
             raise FalsificationError(f"gap [{lo}, {hi}] is not a Schreier set")
         gaps.append((lo, hi))
-        if b - 1 > horizon:
-            break
     return gaps
 
 
-def basis_projection(M, N: int) -> np.ndarray:
-    """Coordinate projection onto span(t_m : m in M) on the N-truncation."""
+def _diagonal(M, N: int) -> np.ndarray:
+    """0/1 diagonal of the projection onto span(t_m : m in M), N-truncated."""
     if N < 1:
         raise DomainError("truncation must be at least 1")
     diag = np.zeros(N)
     for m in M:
         if 1 <= m <= N:
             diag[m - 1] = 1.0
-    return np.diag(diag)
+    return diag
+
+
+def basis_projection(M, N: int) -> np.ndarray:
+    """Coordinate projection onto span(t_m : m in M) on the N-truncation.
+
+    The dense reference for ``clone_system_verify``, which holds only the
+    diagonal."""
+    return np.diag(_diagonal(M, N))
 
 
 @dataclass
@@ -319,49 +316,38 @@ class CloneSystemReport:
         return self.idempotent_ok and self.contractive_ok and self.attains_one_ok and self.rank_ok
 
 
-def clone_system_verify(
-    families: list[CloneFamily], N: int, seed: int = 0, samples: int = 20
-) -> CloneSystemReport:
+def clone_system_verify(families: list[CloneFamily], N: int, seed: int = 0) -> CloneSystemReport:
     """Verify the basis projections of clone families on a truncation.
 
-    Checks P^2 = P exactly, sampled contractivity ||P x|| <= ||x|| with
-    equality 1 at basis vectors of the range, and
-    rank(P_M P_M') = |M cap M' cap [1, N]| for every pair.
+    Checks P^2 = P exactly, contractivity ||P x|| <= ||x|| on 20 seeded
+    vectors with equality 1 at basis vectors of the range, and
+    rank(P_M P_M') = |M cap M' cap [1, N]| for every pair.  Each P_M is
+    diagonal, so it is held as its 0/1 diagonal v_M: P^2 = P reads
+    v * v == v, and the rank of the diagonal P_M P_M' is the nonzero count
+    of v_M * v_M'.  These are the predicates on ``basis_projection``'s
+    matrices, with no N x N array.
     """
-    mats = []
-    index_sets = []
-    for fam in families:
-        terms = [m for m in fam.terms if m <= N]
-        index_sets.append(set(terms))
-        mats.append(basis_projection(terms, N))
-    idempotent_ok = all(np.array_equal(p @ p, p) for p in mats)
+    index_sets = [{m for m in fam.terms if m <= N} for fam in families]
+    diags = [_diagonal(idx, N) for idx in index_sets]
+    idempotent_ok = all(np.array_equal(v * v, v) for v in diags)
 
     rng = stream(seed, 0)
     contractive_ok = True
     support_size = min(12, N)
-    for _ in range(samples):
+    for _ in range(20):
         positions = rng.choice(np.arange(1, N + 1), size=support_size, replace=False)
         values = rng.standard_normal(support_size) + 1j * rng.standard_normal(support_size)
         x = TsirelsonVector({int(p): v for p, v in zip(positions, values)})
         nx = tsirelson_norm(x)
-        for p, idx in zip(mats, index_sets):
+        for idx in index_sets:
             proj = TsirelsonVector({i: v for i, v in x.entries.items() if i in idx})
             if tsirelson_norm(proj) > nx + 1e-12:
                 contractive_ok = False
 
-    attains_one_ok = True
-    for p, idx in zip(mats, index_sets):
-        for m in idx:
-            if abs(tsirelson_norm(basis_vector(m)) - 1.0) > 1e-15:
-                attains_one_ok = False
+    attains_one_ok = all(abs(tsirelson_norm(basis_vector(m)) - 1.0) <= 1e-15
+                         for m in set().union(*index_sets))
 
-    rank_ok = True
-    checked = 0
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            rank = int(np.linalg.matrix_rank(mats[a] @ mats[b]))
-            expected = len(index_sets[a] & index_sets[b])
-            checked += 1
-            if rank != expected:
-                rank_ok = False
-    return CloneSystemReport(idempotent_ok, contractive_ok, attains_one_ok, rank_ok, checked)
+    pairs = list(itertools.combinations(range(len(families)), 2))
+    rank_ok = all(np.count_nonzero(diags[a] * diags[b]) == len(index_sets[a] & index_sets[b])
+                  for a, b in pairs)
+    return CloneSystemReport(idempotent_ok, contractive_ok, attains_one_ok, rank_ok, len(pairs))

@@ -21,10 +21,10 @@ from amnm.rng import stream
 from amnm.stabilizer import StabilizeConfig, stabilize
 from amnm.suites import unit_killing_perturbation
 from amnm.tsirelson import (
+    CloneFamily,
     TsirelsonVector,
     basis_projection,
     basis_vector,
-    clone_family,
     intersection_size,
     interval_schreier_report,
     schreier_inequality,
@@ -188,7 +188,7 @@ def test_criterion_6_tsirelson():
     # 64 binary words of length 10: recursion envelope + interval property
     words = [[(w >> b) & 1 for b in range(10)] for w in range(64)]
     for word in words:
-        fam = clone_family(word, 10)
+        fam = CloneFamily(word, 10)
         assert all(m2 <= 2 * m1 + 2 for m1, m2 in zip(fam.terms, fam.terms[1:]))
         interval_schreier_report(fam, 600)
 
@@ -206,7 +206,7 @@ def test_criterion_6_tsirelson():
     projections = []
     sets = []
     for word in words:
-        terms = [m for m in clone_family(word, 10).terms if m <= 20]
+        terms = [m for m in CloneFamily(word, 10).terms if m <= 20]
         projections.append(basis_projection(terms, 20))
         sets.append(set(terms))
     for i in range(64):

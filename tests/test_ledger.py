@@ -10,7 +10,7 @@ _spec.loader.exec_module(ledger)
 
 def test_seed_set_names_each_run_once():
     names = [run.name for run in ledger.seed_set()]
-    assert len(names) == len(set(names)) == 45
+    assert len(names) == len(set(names)) == 46
     assert sum(name.startswith("suite-") for name in names) == 6
 
 

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +8,11 @@ from hypothesis import strategies as st
 
 from amnm.errors import DomainError, FalsificationError, PreconditionError
 from amnm.tsirelson import (
+    CloneFamily,
+    CloneSystemReport,
     TsirelsonVector,
     basis_projection,
     basis_vector,
-    clone_family,
     clone_family_closed_form,
     clone_system_verify,
     intersection_size,
@@ -281,7 +285,6 @@ def test_support_cap_refused():
 def test_schreier_check():
     assert schreier_check({2, 3}).schreier
     assert not schreier_check({1, 2}).schreier
-    assert schreier_check({2, 3}).sigma_bound == 2.0
     assert schreier_check({10}).schreier
 
 
@@ -323,7 +326,7 @@ def test_schreier_inequality_seeded():
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=12))
 def test_clone_recursion_matches_closed_form(word):
     n = len(word) + 1
-    fam = clone_family(word, n)
+    fam = CloneFamily(word, n)
     assert fam.terms[0] == 1
     for j in range(1, n):
         assert fam.terms[j] == 2 * fam.terms[j - 1] + fam.bit(j)
@@ -332,17 +335,25 @@ def test_clone_recursion_matches_closed_form(word):
 
 
 def test_clone_words_must_be_binary():
-    assert clone_family("0110", 5).terms == clone_family([0, 1, 1, 0], 5).terms
+    assert CloneFamily("0110", 5).terms == CloneFamily([0, 1, 1, 0], 5).terms
     for word in ("0x2", "2", "01 ", [0, 2]):
         with pytest.raises(DomainError):
-            clone_family(word, 5)
+            CloneFamily(word, 5)
         with pytest.raises(DomainError):
             clone_family_closed_form(word, 5)
 
 
+def test_clone_families_need_a_term():
+    for n in (0, -3):
+        with pytest.raises(DomainError, match="need at least one term"):
+            CloneFamily("0110", n)
+        with pytest.raises(DomainError, match="need at least one term"):
+            clone_family_closed_form("0110", n)
+
+
 def test_clone_families_known_values():
-    assert clone_family([0] * 7, 8).terms == [1, 2, 4, 8, 16, 32, 64, 128]
-    assert clone_family([1] * 7, 8).terms == [1, 3, 7, 15, 31, 63, 127, 255]
+    assert CloneFamily([0] * 7, 8).terms == [1, 2, 4, 8, 16, 32, 64, 128]
+    assert CloneFamily([1] * 7, 8).terms == [1, 3, 7, 15, 31, 63, 127, 255]
 
 
 def test_intersection_equals_first_disagreement():
@@ -368,17 +379,31 @@ def test_interval_schreier_property_exhaustive():
     rng = stream(87, 0)
     for _ in range(20):
         word = [int(b) for b in rng.integers(0, 2, size=10)]
-        fam = clone_family(word, 10)
+        fam = CloneFamily(word, 10)
         gaps = interval_schreier_report(fam, 100)
         for lo, hi in gaps:
             assert hi - lo + 1 <= lo
 
 
+def test_a_directly_built_family_has_its_terms():
+    # the interval report takes the family past the horizon itself, so a
+    # family of one term reports the gaps of one of eleven
+    for word in ("01", "0110", [1, 1, 0], "1111111"):
+        closed = [clone_family_closed_form(word, n) for n in range(1, 12)]
+        gaps = [(a + 1, min(b - 1, 100)) for a, b in zip(closed, closed[1:]) if a + 1 <= min(b - 1, 100)]
+        for n in (1, 3, 11):
+            fam = CloneFamily(word, n)
+            assert fam.terms == closed[:n]
+            assert interval_schreier_report(fam, 100) == gaps
+            assert clone_system_verify([fam, CloneFamily("0", 2)], 20) == dense_clone_system(
+                [fam, CloneFamily("0", 2)], 20, 0)
+
+
 def test_basis_projection_properties():
     p_all = basis_projection(range(1, 21), 20)
     assert np.array_equal(p_all, np.eye(20))
-    fam1 = clone_family([0, 0, 0], 6)
-    fam2 = clone_family([1, 0, 0], 6)
+    fam1 = CloneFamily([0, 0, 0], 6)
+    fam2 = CloneFamily([1, 0, 0], 6)
     p1 = basis_projection(fam1.terms, 20)
     p2 = basis_projection(fam2.terms, 20)
     assert np.array_equal(p1 @ p1, p1)
@@ -391,10 +416,58 @@ def test_basis_projection_properties():
 
 
 def test_clone_system_verify():
-    families = [clone_family([0, 0], 6), clone_family([1, 0], 6), clone_family([1, 1], 6)]
-    report = clone_system_verify(families, 20, seed=5, samples=6)
+    families = [CloneFamily([0, 0], 6), CloneFamily([1, 0], 6), CloneFamily([1, 1], 6)]
+    report = clone_system_verify(families, 20, seed=5)
     assert report.ok
     assert report.checked_pairs == 3
+
+
+def dense_clone_system(families, N, seed):
+    """Reference for ``clone_system_verify``: the same checks on dense
+    ``basis_projection`` matrices, with the ranks from SVDs."""
+    mats = [basis_projection(fam.terms, N) for fam in families]
+    rng = stream(seed, 0)
+    contractive = True
+    size = min(12, N)
+    for _ in range(20):
+        positions = rng.choice(np.arange(1, N + 1), size=size, replace=False)
+        values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        x = np.zeros(N, dtype=complex)
+        x[positions - 1] = values
+        nx = tsirelson_norm(TsirelsonVector.from_dense(x))
+        contractive &= all(tsirelson_norm(TsirelsonVector.from_dense(p @ x)) <= nx + 1e-12 for p in mats)
+    columns = [p[:, m] for p in mats for m in range(N) if p[m, m]]
+    ranks = [int(np.linalg.matrix_rank(p @ q)) == len({*a.terms} & {*b.terms} & set(range(1, N + 1)))
+             for (p, a), (q, b) in itertools.combinations(zip(mats, families), 2)]
+    return CloneSystemReport(
+        all(np.array_equal(p @ p, p) for p in mats),
+        contractive,
+        all(abs(tsirelson_norm(TsirelsonVector.from_dense(c)) - 1.0) <= 1e-15 for c in columns),
+        all(ranks),
+        len(ranks),
+    )
+
+
+def test_clone_system_verify_matches_dense_projections():
+    # criterion 6's 64 ten-bit words at N = 20, then eight words at other horizons
+    families = [CloneFamily([(w >> b) & 1 for b in range(10)], 10) for w in range(64)]
+    assert clone_system_verify(families, 20, seed=3) == dense_clone_system(families, 20, 3)
+    eight = [CloneFamily(w, 12) for w in ("0110", "1011", "0001", "1111", "0101", "1100", "0011", "1000")]
+    for N, seed in ((1, 0), (5, 1), (64, 2), (300, 4)):
+        assert clone_system_verify(eight, N, seed) == dense_clone_system(eight, N, seed)
+
+
+def test_clone_system_verify_holds_no_dense_matrix():
+    # at N = 1024 eight dense projections and their products peaked at 73 MiB
+    eight = [CloneFamily(w, 12) for w in ("0110", "1011", "0001", "1111", "0101", "1100", "0011", "1000")]
+    tracemalloc.start()
+    try:
+        report = clone_system_verify(eight, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.checked_pairs == 28
+    assert peak < 2**20
 
 
 def test_vector_validation():
