@@ -10,6 +10,10 @@ are limits in general collapse to a single evaluation:
 
     split(phi, w, psi)(a_1..a_n) = sum_k phi(c_k) psi(d_k, a_1..a_n).
 
+A ``TensorRep`` holds Delta = sum_k c_k (x) d_k once, as two read-only
+(dim, K) arrays ``cs`` and ``ds`` whose k-th columns are the legs c_k and
+d_k; the library builds them stacked, and averaging reads them as they are.
+
 The amenability bound K is the representation bound sum_k ||c_k|| ||d_k||,
 an upper bound for the projective tensor norm; inequalities that consume K
 only get stronger under this substitution.
@@ -31,48 +35,37 @@ VALID_RESIDUAL_TOL = 1e-10
 
 @dataclass
 class TensorRep:
-    """An element of D (x) D as a finite sum of elementary tensors.
+    """An element sum_k c_k (x) d_k of D (x) D, a finite sum of elementary tensors.
 
-    ``pairs`` holds (c_k, d_k) coordinate vectors over ``algebra``, as
-    read-only copies (library diagonals are shared); ``proj_bound`` is
-    sum_k ||c_k|| ||d_k||, recomputable from the pairs.
+    ``cs`` and ``ds`` hold the legs c_k and d_k as the columns of two
+    (dim, K) coordinate arrays over ``algebra``, stacked once here into one
+    read-only copy (library diagonals are shared); ``proj_bound`` is
+    sum_k ||c_k|| ||d_k||, one norm per leg.
     """
 
     algebra: Algebra
-    pairs: list[tuple[np.ndarray, np.ndarray]]
+    cs: np.ndarray
+    ds: np.ndarray
     proj_bound: float = field(init=False)
 
     def __post_init__(self):
-        clean = []
-        for c, d in self.pairs:
-            c = _frozen(c)
-            d = _frozen(d)
-            if c.shape != (self.algebra.dim,) or d.shape != (self.algebra.dim,):
-                raise DomainError("tensor leg has wrong coordinate length")
-            clean.append((c, d))
-        self.pairs = clean
-        self.proj_bound = float(
-            sum(self.algebra.element_norm(c) * self.algebra.element_norm(d) for c, d in self.pairs)
-        )
+        shape = np.shape(self.cs)
+        if len(shape) != 2 or shape[0] != self.algebra.dim or np.shape(self.ds) != shape:
+            raise DomainError("tensor legs must be two (dim, K) coordinate arrays")
+        self.cs, self.ds = _frozen((self.cs, self.ds))
+        norm = self.algebra.element_norm
+        self.proj_bound = float(sum(norm(c) * norm(d) for c, d in zip(self.cs.T, self.ds.T)))
 
     def dense(self) -> np.ndarray:
-        """Coefficient matrix W[i, j] = sum_k c_k[i] d_k[j]."""
+        """Coefficient matrix W[i, j] = sum_k c_k[i] d_k[j], summed leg by leg."""
         w = np.zeros((self.algebra.dim, self.algebra.dim), dtype=complex)
-        for c, d in self.pairs:
+        for c, d in zip(self.cs.T, self.ds.T):
             w += np.outer(c, d)
         return w
 
-    def legs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The legs stacked as columns: (c_1 .. c_K) and (d_1 .. d_K)."""
-        legs = np.zeros((2, self.algebra.dim, len(self.pairs)), dtype=complex)
-        for k, (c, d) in enumerate(self.pairs):
-            legs[0, :, k] = c
-            legs[1, :, k] = d
-        return legs[0], legs[1]
-
     def flip(self, opposite_algebra: Algebra) -> "TensorRep":
         """c (x) d -> d (x) c, re-parented to the opposite algebra."""
-        return TensorRep(opposite_algebra, [(d, c) for c, d in self.pairs])
+        return TensorRep(opposite_algebra, self.ds, self.cs)
 
 
 @dataclass(frozen=True)
@@ -82,15 +75,18 @@ class DiagonalCert:
     ``residual_commute`` = max over basis a of the dense-coefficient norm of
     a.Delta - Delta.a; ``residual_unit`` = max over basis a of
     ||a pi(Delta) - a|| and ||pi(Delta) a - a||.  Both vanish (to 1e-10 of
-    scale) for an exact diagonal; K is the representation bound, an
-    amenability-constant upper bound.
+    scale) for an exact diagonal; ``K`` reads the representation's
+    ``proj_bound``, an amenability-constant upper bound.
     """
 
     rep: TensorRep
-    K: float
     residual_commute: float
     residual_unit: float
     valid: bool
+
+    @property
+    def K(self) -> float:
+        return self.rep.proj_bound
 
 
 def verify_diagonal(algebra: Algebra, rep: TensorRep) -> DiagonalCert:
@@ -111,7 +107,7 @@ def verify_diagonal(algebra: Algebra, rep: TensorRep) -> DiagonalCert:
     commute = float(np.abs(np.swapaxes(algebra.structure, 1, 2) @ w - w @ np.swapaxes(algebra.structure, 0, 1)).max())
     basis = np.eye(d)
     pi = np.zeros(d, dtype=complex)
-    for c, dd in rep.pairs:
+    for c, dd in zip(rep.cs.T, rep.ds.T):
         pi += algebra.multiply_coords(c, dd)
     # the 2d unit residuals and the d basis vectors, normed in one stacked call
     rows = [prod - basis[i] for i in range(d)
@@ -121,7 +117,7 @@ def verify_diagonal(algebra: Algebra, rep: TensorRep) -> DiagonalCert:
     valid = commute <= VALID_RESIDUAL_TOL * scale and unit_resid <= VALID_RESIDUAL_TOL * max(
         1.0, float(norms[2 * d :].max())
     )
-    return DiagonalCert(rep, rep.proj_bound, commute, unit_resid, bool(valid))
+    return DiagonalCert(rep, commute, unit_resid, bool(valid))
 
 
 class NoLibraryDiagonal(DomainError):
@@ -172,22 +168,19 @@ def _library_rep(algebra: Algebra) -> TensorRep | None:
     real = algebra.realization
     if real is not None and algebra.dim == real.shape[1] ** 2:
         # a Frobenius-orthonormal realized basis spanning M_k: the matrix unit
-        # e_ij has coordinates conj(R[:, i, j]), and Delta = (1/k) sum e_ij (x) e_ji
+        # e_ij has coordinates conj(R[:, i, j]), and Delta = (1/k) sum e_ij (x) e_ji,
+        # column i k + j holding e_ij / k and e_ji
         k = real.shape[1]
         units = np.conj(real)
-        return TensorRep(algebra, [(units[:, i, j] / k, units[:, j, i]) for i in range(k) for j in range(k)])
+        return TensorRep(algebra, units.reshape(-1, k * k) / k, units.transpose(0, 2, 1).reshape(-1, k * k))
     if "summands" in algebra.kind:
-        a1, a2 = algebra.kind["summands"]
-        rep1, rep2 = _library_rep(a1), _library_rep(a2)
-        if rep1 is None or rep2 is None:
+        r1, r2 = (_library_rep(a) for a in algebra.kind["summands"])
+        if r1 is None or r2 is None:
             return None
-        d1 = a1.dim
-        pairs = []
-        for c, d in rep1.pairs:
-            pairs.append((_pad(c, 0, algebra.dim), _pad(d, 0, algebra.dim)))
-        for c, d in rep2.pairs:
-            pairs.append((_pad(c, d1, algebra.dim), _pad(d, d1, algebra.dim)))
-        return TensorRep(algebra, pairs)
+        # the summands' legs side by side, block-diagonally over their coordinates
+        cs, ds = (np.block([[x1, np.zeros((x1.shape[0], x2.shape[1]))], [np.zeros((x2.shape[0], x1.shape[1])), x2]])
+                  for x1, x2 in ((r1.cs, r2.cs), (r1.ds, r2.ds)))
+        return TensorRep(algebra, cs, ds)
     if algebra.base is not None:
         base = algebra.base
         if not base.is_unital:
@@ -196,25 +189,17 @@ def _library_rep(algebra: Algebra) -> TensorRep | None:
         if base_rep is None:
             return None
         # through the splitting (lambda, a) -> (lambda, lambda 1 + a) the
-        # unitization is a direct sum of the scalars and the base
-        head = np.zeros(algebra.dim, dtype=complex)
-        head[0] = 1.0
-        head[1:] = -base.unit_coords
-        pairs = [(head, head.copy())]
-        for c, d in base_rep.pairs:
-            pairs.append((_pad(c, 1, algebra.dim), _pad(d, 1, algebra.dim)))
-        return TensorRep(algebra, pairs)
+        # unitization is a direct sum of the scalars and the base: the head
+        # (1, -unit of the base) on both legs, beside the base's legs shifted
+        # one coordinate
+        cs, ds = (np.block([[np.ones((1, 1)), np.zeros((1, x.shape[1]))], [-base.unit_coords[:, None], x]])
+                  for x in (base_rep.cs, base_rep.ds))
+        return TensorRep(algebra, cs, ds)
     frame = algebra.idempotent_frame
     if frame is None:
         return None
     # commutative and semisimple: Delta = sum p_i (x) p_i over the minimal idempotents
-    return TensorRep(algebra, [(p, p) for p in frame.T])
-
-
-def _pad(coords: np.ndarray, offset: int, dim: int) -> np.ndarray:
-    out = np.zeros(dim, dtype=complex)
-    out[offset : offset + coords.shape[0]] = coords
-    return out
+    return TensorRep(algebra, frame, frame)
 
 
 def average(phi: LinearMap, embedding: Embedding, rep: TensorRep, psi: Cochain) -> Cochain:
@@ -239,8 +224,7 @@ def average(phi: LinearMap, embedding: Embedding, rep: TensorRep, psi: Cochain) 
         raise DomainError("representation must live on the embedded subalgebra")
     if psi.slots[0] is not phi.source:
         raise DomainError("first slot of the cochain must be the map's source")
-    cs, ds = rep.legs()
-    out = _average_tensor(phi.target.structure, phi.matrix, embedding.matrix, cs, ds, psi.tensor)
+    out = _average_tensor(phi.target.structure, phi.matrix, embedding.matrix, rep.cs, rep.ds, psi.tensor)
     return Cochain(psi.slots[1:], phi.target, out)
 
 

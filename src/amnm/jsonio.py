@@ -14,11 +14,8 @@ import numpy as np
 
 def complex_to_json(value):
     """ndarray or scalar -> nested lists of [re, im] pairs."""
-    arr = np.asarray(value)
-    if arr.ndim == 0:
-        z = complex(arr)
-        return [z.real, z.imag]
-    return [complex_to_json(sub) for sub in arr]
+    arr = np.asarray(value, dtype=complex)
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
 def dumps(obj) -> str:

@@ -191,7 +191,7 @@ def random_tensor_rep(d: Algebra, rng, pairs: int = 2) -> TensorRep:
     ``complex_gaussian`` call per leg would take it."""
     x = rng.standard_normal((pairs, 2, 2, d.dim))
     legs = x[:, :, 0] + 1j * x[:, :, 1]  # (k, leg, i)
-    return TensorRep(d, [(c, dd) for c, dd in legs])
+    return TensorRep(d, legs[:, 0].T, legs[:, 1].T)
 
 
 def right_modular_perturbation(a: Algebra, emb: Embedding, rng, scale: float) -> np.ndarray:
@@ -290,7 +290,7 @@ def check_splitting_v1(mode: str, seed: int) -> CheckResult:
     lhs = coboundary(phi, avg1).tensor + average(phi, emb, rep, coboundary(phi, psi)).tensor
 
     # the embedded legs c_k, d_k as columns, one per pair
-    cs, ds = (emb.matrix @ legs for legs in rep.legs())
+    cs, ds = emb.matrix @ rep.cs, emb.matrix @ rep.ds
     phi_c = phi.matrix @ cs
     # u = sum_k phi(c_k) phi(d_k)
     u = (phi_c @ (phi.matrix @ ds).T).reshape(-1) @ b.structure.reshape(-1, b.dim)
@@ -299,7 +299,7 @@ def check_splitting_v1(mode: str, seed: int) -> CheckResult:
     term2 = _target_multiply_left(b, phi.matrix, avg1.tensor)
 
     # term3(e_i, .) = sum_k phi(c_k) psi(d_k e_i, .), every k and i at once
-    d_e = (ds.T @ a.structure.reshape(a.dim, -1)).reshape(len(rep.pairs), a.dim, a.dim)  # (k, i, m)
+    d_e = (ds.T @ a.structure.reshape(a.dim, -1)).reshape(ds.shape[1], a.dim, a.dim)  # (k, i, m)
     term3 = np.einsum("tkmj,kim->tij", _target_multiply_left(b, phi_c, psi.tensor), d_e)
 
     resid = _maxabs(lhs - (term1 + term2 - term3))
@@ -510,9 +510,8 @@ def _left_modular_gap(phi: LinearMap, emb: Embedding, rep: TensorRep, psi: Cocha
     term1 = _target_multiply_left(b, phi.matrix @ emb.matrix, avg1)  # phi(x_m) avg1(.) over D's basis
     # term2[:, m] averages against the legs moved to (x_m c_k, d_k): every m
     # in one kernel call, the moved legs stacked along a leading axis
-    cs, ds = rep.legs()
-    moved = np.swapaxes(d.structure, 1, 2) @ cs  # (m, i, k): x_m c_k
-    term2 = _average_tensor(b.structure, phi.matrix, emb.matrix, moved, ds, psi.tensor).swapaxes(0, 1)
+    moved = np.swapaxes(d.structure, 1, 2) @ rep.cs  # (m, i, k): x_m c_k
+    term2 = _average_tensor(b.structure, phi.matrix, emb.matrix, moved, rep.ds, psi.tensor).swapaxes(0, 1)
     return Cochain((d,) + psi.slots[1:], b, term1 - term2)
 
 

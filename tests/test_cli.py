@@ -60,7 +60,7 @@ def test_generate_instance_shares_the_scenario():
     assert first.cert is second.cert
     assert first.phi is not second.phi
     with pytest.raises(ValueError):
-        first.cert.rep.pairs[0][0][0] = 0.0  # shared, so its legs are read-only
+        first.cert.rep.cs[0, 0] = 0.0  # shared, so its legs are read-only
 
 
 def test_generate_instance_gamma_norm_exact():

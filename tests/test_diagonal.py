@@ -21,11 +21,17 @@ from amnm.diagonal import (
     split,
     verify_diagonal,
 )
-from amnm.errors import PreconditionError
+from amnm.errors import DomainError, PreconditionError
 from amnm.multilinear import Cochain, LinearMap, defect_cochain, identity_map
 from amnm.normest import BoxBall, SpectralBall
 from amnm.rng import complex_gaussian, stream
 from amnm.stabilizer import unitized_embedding
+
+
+def _rep(alg, pairs):
+    """The representation sum_k c_k (x) d_k of a list of (c_k, d_k) pairs."""
+    legs = np.array(pairs, dtype=complex).reshape(-1, 2, alg.dim).T  # (dim, leg, k)
+    return TensorRep(alg, legs[:, 0], legs[:, 1])
 
 
 def test_m2_diagonal_by_direct_computation():
@@ -76,10 +82,9 @@ def test_library_diagonal_built_once_with_read_only_legs():
     for alg in (build_full_matrix_algebra(3), unitize(build_commutative_algebra(2))):
         cert = library_diagonal(alg)
         assert library_diagonal(alg) is cert
-        c, d = cert.rep.pairs[0]
-        for leg in (c, d):
+        for legs in (cert.rep.cs, cert.rep.ds):
             with pytest.raises(ValueError):
-                leg[0] = 0.0
+                legs[0, 0] = 0.0
         with pytest.raises(AttributeError):
             cert.K = 0.0
 
@@ -155,9 +160,8 @@ def test_one_frame_serves_the_ball_and_the_diagonal(mode):
             spectral = SpectralBall(d.realization)
             np.testing.assert_allclose(box.norm(points), spectral.norm(points), rtol=1e-14)
             np.testing.assert_allclose(box.norm_and_dual(points)[0], spectral.norm_and_dual(points)[0], rtol=1e-14)
-        legs = np.array([c for c, _ in cert.rep.pairs]).T
-        assert np.array_equal(legs, frame)
-        assert all(np.array_equal(c, dd) for c, dd in cert.rep.pairs)
+        assert np.array_equal(cert.rep.cs, frame)
+        assert np.array_equal(cert.rep.ds, frame)
 
 
 def test_unsupported_algebra_refused():
@@ -195,7 +199,7 @@ def _verify_by_basis(algebra, rep):
         rmat = algebra.right_mult_matrix(basis[i])
         commute = max(commute, float(np.abs(lmat @ w - w @ rmat.T).max()))
     pi = np.zeros(d, dtype=complex)
-    for c, dd in rep.pairs:
+    for c, dd in zip(rep.cs.T, rep.ds.T):
         pi += algebra.multiply_coords(c, dd)
     rows = [prod - basis[i] for i in range(d)
             for prod in (algebra.multiply_coords(basis[i], pi), algebra.multiply_coords(pi, basis[i]))]
@@ -218,9 +222,9 @@ def test_verify_diagonal_matches_the_basis_loop_bit_for_bit(mode):
     ]
     for n, alg in enumerate(algebras):
         rng = stream(151, n)
-        reps = [library_diagonal(alg).rep, TensorRep(alg, [])]
-        reps += [TensorRep(alg, [(complex_gaussian(rng, alg.dim), complex_gaussian(rng, alg.dim))
-                                 for _ in range(3)]) for _ in range(2)]
+        reps = [library_diagonal(alg).rep, _rep(alg, [])]
+        reps += [_rep(alg, [(complex_gaussian(rng, alg.dim), complex_gaussian(rng, alg.dim))
+                            for _ in range(3)]) for _ in range(2)]
         for rep in reps:
             cert = verify_diagonal(alg, rep)
             got = (cert.K, cert.residual_commute, cert.residual_unit, cert.valid)
@@ -230,11 +234,11 @@ def test_verify_diagonal_matches_the_basis_loop_bit_for_bit(mode):
 
 def test_verify_flags_bad_representations():
     m2 = build_full_matrix_algebra(2)
-    one_one = TensorRep(m2, [(m2.unit_coords, m2.unit_coords)])
+    one_one = _rep(m2, [(m2.unit_coords, m2.unit_coords)])
     cert = verify_diagonal(m2, one_one)
     assert not cert.valid
     assert cert.residual_commute > 0.1  # witnessed by e12
-    zero = TensorRep(m2, [])
+    zero = _rep(m2, [])
     zcert = verify_diagonal(m2, zero)
     assert not zcert.valid
     assert zcert.residual_unit == pytest.approx(1.0)  # max ||a|| over the basis
@@ -259,7 +263,7 @@ def test_verify_checks_the_unit_law_on_both_sides():
     pi = col.multiply_coords(e11, e11)
     basis = np.eye(col.dim)
     assert max(np.abs(col.multiply_coords(basis[i], pi) - basis[i]).max() for i in range(col.dim)) < 1e-12
-    cert = verify_diagonal(col, TensorRep(col, [(e11, e11)]))
+    cert = verify_diagonal(col, _rep(col, [(e11, e11)]))
     assert cert.residual_unit > 0.5
     assert not cert.valid
 
@@ -271,7 +275,7 @@ def test_average_single_pair_matches_direct_formula():
     phi = LinearMap(m2, m2, complex_gaussian(rng, (4, 4)))
     psi = Cochain((m2, m2), m2, complex_gaussian(rng, (4, 4, 4)))
     c, d = complex_gaussian(rng, 4), complex_gaussian(rng, 4)
-    avg = average(phi, emb, TensorRep(m2, [(c, d)]), psi)
+    avg = average(phi, emb, _rep(m2, [(c, d)]), psi)
     for i in range(4):
         a = np.eye(4)[i]
         expected = m2.multiply_coords(phi.apply(c), psi.evaluate(d, a))
@@ -283,7 +287,7 @@ def test_average_zero_rep_gives_zero():
     emb = identity_embedding(m2)
     phi = identity_map(m2)
     psi = Cochain((m2, m2), m2, complex_gaussian(stream(42, 0), (4, 4, 4)))
-    avg = average(phi, emb, TensorRep(m2, []), psi)
+    avg = average(phi, emb, _rep(m2, []), psi)
     assert np.abs(avg.tensor).max() == 0.0
 
 
@@ -295,8 +299,8 @@ def test_average_representation_independent():
     phi = LinearMap(m2, m2, complex_gaussian(rng, (4, 4)))
     psi = Cochain((m2, m2), m2, complex_gaussian(rng, (4, 4, 4)))
     c, d = complex_gaussian(rng, 4), complex_gaussian(rng, 4)
-    rep1 = TensorRep(m2, [(c, d)])
-    rep2 = TensorRep(m2, [(0.5 * c, d), (0.5 * c, d)])
+    rep1 = _rep(m2, [(c, d)])
+    rep2 = _rep(m2, [(0.5 * c, d), (0.5 * c, d)])
     a1 = average(phi, emb, rep1, psi)
     a2 = average(phi, emb, rep2, psi)
     assert np.allclose(a1.tensor, a2.tensor)
@@ -305,7 +309,7 @@ def test_average_representation_independent():
 def test_split_requires_valid_cert():
     m2 = build_full_matrix_algebra(2)
     emb = identity_embedding(m2)
-    bad = verify_diagonal(m2, TensorRep(m2, [(m2.unit_coords, m2.unit_coords)]))
+    bad = verify_diagonal(m2, _rep(m2, [(m2.unit_coords, m2.unit_coords)]))
     psi = Cochain((m2, m2), m2, np.zeros((4, 4, 4)))
     with pytest.raises(PreconditionError):
         split(identity_map(m2), emb, bad, psi)
@@ -362,7 +366,7 @@ def _average_per_leg(phi, embedding, rep, psi):
     stacked kernel."""
     b = phi.target
     out = np.zeros((b.dim,) + psi.tensor.shape[2:], dtype=complex)
-    for c, d in rep.pairs:
+    for c, d in zip(rep.cs.T, rep.ds.T):
         phi_c = phi.apply(embedding.embed_coords(c))
         psi_d = np.tensordot(psi.tensor, embedding.embed_coords(d), axes=(1, 0))
         prod = np.einsum("pqt,p,qR->tR", b.structure, phi_c, psi_d.reshape(b.dim, -1))
@@ -388,8 +392,8 @@ def _averaging_cases():
         rng = stream(80 + j, 0)
         legs = [(complex_gaussian(rng, alg.dim), complex_gaussian(rng, alg.dim)) for _ in range(3)]
         for k in range(3):
-            cases.append((emb, TensorRep(alg, legs[:k])))
-        cases.append((emb, TensorRep(alg, [legs[0], legs[1], legs[0], legs[0]])))
+            cases.append((emb, _rep(alg, legs[:k])))
+        cases.append((emb, _rep(alg, [legs[0], legs[1], legs[0], legs[0]])))
         cases.append((emb, library_diagonal(alg).rep))
     for k in (2, 3, 4):
         _, emb, cert = _scenario(k, "spectral")
@@ -412,7 +416,7 @@ def test_average_kernel_matches_per_leg_sum(arity):
         rng = stream(90 + n, arity)
         phi = LinearMap(a, a, complex_gaussian(rng, (a.dim, a.dim)))
         psi = Cochain((a,) * arity, a, complex_gaussian(rng, (a.dim,) + (a.dim,) * arity))
-        cs, ds = rep.legs()
+        cs, ds = rep.cs, rep.ds
         got = _average_tensor(a.structure, phi.matrix, emb.matrix, cs, ds, psi.tensor)
         if arity > 1:  # an arity-1 average has no slots left, so only the kernel takes it
             assert np.array_equal(average(phi, emb, rep, psi).tensor, got)
@@ -437,9 +441,103 @@ def test_average_kernel_between_different_algebras():
 def test_legs_stack_the_pairs_as_columns():
     m2 = build_full_matrix_algebra(2)
     rep = library_diagonal(m2).rep
-    cs, ds = rep.legs()
-    assert cs.shape == ds.shape == (4, len(rep.pairs))
-    for k, (c, d) in enumerate(rep.pairs):
+    pairs = _library_pairs(m2)
+    cs, ds = rep.cs, rep.ds
+    assert cs.shape == ds.shape == (4, len(pairs))
+    for k, (c, d) in enumerate(pairs):
         assert np.array_equal(cs[:, k], c) and np.array_equal(ds[:, k], d)
-    empty_c, empty_d = TensorRep(m2, []).legs()
-    assert empty_c.shape == empty_d.shape == (4, 0)
+    empty = _rep(m2, [])
+    assert empty.cs.shape == empty.ds.shape == (4, 0)
+
+
+def _library_pairs(algebra):
+    """The library diagonal as (c_k, d_k) pairs built one pair at a time, each
+    embedded by zero padding: the per-pair construction the stacked legs
+    replaced, kept as their reference."""
+    def pad(coords, offset):
+        out = np.zeros(algebra.dim, dtype=complex)
+        out[offset : offset + coords.shape[0]] = coords
+        return out
+
+    real = algebra.realization
+    if real is not None and algebra.dim == real.shape[1] ** 2:
+        k = real.shape[1]
+        units = np.conj(real)
+        return [(units[:, i, j] / k, units[:, j, i]) for i in range(k) for j in range(k)]
+    if "summands" in algebra.kind:
+        a1, a2 = algebra.kind["summands"]
+        return ([(pad(c, 0), pad(d, 0)) for c, d in _library_pairs(a1)]
+                + [(pad(c, a1.dim), pad(d, a1.dim)) for c, d in _library_pairs(a2)])
+    if algebra.base is not None:
+        head = np.zeros(algebra.dim, dtype=complex)
+        head[0] = 1.0
+        head[1:] = -algebra.base.unit_coords
+        return [(head, head.copy())] + [(pad(c, 1), pad(d, 1)) for c, d in _library_pairs(algebra.base)]
+    return [(p, p) for p in algebra.idempotent_frame.T]
+
+
+def _library_algebras(mode):
+    m2, c2 = build_full_matrix_algebra(2, mode), build_commutative_algebra(2, mode)
+    algebras = [build_full_matrix_algebra(k, mode) for k in range(1, 5)]
+    algebras += [build_commutative_algebra(k, mode) for k in range(1, 7)]
+    algebras += [
+        direct_sum(m2, c2),
+        direct_sum(build_full_matrix_algebra(3, mode), m2),
+        direct_sum(direct_sum(m2, build_commutative_algebra(1, mode)), direct_sum(c2, m2)),
+        unitize(m2),
+    ]
+    return algebras + [_scenario(k, mode)[1].sub for k in (2, 3, 4)]
+
+
+def _bits(x):
+    return x.shape, np.ascontiguousarray(x, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["spectral", "frobenius"])
+def test_library_legs_match_the_per_pair_construction_bit_for_bit(mode):
+    for alg in _library_algebras(mode):
+        rep = library_diagonal(alg).rep
+        pairs = [(np.array(c, dtype=complex), np.array(d, dtype=complex)) for c, d in _library_pairs(alg)]
+        want = [np.array([pair[i] for pair in pairs]).T for i in (0, 1)]
+        assert [_bits(rep.cs), _bits(rep.ds)] == [_bits(x) for x in want], alg
+        per_pair = sum(alg.element_norm(c) * alg.element_norm(d) for c, d in pairs)
+        assert float(rep.proj_bound).hex() == float(per_pair).hex(), alg
+
+
+@pytest.mark.parametrize("mode", ["spectral", "frobenius"])
+def test_legs_are_read_only_and_flip_by_a_swap(mode):
+    for alg in _library_algebras(mode):
+        rep = library_diagonal(alg).rep
+        for legs in (rep.cs, rep.ds):
+            assert not legs.flags.writeable
+            with pytest.raises(ValueError):
+                legs[0, 0] = 1.0
+        op = opposite(alg)
+        flipped = rep.flip(op)
+        assert flipped.algebra is op
+        assert [_bits(flipped.cs), _bits(flipped.ds)] == [_bits(rep.ds), _bits(rep.cs)]
+        twice = flipped.flip(alg)
+        assert [_bits(twice.cs), _bits(twice.ds)] == [_bits(rep.cs), _bits(rep.ds)]
+        assert twice.proj_bound == rep.proj_bound
+
+
+def test_legs_are_copied_once_from_the_caller():
+    m2 = build_full_matrix_algebra(2)
+    cs, ds = np.eye(4)[:, :2], np.eye(4)[:, 2:]
+    rep = TensorRep(m2, cs, ds)
+    cs[0, 0] = 5.0
+    assert rep.cs[0, 0] == 1.0 and rep.cs.flags.c_contiguous and rep.ds.flags.c_contiguous
+    assert library_diagonal(m2).K is library_diagonal(m2).rep.proj_bound
+
+
+def test_a_leg_of_the_wrong_shape_is_refused():
+    m2 = build_full_matrix_algebra(2)
+    for cs, ds in (
+        (np.zeros((3, 1)), np.zeros((4, 1))),
+        (np.zeros((4, 1)), np.zeros((5, 1))),
+        (np.zeros((4, 2)), np.zeros((4, 1))),
+        (np.zeros(4), np.zeros(4)),
+        (np.zeros((4, 1, 1)), np.zeros((4, 1, 1))),
+    ):
+        with pytest.raises(DomainError):
+            TensorRep(m2, cs, ds)

@@ -84,7 +84,7 @@ def test_improve_hand_expansion_diagonal_subalgebra():
     out = improve(phi, emb, cert)
     chain = defect_cochain(phi)
     hand = np.array(phi.matrix, dtype=complex)
-    for c, d in cert.rep.pairs:
+    for c, d in zip(cert.rep.cs.T, cert.rep.ds.T):
         ce, de = emb.embed_coords(c), emb.embed_coords(d)
         for i in range(4):
             hand[:, i] += a.multiply_coords(phi.apply(ce), chain.evaluate(de, np.eye(4)[i]))
@@ -215,7 +215,7 @@ def _improve_right_per_leg(phi, emb, cert):
     """improve_right one leg pair at a time, the reference for the kernel."""
     chain = defect_cochain(phi).tensor
     correction = np.zeros_like(phi.matrix)
-    for c, d in cert.rep.pairs:
+    for c, d in zip(cert.rep.cs.T, cert.rep.ds.T):
         phi_d = phi.apply(emb.embed_coords(d))
         chain_c = np.tensordot(chain, emb.embed_coords(c), axes=(2, 0))
         correction += np.einsum("pqt,pR,q->tR", phi.target.structure, chain_c, phi_d)
@@ -234,7 +234,7 @@ def test_improve_right_matches_per_leg_sum():
         cases.append((unitize_map(LinearMap(a, a, np.eye(4) + 0.05 * complex_gaussian(stream(70 + seed, 1), (4, 4)))),
                       emb_u, library_diagonal(emb_u.sub)))
         for phi, e, c in cases:
-            cs, ds = c.rep.legs()
+            cs, ds = c.rep.cs, c.rep.ds
             scale = (np.abs(phi.target.structure).max() * np.abs(phi.matrix).max() * np.abs(e.matrix).max() ** 2
                      * np.abs(cs).max() * np.abs(ds).max() * np.abs(defect_cochain(phi).tensor).max())
             got = improve_right(phi, e, c).matrix
@@ -267,7 +267,7 @@ def test_improve_right_refusals():
     a, emb, cert = m2_diag()
     with pytest.raises(PreconditionError):
         improve_right(LinearMap(a, a, 0.5 * np.eye(4)), emb, cert)
-    bad = verify_diagonal(emb.sub, TensorRep(emb.sub, [(emb.sub.unit_coords, emb.sub.unit_coords)]))
+    bad = verify_diagonal(emb.sub, TensorRep(emb.sub, emb.sub.unit_coords[:, None], emb.sub.unit_coords[:, None]))
     assert not bad.valid
     with pytest.raises(PreconditionError):
         improve_right(identity_map(a), emb, bad)

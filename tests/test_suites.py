@@ -30,7 +30,7 @@ def _loop_splitting_v1(mode, seed):
     rep = suites.random_tensor_rep(emb.sub, rng)
     lhs = coboundary(phi, average(phi, emb, rep, psi)).tensor + average(phi, emb, rep, coboundary(phi, psi)).tensor
     u = np.zeros(b.dim, dtype=complex)
-    for c, dd in rep.pairs:
+    for c, dd in zip(rep.cs.T, rep.ds.T):
         u += b.multiply_coords(phi.apply(emb.embed_coords(c)), phi.apply(emb.embed_coords(dd)))
     term1 = np.einsum("p,pqt,qij->tij", u, b.structure, psi.tensor)
     avg1 = average(phi, emb, rep, psi).tensor
@@ -38,7 +38,7 @@ def _loop_splitting_v1(mode, seed):
     term3 = np.zeros_like(term1)
     basis = np.eye(a.dim)
     for i in range(a.dim):
-        for c, dd in rep.pairs:
+        for c, dd in zip(rep.cs.T, rep.ds.T):
             da = a.multiply_coords(emb.embed_coords(dd), basis[i])
             psi_da = np.tensordot(psi.tensor, da, axes=(1, 0))
             phi_c = phi.apply(emb.embed_coords(c))
@@ -265,8 +265,10 @@ def test_an_instances_rows_do_not_depend_on_how_many_instances_run(mode):
 
 
 def _random_tensor_rep_per_leg(d, rng, pairs=2):
-    """Two draws per leg, the reference for ``random_tensor_rep``'s one draw."""
-    return [(complex_gaussian(rng, d.dim), complex_gaussian(rng, d.dim)) for _ in range(pairs)]
+    """Two draws per leg, the reference for ``random_tensor_rep``'s one draw:
+    the legs c_k and d_k as the columns of two (dim, pairs) arrays."""
+    legs = [(complex_gaussian(rng, d.dim), complex_gaussian(rng, d.dim)) for _ in range(pairs)]
+    return [np.array([leg[i] for leg in legs]).reshape(pairs, d.dim).T for i in (0, 1)]
 
 
 @pytest.mark.parametrize("mode", ["spectral", "frobenius"])
@@ -277,11 +279,9 @@ def test_random_tensor_rep_draws_as_one_gaussian_per_leg(mode):
             ours, ref = stream(seed, 3), stream(seed, 3)
             for _ in range(3):
                 rep = suites.random_tensor_rep(d, ours, pairs)
-                legs = _random_tensor_rep_per_leg(d, ref, pairs)
-                assert len(rep.pairs) == len(legs)
-                for (c, dd), (c_ref, d_ref) in zip(rep.pairs, legs):
-                    assert np.array_equal(c, c_ref) and np.array_equal(dd, d_ref)
-                assert rep.proj_bound == TensorRep(d, legs).proj_bound
+                cs, ds = _random_tensor_rep_per_leg(d, ref, pairs)
+                assert np.array_equal(rep.cs, cs) and np.array_equal(rep.ds, ds)
+                assert rep.proj_bound == TensorRep(d, cs, ds).proj_bound
 
 
 def _left_modular_gap_per_vector(phi, emb, rep, psi):
@@ -294,7 +294,7 @@ def _left_modular_gap_per_vector(phi, emb, rep, psi):
     for m in range(d.dim):
         x = np.zeros(d.dim)
         x[m] = 1.0
-        moved = TensorRep(d, [(d.multiply_coords(x, c), dd) for c, dd in rep.pairs])
+        moved = TensorRep(d, np.stack([d.multiply_coords(x, c) for c in rep.cs.T], axis=1), rep.ds)
         term2[:, m, :] = average(phi, emb, moved, psi).tensor
     return term1 - term2
 
@@ -310,7 +310,7 @@ def test_left_modular_gap_matches_per_vector_moves(mode, seed):
     rep = suites.random_tensor_rep(emb.sub, rng)
     gap = suites._left_modular_gap(phi, emb, rep, psi)
     assert gap.slots == (emb.sub, a)
-    cs, ds = rep.legs()
+    cs, ds = rep.cs, rep.ds
     scale = (np.abs(a.structure).max() ** 2 * np.abs(phi.matrix).max() * np.abs(emb.matrix).max() ** 2
              * np.abs(cs).max() * np.abs(ds).max() * np.abs(psi.tensor).max())
     assert np.abs(gap.tensor - _left_modular_gap_per_vector(phi, emb, rep, psi)).max() <= 1e-13 * scale
